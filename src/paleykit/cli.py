@@ -30,6 +30,7 @@ from .sequence import RhoSampler, build_sequence, estimate_rho_de, techprop_quan
 from .serialization import (
     canonical_dumps,
     matrixseq_from_json,
+    paley_to_json,
     plan_digest,
     plan_from_json,
     plan_to_json,
@@ -172,16 +173,13 @@ def _cmd_estimate_paley(args):
     dims = tuple(args.matrix_dim or [1])
     if any(m < 1 for m in dims):
         raise _ValidationError("--matrix-dim must be at least 1")
-    box = 6
-    support = [(i, j) for i in range(1, box + 1) for j in range(1, box + 1)] \
-        if plan.smoothness.dim == 2 else []
-    sampler = PaleySampler(count=args.count, support=tuple(support),
-                           always=(plan.sequence[0],), terms=8, mdim=dims,
-                           seed=args.seed, grid_n=args.grid_n)
+    sampler = PaleySampler.for_plan(
+        plan, count=args.count, box=OrchestratorConfig.paley_box,
+        terms=OrchestratorConfig.paley_terms, mdim=dims, seed=args.seed,
+        grid_n=args.grid_n)
     result = estimate_paley_constant(plan.smoothness, plan.sequence, sampler)
-    payload = {k: v for k, v in result.items() if k != "mdim"}
-    payload["per_dim"] = {str(m): v for m, v in result["per_dim"].items()}
-    payload["m"] = list(dims)
+    payload = paley_to_json(result)
+    payload["m"] = payload.pop("mdim")
     payload["plan_digest"] = plan_digest(plan)
     return 0, payload, "empirical sup ratio %.6g over %d samples (m=%s)" % (
         result["sup_ratio"], args.count, list(dims))

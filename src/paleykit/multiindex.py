@@ -20,8 +20,8 @@ from itertools import product
 
 from .errors import InvalidSmoothnessError
 
-# Powers of the imaginary unit, indexed by |gamma| mod 4.
-_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
+# Powers of the imaginary unit: PHASES[e % 4] = i^e.
+PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 def order(gamma):
@@ -133,13 +133,14 @@ def symbol_abs_int(gamma, x):
 def symbol_phase(gamma, x):
     """The unimodular factor i^{|gamma|} * sign(x)^gamma in {1, i, -1, -i}.
 
-    Only meaningful when all coordinates of x are nonzero.
+    A zero coordinate counts as positive; that is only right where it
+    carries an even exponent, as it does in derivative_multiplier.
     """
     s = 1
     for g, c in zip(gamma, x):
         if c < 0 and g % 2 == 1:
             s = -s
-    p = _PHASES[order(gamma) % 4]
+    p = PHASES[order(gamma) % 4]
     return s * p
 
 
@@ -182,8 +183,4 @@ def derivative_multiplier(gamma, n):
             mag *= abs(c) ** g
     if mag == 0:
         return 0j
-    s = 1
-    for g, c in zip(gamma, n):
-        if c < 0 and g % 2 == 1:
-            s = -s
-    return s * _PHASES[order(gamma) % 4] * float(mag)
+    return symbol_phase(gamma, n) * float(mag)

@@ -24,14 +24,7 @@ from .operators import (
 from .property_o import find_witness
 from .riesz import verify_claim_a, verify_claim_b
 from .sequence import build_sequence
-from .serialization import (
-    condition_report_to_json,
-    plan_digest,
-    plan_to_json,
-    smoothness_to_json,
-    to_jsonable,
-    witness_to_json,
-)
+from .serialization import paley_to_json, plan_digest, to_jsonable
 from .trigpoly import random_trigpoly
 
 SCHEMA_VERSION = 1
@@ -88,7 +81,7 @@ def _build_with_retries(s, witness, config):
         t0, q = t0 * t0, q * q
     raise StageFailure(
         "sequence", "conditions_unmet",
-        {"retries": config.retries, "last_report": condition_report_to_json(last)})
+        {"retries": config.retries, "last_report": to_jsonable(last)})
 
 
 def _composite_check(plan, pipeline, config):
@@ -125,7 +118,7 @@ def run_construction(s, config=None):
     timings["property_o"] = time.perf_counter() - t
     if witness is None:
         raise StageFailure("property_o", "no_witness",
-                           {"smoothness": smoothness_to_json(s)})
+                           {"smoothness": to_jsonable(s)})
 
     t = time.perf_counter()
     plan, retries_used = _build_with_retries(s, witness, config)
@@ -149,13 +142,10 @@ def run_construction(s, config=None):
     t = time.perf_counter()
     paley = {}
     if config.matrix_dims:
-        box = config.paley_box
-        support = [(i, j) for i in range(1, box + 1) for j in range(1, box + 1)] \
-            if s.dim == 2 else []
-        sampler = PaleySampler(
+        sampler = PaleySampler.for_plan(
+            plan,
             count=config.paley_count,
-            support=tuple(support),
-            always=(plan.sequence[0],),
+            box=config.paley_box,
             terms=config.paley_terms,
             mdim=tuple(config.matrix_dims),
             seed=config.seed,
@@ -181,30 +171,8 @@ def run_construction(s, config=None):
     )
 
 
-def _paley_to_json(p):
-    if not p:
-        return {}
-    out = {k: to_jsonable(v) for k, v in p.items() if k != "per_dim"}
-    out["per_dim"] = {str(m): to_jsonable(v) for m, v in p["per_dim"].items()}
-    return out
-
-
 def report_to_json(report):
-    return {
-        "schema_version": report.schema_version,
-        "smoothness": smoothness_to_json(report.smoothness),
-        "config": to_jsonable(vars(report.config)),
-        "witness": witness_to_json(report.witness),
-        "plan": plan_to_json(report.plan),
-        "digest": report.digest,
-        "retries_used": report.retries_used,
-        "claim_a": report.claim_a,
-        "claim_b": report.claim_b,
-        "rho_bounds_ok": report.rho_bounds_ok,
-        "composite_max_rel_error": report.composite_max_rel_error,
-        "paley": _paley_to_json(report.paley),
-        "timings": {k: float(v) for k, v in report.timings.items()},
-    }
+    return dict(to_jsonable(report), paley=paley_to_json(report.paley))
 
 
 @dataclass

@@ -24,9 +24,9 @@ from .simplex import lp_solve
 class PropertyOWitness:
     """A verified witness (alpha, beta, c) with its margin t_star = min_j c_j."""
 
-    alpha: tuple
-    beta: tuple
-    c: tuple
+    alpha: tuple[int, ...]
+    beta: tuple[int, ...]
+    c: tuple[Fraction, ...]
     t_star: Fraction
 
 

@@ -22,18 +22,18 @@ threshold rho(D, eps).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .errors import (
     ConstructionError,
     EnumerationLimitError,
     SingularFrequencyError,
+    StageFailure,
 )
-from .multiindex import Smoothness, order, q_s_eval, symbol_abs_int, symbol_eval
+from .multiindex import PHASES, Smoothness, order, q_s_eval, symbol_abs_int, symbol_eval
 from .property_o import PropertyOWitness, verify_witness
-
-_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
 def compute_tau(alpha, beta):
@@ -42,7 +42,7 @@ def compute_tau(alpha, beta):
     e = order(alpha) - order(beta)
     if e % 2 == 0:
         raise ValueError("alpha and beta have equal total-order parity")
-    return _PHASES[e % 4]
+    return PHASES[e % 4]
 
 
 def integer_nth_root(x, n):
@@ -111,8 +111,8 @@ class ConditionReport:
     sum_iv: float
     bound_iii_met: bool
     bound_iv_met: bool
-    iv_evaluated: list
-    iv_skipped: list
+    iv_evaluated: list[int]
+    iv_skipped: list[int]
     cap: int
 
 
@@ -125,15 +125,15 @@ class LacunaryPlan:
     K: int
     t0: Fraction
     q: Fraction
-    ts: list
-    sequence: list
-    radii: list
+    ts: list[Fraction]
+    sequence: list[tuple[int, ...]]
+    radii: list[int]
     tau: complex
     ell_exact: Fraction
     ell_hat: float
     ell_drift: float
     rho_hat: float
-    report: ConditionReport = field(default=None)
+    report: Optional[ConditionReport] = None
 
 
 def estimate_ell(alpha, beta, sequence):
@@ -294,13 +294,19 @@ def _rho_hat(S, witness, points):
     return math.sqrt(float(worst))
 
 
+def _q_s_overflow(k):
+    return StageFailure("sequence", "q_s_overflow", {"k": k})
+
+
 def check_conditions(S, plan, cap=10**7, on_cap="skip"):
     """Evaluate conditions (i)-(iv) for the plan at its truncation.
 
     Condition (i) and the l1 balls are exact integer work; the sums of
     (iii) and (iv) are reported as floats against the thresholds 1/2
     and 1.  Balls larger than cap points are skipped and recorded
-    (on_cap="skip", the default) or raise (on_cap="raise").
+    (on_cap="skip", the default) or raise (on_cap="raise").  A plan
+    whose Q_S(n_k), or Q_S on B_k, leaves double range cannot be summed:
+    that raises StageFailure("sequence", "q_s_overflow") naming k.
     """
     if on_cap not in ("skip", "raise"):
         raise ValueError("on_cap must be 'skip' or 'raise'")
@@ -312,9 +318,13 @@ def check_conditions(S, plan, cap=10**7, on_cap="skip"):
 
     ell = plan.ell_exact
     sum_iii = 0.0
-    for n in seq:
+    for k, n in enumerate(seq, 1):
+        try:
+            root = math.sqrt(float(q_s_eval(S, n)))
+        except OverflowError:
+            raise _q_s_overflow(k) from None
         num = abs(Fraction(symbol_abs_int(alpha, n)) - ell * symbol_abs_int(beta, n))
-        sum_iii += float(num) / math.sqrt(float(q_s_eval(S, n)))
+        sum_iii += float(num) / root
 
     tau_ell = plan.tau * float(ell)
     sum_iv = 0.0
@@ -330,13 +340,16 @@ def check_conditions(S, plan, cap=10**7, on_cap="skip"):
                 )
             skipped.append(k)
             continue
-        for m in bk_enumerate(seq, k, cap=cap):
-            # condition (i) guarantees every ball point stays in the
-            # open positive orthant
-            assert all(c > 0 for c in m), (k, m)
-            neg = tuple(-c for c in m)
-            num = abs(symbol_eval(alpha, neg) + tau_ell * symbol_eval(beta, neg))
-            sum_iv += num / math.sqrt(float(q_s_eval(S, m)))
+        try:
+            for m in bk_enumerate(seq, k, cap=cap):
+                # condition (i) guarantees every ball point stays in the
+                # open positive orthant
+                assert all(c > 0 for c in m), (k, m)
+                neg = tuple(-c for c in m)
+                num = abs(symbol_eval(alpha, neg) + tau_ell * symbol_eval(beta, neg))
+                sum_iv += num / math.sqrt(float(q_s_eval(S, m)))
+        except OverflowError:
+            raise _q_s_overflow(k) from None
         evaluated.append(k)
 
     return ConditionReport(

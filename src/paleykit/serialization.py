@@ -7,9 +7,11 @@ conversion.  Two equal objects therefore serialize to byte-identical
 text, which is what makes digests and replay comparisons meaningful.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
+import typing
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +19,7 @@ import numpy as np
 from .crnorm import MatrixSequence
 from .multiindex import Smoothness
 from .property_o import PropertyOWitness
-from .sequence import ConditionReport, LacunaryPlan
+from .sequence import LacunaryPlan
 from .trigpoly import TrigPoly
 
 
@@ -73,8 +75,9 @@ def canonical_dumps(obj):
 
 
 def to_jsonable(obj):
-    """Recursively rewrite into plain JSON-compatible values: Fractions
-    to "p/q" strings, complex to {re, im}, arrays to nested lists."""
+    """Recursively rewrite into plain JSON-compatible values: dataclasses
+    to {field name: value}, Fractions to "p/q" strings, complex to
+    {re, im}, arrays to nested lists, sets to sorted lists."""
     if obj is None or isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, (int, np.integer)):
@@ -94,115 +97,84 @@ def to_jsonable(obj):
         return [to_jsonable(v) for v in vals]
     if isinstance(obj, dict):
         return {k: to_jsonable(v) for k, v in obj.items()}
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: to_jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
     raise TypeError("no JSON form for %r" % type(obj))
 
 
-def _frac(s):
-    return Fraction(s)
+def _fraction(text):
+    if not isinstance(text, str):
+        raise ValueError("a rational must be a 'p/q' string, got %r" % (text,))
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in rational %r" % text) from None
 
 
 def _cplx(d):
     return complex(d["re"], d["im"])
 
 
+def from_jsonable(cls, data):
+    """Inverse of to_jsonable, driven by the declared type ``cls``.
+
+    Dataclasses are rebuilt field by field from their type hints (a
+    field with a default may be absent), Smoothness through
+    Smoothness.from_indices so outside input is validated.  Malformed
+    input raises KeyError, TypeError or ValueError.
+    """
+    if cls is Smoothness:
+        return Smoothness.from_indices(tuple(g) for g in data["indices"])
+    if dataclasses.is_dataclass(cls):
+        hints = typing.get_type_hints(cls)
+        return cls(**{
+            f.name: from_jsonable(hints[f.name], data[f.name])
+            for f in dataclasses.fields(cls)
+            if f.name in data or f.default is dataclasses.MISSING})
+    origin, args = typing.get_origin(cls), typing.get_args(cls)
+    if origin is typing.Union:  # Optional[X]
+        (inner,) = [a for a in args if a is not type(None)]
+        return None if data is None else from_jsonable(inner, data)
+    if origin in (list, tuple):  # list[X] or tuple[X, ...]
+        if not isinstance(data, list):
+            raise TypeError("expected a list, got %r" % (data,))
+        return origin(from_jsonable(args[0], v) for v in data)
+    if cls is Fraction:
+        return _fraction(data)
+    if cls is complex:
+        return _cplx(data)
+    if cls in (bool, int, float, str) and isinstance(data, cls):
+        return data
+    raise TypeError("expected %s, got %r" % (getattr(cls, "__name__", cls), data))
+
+
 # ----------------------------------------------------------------------
-# typed codecs
+# typed names for the generic pair
 
-
-def smoothness_to_json(s):
-    return {"dim": s.dim, "indices": [list(g) for g in sorted(s.indices)]}
+smoothness_to_json = witness_to_json = condition_report_to_json = \
+    plan_to_json = to_jsonable
 
 
 def smoothness_from_json(d):
-    return Smoothness.from_indices(tuple(g) for g in d["indices"])
-
-
-def witness_to_json(w):
-    return {
-        "alpha": list(w.alpha),
-        "beta": list(w.beta),
-        "c": [str(v) for v in w.c],
-        "t_star": str(w.t_star),
-    }
+    return from_jsonable(Smoothness, d)
 
 
 def witness_from_json(d):
-    return PropertyOWitness(
-        alpha=tuple(d["alpha"]),
-        beta=tuple(d["beta"]),
-        c=tuple(_frac(v) for v in d["c"]),
-        t_star=_frac(d["t_star"]),
-    )
-
-
-def condition_report_to_json(r):
-    return {
-        "cond_i": r.cond_i,
-        "ell_hat": r.ell_hat,
-        "ell_drift": r.ell_drift,
-        "sum_iii": r.sum_iii,
-        "sum_iv": r.sum_iv,
-        "bound_iii_met": r.bound_iii_met,
-        "bound_iv_met": r.bound_iv_met,
-        "iv_evaluated": list(r.iv_evaluated),
-        "iv_skipped": list(r.iv_skipped),
-        "cap": r.cap,
-    }
-
-
-def condition_report_from_json(d):
-    return ConditionReport(
-        cond_i=d["cond_i"],
-        ell_hat=d["ell_hat"],
-        ell_drift=d["ell_drift"],
-        sum_iii=d["sum_iii"],
-        sum_iv=d["sum_iv"],
-        bound_iii_met=d["bound_iii_met"],
-        bound_iv_met=d["bound_iv_met"],
-        iv_evaluated=list(d["iv_evaluated"]),
-        iv_skipped=list(d["iv_skipped"]),
-        cap=d["cap"],
-    )
-
-
-def plan_to_json(plan):
-    return {
-        "smoothness": smoothness_to_json(plan.smoothness),
-        "witness": witness_to_json(plan.witness),
-        "K": plan.K,
-        "t0": str(plan.t0),
-        "q": str(plan.q),
-        "ts": [str(t) for t in plan.ts],
-        "sequence": [list(n) for n in plan.sequence],
-        "radii": list(plan.radii),
-        "tau": to_jsonable(plan.tau),
-        "ell_exact": str(plan.ell_exact),
-        "ell_hat": plan.ell_hat,
-        "ell_drift": plan.ell_drift,
-        "rho_hat": plan.rho_hat,
-        "report": None if plan.report is None
-        else condition_report_to_json(plan.report),
-    }
+    return from_jsonable(PropertyOWitness, d)
 
 
 def plan_from_json(d):
-    return LacunaryPlan(
-        smoothness=smoothness_from_json(d["smoothness"]),
-        witness=witness_from_json(d["witness"]),
-        K=d["K"],
-        t0=_frac(d["t0"]),
-        q=_frac(d["q"]),
-        ts=[_frac(t) for t in d["ts"]],
-        sequence=[tuple(n) for n in d["sequence"]],
-        radii=list(d["radii"]),
-        tau=_cplx(d["tau"]),
-        ell_exact=_frac(d["ell_exact"]),
-        ell_hat=d["ell_hat"],
-        ell_drift=d["ell_drift"],
-        rho_hat=d["rho_hat"],
-        report=None if d.get("report") is None
-        else condition_report_from_json(d["report"]),
-    )
+    return from_jsonable(LacunaryPlan, d)
+
+
+def paley_to_json(result):
+    """An estimate_paley_constant result.  Its per_dim table is keyed by
+    the int matrix dimension m in memory and by str(m) in JSON."""
+    out = to_jsonable(result)
+    if "per_dim" in out:
+        out["per_dim"] = {str(m): v for m, v in out["per_dim"].items()}
+    return out
 
 
 def poly_to_json(f):
@@ -249,12 +221,6 @@ def matrixseq_from_json(d):
 def plan_digest(plan):
     """Identity of a plan: hash of the inputs plus the sequence they
     produced.  Derived floats stay out so the digest is exact."""
-    payload = {
-        "smoothness": smoothness_to_json(plan.smoothness),
-        "witness": witness_to_json(plan.witness),
-        "K": plan.K,
-        "t0": str(plan.t0),
-        "q": str(plan.q),
-        "sequence": [list(n) for n in plan.sequence],
-    }
+    payload = {name: to_jsonable(getattr(plan, name)) for name in
+               ("smoothness", "witness", "K", "t0", "q", "sequence")}
     return hashlib.sha256(canonical_dumps(payload).encode()).hexdigest()

@@ -109,6 +109,20 @@ def test_riesz_spectrum_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("field", ["t0", "c"])
+def test_bad_rational_in_plan_exits_2(capsys, plan_file, tmp_path, field):
+    data = json.loads(open(plan_file).read())
+    if field == "c":
+        data["witness"]["c"][0] = "1/0"
+    else:
+        data[field] = "1/0"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, payload, err = run(capsys, "riesz-spectrum", "--plan", str(bad))
+    assert code == 2
+    assert "bad plan file" in payload["error"]
+
+
 def test_project(capsys, plan_file, tmp_path):
     f = random_trigpoly([(10, 100), (3, 4)], seed=1)
     poly = tmp_path / "poly.json"
@@ -205,6 +219,15 @@ def test_run_all_no_witness(capsys):
                            "--K", "2")
     assert code == 3
     assert payload["stage"] == "property_o"
+
+
+def test_run_all_q_s_overflow_is_stage_failure(capsys):
+    # the first retry of {(4,0),(0,1)} puts Q_S(n_4) beyond double range
+    code, payload, _ = run(capsys, "run-all", "--indices",
+                           "0,0;1,0;2,0;3,0;4,0;0,1", "--matrix-dim", "1")
+    assert code == 3
+    assert payload == {"failure": "q_s_overflow", "stage": "sequence",
+                       "details": {"k": 4}}
 
 
 def test_stdout_is_canonical(capsys):

@@ -7,6 +7,7 @@ from paleykit.errors import (
     ConstructionError,
     EnumerationLimitError,
     SingularFrequencyError,
+    StageFailure,
 )
 from paleykit.multiindex import Smoothness, q_s_eval, saturate
 from paleykit.property_o import find_witness
@@ -194,6 +195,16 @@ def test_check_conditions_squared_schedule():
     assert r.sum_iv == 0.0
     assert r.iv_evaluated == [1]
     assert r.iv_skipped == [2, 3, 4]
+
+
+def test_check_conditions_q_s_overflow_names_k():
+    # on {(4,0),(0,1)} the squared schedule puts Q_S(n_4) past 1.8e308
+    S = Smoothness.from_indices(saturate({(4, 0), (0, 1)}))
+    with pytest.raises(StageFailure) as exc:
+        build_sequence(S, find_witness(S), 4, 100**2, 10**2)
+    assert exc.value.stage == "sequence"
+    assert exc.value.reason == "q_s_overflow"
+    assert exc.value.details == {"k": 4}
 
 
 def test_techprop_exact_values():

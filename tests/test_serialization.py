@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from paleykit.crnorm import MatrixSequence
 from paleykit.multiindex import Smoothness, saturate
 from paleykit.property_o import find_witness
-from paleykit.sequence import build_sequence
+from paleykit.sequence import ConditionReport, build_sequence
 from paleykit.serialization import (
     canonical_dumps,
+    from_jsonable,
     matrixseq_from_json,
     matrixseq_to_json,
     plan_digest,
@@ -78,6 +80,38 @@ def test_plan_round_trip_and_digest():
     assert plan_digest(p2) == plan_digest(PLAN)
     assert plan_digest(PLAN) == (
         "523c639104b22f12d393ef3ff413540d4eed9e8d2325ccd1309dd4226e6a9354")
+
+
+def test_plan_encoding_bytes_pinned():
+    # every field of the plan, its condition report included
+    text = canonical_dumps(plan_to_json(PLAN))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ab0951e8633a464a6ded961bec1dfa817ef0b920b4e52b9eb56b7744277352b8")
+
+
+def test_condition_report_round_trip():
+    d = to_jsonable(PLAN.report)
+    assert from_jsonable(ConditionReport, d) == PLAN.report
+    assert d["iv_evaluated"] == [1, 2] and d["iv_skipped"] == [3, 4]
+
+
+@pytest.mark.parametrize("path, value", [
+    (("t0",), "1/0"),
+    (("witness", "c", 0), "1/0"),
+    (("ts", 1), "x"),
+    (("q",), 10),
+    (("K",), "4"),
+    (("sequence",), 5),
+    (("tau",), [0, 1]),
+])
+def test_plan_from_json_rejects_malformed(path, value):
+    d = plan_to_json(PLAN)
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises((TypeError, ValueError)):
+        plan_from_json(d)
 
 
 def test_digest_tracks_inputs():
