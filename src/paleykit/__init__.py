@@ -17,7 +17,6 @@ from .crnorm import (
 )
 from .errors import (
     ConstructionError,
-    EnumerationLimitError,
     InfeasibleError,
     InvalidSmoothnessError,
     PaleykitError,

@@ -15,7 +15,6 @@ from fractions import Fraction
 from .crnorm import cr_norm
 from .errors import (
     ConstructionError,
-    EnumerationLimitError,
     InvalidSmoothnessError,
     PaleykitError,
     SingularFrequencyError,
@@ -125,9 +124,8 @@ def _cmd_build_sequence(args):
     s = _load_smoothness(args)
     if args.t0 <= 1 or args.q <= 1:
         raise _ValidationError("--t0 and --q must be greater than 1")
-    _check_positive(args, ["K", "cap"])
-    plan = build_sequence(s, find_witness_or_fail(s), args.K, args.t0,
-                          args.q, cap=args.cap)
+    _check_positive(args, ["K"])
+    plan = build_sequence(s, find_witness_or_fail(s), args.K, args.t0, args.q)
     return 0, plan_to_json(plan), \
         "plan: K=%d first=%s digest=%s" % (
             plan.K, plan.sequence[0], plan_digest(plan)[:12])
@@ -143,9 +141,11 @@ def find_witness_or_fail(s):
 
 def _cmd_riesz_spectrum(args):
     plan = _load_plan(args)
+    ok_b, bad_b = verify_claim_b(plan.sequence, plan.K)
+    if not ok_b:
+        raise StageFailure("riesz", "claim_b_collision", {"patterns": bad_b})
     spectrum = riesz_spectrum(plan.sequence, plan.K)
     ok_a, _ = verify_claim_a(plan.sequence, plan.K)
-    ok_b, _ = verify_claim_b(plan.sequence, plan.K)
     sample = [list(n) for n in sorted(spectrum)[:9]]
     payload = {"size": len(spectrum), "claims": {"a": ok_a, "b": ok_b},
                "sample_frequencies": sample}
@@ -225,11 +225,11 @@ def _cmd_run_all(args):
     s = _load_smoothness(args)
     if args.t0 <= 1 or args.q <= 1:
         raise _ValidationError("--t0 and --q must be greater than 1")
-    _check_positive(args, ["K", "cap", "count", "grid_n"])
+    _check_positive(args, ["K", "count", "grid_n"])
     dims = tuple(args.matrix_dim or OrchestratorConfig.matrix_dims)
-    config = OrchestratorConfig(K=args.K, t0=args.t0, q=args.q, cap=args.cap,
-                                seed=args.seed, paley_count=args.count,
-                                matrix_dims=dims, grid_n=args.grid_n)
+    config = OrchestratorConfig(K=args.K, t0=args.t0, q=args.q, seed=args.seed,
+                                paley_count=args.count, matrix_dims=dims,
+                                grid_n=args.grid_n)
     report = run_construction(s, config)
     summary = ("construction verified: claims %s/%s, composite err %.3g, "
                "paley sup %.6g, digest %s" % (
@@ -265,7 +265,6 @@ def _build_parser():
             p.add_argument("--K", type=int, default=4)
             p.add_argument("--t0", type=Fraction, default=Fraction(100))
             p.add_argument("--q", type=Fraction, default=Fraction(10))
-            p.add_argument("--cap", type=int, default=10**7)
         if sample_flags:
             p.add_argument("--count", type=int, default=100)
             p.add_argument("--matrix-dim", type=int, action="append",
@@ -319,8 +318,7 @@ def main(argv=None):
         print("failed at stage %s: %s" % (exc.stage, exc.reason),
               file=sys.stderr)
         return 3
-    except (ConstructionError, EnumerationLimitError,
-            SingularFrequencyError) as exc:
+    except (ConstructionError, SingularFrequencyError) as exc:
         print(canonical_dumps({"failure": type(exc).__name__,
                                "error": str(exc)}))
         print("error: %s" % exc, file=sys.stderr)

@@ -21,17 +21,6 @@ class ConstructionError(PaleykitError):
     """A lacunary-sequence or operator construction cannot be completed."""
 
 
-class EnumerationLimitError(PaleykitError):
-    """A lattice-ball enumeration would exceed the configured cap.
-
-    Carries the exact would-be point count as .count.
-    """
-
-    def __init__(self, message, count=None):
-        super().__init__(message)
-        self.count = count
-
-
 class SingularFrequencyError(PaleykitError):
     """Q_S vanishes at the requested frequency (a zero coordinate)."""
 

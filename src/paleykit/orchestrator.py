@@ -27,7 +27,7 @@ from .sequence import build_sequence
 from .serialization import paley_to_json, plan_digest, to_jsonable
 from .trigpoly import random_trigpoly
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -37,7 +37,6 @@ class OrchestratorConfig:
     K: int = 4
     t0: int = 100
     q: int = 10
-    cap: int = 10**7
     retries: int = 3
     seed: int = 0
     composite_count: int = 25
@@ -73,7 +72,7 @@ def _build_with_retries(s, witness, config):
     t0, q = config.t0, config.q
     last = None
     for attempt in range(config.retries + 1):
-        plan = build_sequence(s, witness, config.K, t0, q, cap=config.cap)
+        plan = build_sequence(s, witness, config.K, t0, q)
         rep = plan.report
         if rep.cond_i and rep.bound_iii_met and rep.bound_iv_met:
             return plan, attempt

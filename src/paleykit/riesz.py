@@ -15,10 +15,9 @@ force over all sign patterns.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import ConstructionError
-from .sequence import bk_radius
+from .sequence import bk_radius, pattern_frequency, sign_patterns
 from .trigpoly import TrigPoly
 
 
@@ -39,19 +38,6 @@ class RieszMeasure:
         return self.coeffs.get(tuple(int(c) for c in n), 0.0)
 
 
-def _patterns(K):
-    return product((-1, 0, 1), repeat=K)
-
-
-def _pattern_frequency(sequence, d, dim):
-    out = [0] * dim
-    for dk, n in zip(d, sequence):
-        if dk:
-            for j in range(dim):
-                out[j] += dk * n[j]
-    return tuple(out)
-
-
 def verify_claim_b(sequence, K):
     """Distinctness of the 3^K first coordinates sum_k d_k n_k(1).
 
@@ -59,7 +45,7 @@ def verify_claim_b(sequence, K):
     patterns.
     """
     seen = {}
-    for d in _patterns(K):
+    for d in sign_patterns(K):
         first = sum(dk * n[0] for dk, n in zip(d, sequence))
         if first in seen:
             return False, (seen[first], d)
@@ -71,12 +57,12 @@ def verify_claim_a(sequence, K):
     """Containment of every nonzero spectrum point in B_k or -B_k for
     k the largest active index.  Returns (True, None) or (False, m)."""
     dim = len(sequence[0]) if sequence else 1
-    for d in _patterns(K):
+    for d in sign_patterns(K):
         active = [k for k in range(K) if d[k] != 0]
         if not active:
             continue
         k = active[-1] + 1  # 1-based ball index
-        m = _pattern_frequency(sequence, d, dim)
+        m = pattern_frequency(sequence, d, dim)
         radius = bk_radius(sequence, k)
         center = sequence[k - 1]
         dist_pos = sum(abs(a - b) for a, b in zip(m, center))
@@ -103,8 +89,8 @@ def riesz_coeffs(sequence, K):
         )
     dim = len(sequence[0]) if sequence else 1
     coeffs = {}
-    for d in _patterns(K):
-        freq = _pattern_frequency(sequence[:K], d, dim)
+    for d in sign_patterns(K):
+        freq = pattern_frequency(sequence[:K], d, dim)
         nonzero = sum(1 for dk in d if dk)
         coeffs[freq] = 2.0 ** (-nonzero)
     return RieszMeasure(sequence=sequence[:K], K=K, coeffs=coeffs)

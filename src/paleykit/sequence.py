@@ -16,22 +16,19 @@ All lattice arithmetic is exact (Python integers / Fractions); floats
 appear only in reported sums.
 
 The module also carries the finite-truncation checks of the four
-sequence conditions, and the stability quantities q1, q2, q3 of the
-fundamental-polynomial ratio together with an empirical search for the
-threshold rho(D, eps).
+sequence conditions (condition (iv) summed over the Riesz spectrum
+points of each ball B_k, all of them, see check_conditions), and the
+stability quantities q1, q2, q3 of the fundamental-polynomial ratio
+together with an empirical search for the threshold rho(D, eps).
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional
 
-from .errors import (
-    ConstructionError,
-    EnumerationLimitError,
-    SingularFrequencyError,
-    StageFailure,
-)
+from .errors import ConstructionError, SingularFrequencyError, StageFailure
 from .multiindex import PHASES, Smoothness, order, q_s_eval, symbol_abs_int, symbol_eval
 from .property_o import PropertyOWitness, verify_witness
 
@@ -99,9 +96,8 @@ class ConditionReport:
     """Finite-truncation verdicts for the four sequence conditions.
 
     sum_iii and sum_iv are the raw truncated sums compared against 1/2
-    and 1.  Balls whose lattice enumeration would exceed ``cap`` points
-    are skipped and listed in iv_skipped, so bound_iv_met refers to the
-    evaluated truncation only.
+    and 1.  sum_iv runs over every ball B_1 .. B_K, each on its Riesz
+    spectrum points other than the centre (see check_conditions).
     """
 
     cond_i: bool
@@ -111,9 +107,6 @@ class ConditionReport:
     sum_iv: float
     bound_iii_met: bool
     bound_iv_met: bool
-    iv_evaluated: list[int]
-    iv_skipped: list[int]
-    cap: int
 
 
 @dataclass
@@ -183,29 +176,23 @@ def _offsets(d, budget):
             yield (e,) + rest
 
 
-def bk_enumerate(sequence, k, cap=10**7):
-    """All lattice points of B_k (l1 ball of radius D_k around n_k), in
-    lexicographic order.  Refuses enumerations larger than cap."""
-    center = sequence[k - 1]
-    radius = bk_radius(sequence, k)
-    d = len(center)
-    count = ball_count(d, radius)
-    if count > cap:
-        raise EnumerationLimitError(
-            "B_%d has %d lattice points, cap is %d" % (k, count, cap),
-            count,
-        )
-    for off in _offsets(d, radius):
-        yield tuple(c + e for c, e in zip(center, off))
+def sign_patterns(K):
+    """All sign patterns d in {-1, 0, 1}^K, in lexicographic order."""
+    return product((-1, 0, 1), repeat=K)
 
 
-def build_sequence(S, witness, K, t0, q, cap=10**7, max_doublings=10000):
+def pattern_frequency(sequence, d, dim):
+    """The frequency sum_k d_k n_k of a sign pattern d, which may be
+    shorter than the sequence."""
+    return tuple(sum(dk * n[j] for dk, n in zip(d, sequence)) for j in range(dim))
+
+
+def build_sequence(S, witness, K, t0, q, max_doublings=10000):
     """Construct a K-term plan on the witness power curve.
 
     t0 and q (both > 1) set the nominal schedule t_k = t0 * q^{k-1};
     each t_k is then doubled until the plan invariants hold at index k.
-    The attached ConditionReport uses the given enumeration cap with
-    skip semantics (see check_conditions).
+    The attached ConditionReport comes from check_conditions.
     """
     if not isinstance(S, Smoothness):
         S = Smoothness.from_indices(S)
@@ -265,7 +252,7 @@ def build_sequence(S, witness, K, t0, q, cap=10**7, max_doublings=10000):
         ell_drift=ell.drift,
         rho_hat=rho,
     )
-    plan.report = check_conditions(S, plan, cap=cap)
+    plan.report = check_conditions(S, plan)
     return plan
 
 
@@ -298,20 +285,52 @@ def _q_s_overflow(k):
     return StageFailure("sequence", "q_s_overflow", {"k": k})
 
 
-def check_conditions(S, plan, cap=10**7, on_cap="skip"):
+def check_conditions(S, plan):
     """Evaluate conditions (i)-(iv) for the plan at its truncation.
 
-    Condition (i) and the l1 balls are exact integer work; the sums of
-    (iii) and (iv) are reported as floats against the thresholds 1/2
-    and 1.  Balls larger than cap points are skipped and recorded
-    (on_cap="skip", the default) or raise (on_cap="raise").  A plan
-    whose Q_S(n_k), or Q_S on B_k, leaves double range cannot be summed:
-    that raises StageFailure("sequence", "q_s_overflow") naming k.
+    Condition (i) is exact integer work; the sums of (iii) and (iv) are
+    reported as floats against the thresholds 1/2 and 1.  A plan whose
+    Q_S(n_k), or Q_S at a point summed for (iv), leaves double range
+    raises StageFailure("sequence", "q_s_overflow") naming k.
+
+    (iii) sums |n_k^alpha - ell n_k^beta| / Q_S(n_k)^{1/2} over k.  (iv)
+    sums |sigma_alpha(-m) + tau*ell*sigma_beta(-m)| / Q_S(m)^{1/2} over
+    m = n_k + sum_{j<k} d_j n_j, d in {-1,0,1}^{k-1}, d != 0: the
+    3^{k-1} - 1 Riesz spectrum points of B_k other than the centre n_k.
+    No other point of B_k reaches the projection:
+    (1) The correction part of operator_m lives on -B_k: at -m, m in
+        B_k, it is -(sigma_alpha(-m) + tau*ell*sigma_beta(-m)) f_hat(-m).
+    (2) convolve_riesz zeroes it off spec(R_K) and multiplies it by
+        R_hat <= 1/2 on spec(R_K) (0 is not in -B_k, by condition (i)).
+        As spec(R_K) = -spec(R_K), only m in spec(R_K) ∩ B_k survive,
+        and the L1 norm of what survives is at most the sum of its
+        coefficients' moduli.
+    (3) Q_S(m)^{1/2} |f_hat(-m)| <= ||f||_{W^{S,1}}: |sigma_gamma(-m)
+        f_hat(-m)| is the modulus of the coefficient of d^gamma f at -m,
+        so at most ||d^gamma f||_1, and the l2 sum over S is at most the
+        l1 sum.  So the convolved correction has L1 norm at most 1/2
+        times the sum over spec(R_K) ∩ B_k, times ||f||_{W^{S,1}}.
+    (4) The centre terms m = n_k are exactly condition (iii)'s terms:
+        with tau = i^{|alpha|-|beta|}, sigma_alpha(-n) +
+        tau*ell*sigma_beta(-n) = i^{|alpha|} ((-1)^{|alpha|} n^alpha +
+        (-1)^{|beta|} ell n^beta), and alpha, beta have opposite parity,
+        so its modulus is |n^alpha - ell n^beta|.
+    (5) These points are exactly spec(R_K) ∩ B_k minus n_k.  By claim A
+        a spectrum point with last nonzero sign d_j lies in B_j (d_j =
+        1) or -B_j (d_j = -1).  Condition (i) puts every ball in the
+        open positive orthant, so -B_j and 0 miss B_k.  For j < k a
+        point of B_j has l1 norm at most |n_j|_1 + D_j = D_{j+1} <= D_k,
+        a point of B_k at least |n_k|_1 - D_k >= dim * min n_k - D_k >
+        (dim - 1) D_k >= D_k by condition (i) and dim >= 2 (a witness
+        needs alpha != beta with <alpha,c> = <beta,c> = 1, impossible
+        in dimension 1).  So B_j and B_k are disjoint, and the points
+        of spec(R_K) in B_k are those with d_k = 1.  Claim B, which the
+        Riesz stage requires, makes them distinct.
+    The gate sum_iv < 1 leaves the factor 1/2 of (2) as slack.
     """
-    if on_cap not in ("skip", "raise"):
-        raise ValueError("on_cap must be 'skip' or 'raise'")
     alpha, beta = plan.witness.alpha, plan.witness.beta
     seq = plan.sequence
+    dim = len(seq[0])
     cond_i = all(
         plan.radii[k - 1] < min(seq[k - 1]) for k in range(2, plan.K + 1)
     )
@@ -328,29 +347,20 @@ def check_conditions(S, plan, cap=10**7, on_cap="skip"):
 
     tau_ell = plan.tau * float(ell)
     sum_iv = 0.0
-    evaluated = []
-    skipped = []
-    for k in range(1, plan.K + 1):
-        count = ball_count(len(seq[0]), plan.radii[k - 1])
-        if count > cap:
-            if on_cap == "raise":
-                raise EnumerationLimitError(
-                    "B_%d has %d lattice points, cap is %d" % (k, count, cap),
-                    count,
-                )
-            skipped.append(k)
-            continue
+    for k in range(2, plan.K + 1):
         try:
-            for m in bk_enumerate(seq, k, cap=cap):
-                # condition (i) guarantees every ball point stays in the
-                # open positive orthant
+            for d in sign_patterns(k - 1):
+                if not any(d):
+                    continue
+                m = pattern_frequency(seq, d + (1,), dim)
+                # condition (i) keeps every point of B_k in the open
+                # positive orthant
                 assert all(c > 0 for c in m), (k, m)
                 neg = tuple(-c for c in m)
                 num = abs(symbol_eval(alpha, neg) + tau_ell * symbol_eval(beta, neg))
                 sum_iv += num / math.sqrt(float(q_s_eval(S, m)))
         except OverflowError:
             raise _q_s_overflow(k) from None
-        evaluated.append(k)
 
     return ConditionReport(
         cond_i=cond_i,
@@ -360,9 +370,6 @@ def check_conditions(S, plan, cap=10**7, on_cap="skip"):
         sum_iv=sum_iv,
         bound_iii_met=sum_iii < 0.5,
         bound_iv_met=sum_iv < 1.0,
-        iv_evaluated=evaluated,
-        iv_skipped=skipped,
-        cap=cap,
     )
 
 

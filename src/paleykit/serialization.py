@@ -19,7 +19,7 @@ import numpy as np
 from .crnorm import MatrixSequence
 from .multiindex import Smoothness
 from .property_o import PropertyOWitness
-from .sequence import LacunaryPlan
+from .sequence import LacunaryPlan, bk_radius
 from .trigpoly import TrigPoly
 
 
@@ -165,7 +165,14 @@ def witness_from_json(d):
 
 
 def plan_from_json(d):
-    return from_jsonable(LacunaryPlan, d)
+    """A plan, checked across fields: K = len(sequence) = len(ts) =
+    len(radii) >= 1, and each radius is bk_radius of the sequence."""
+    plan = from_jsonable(LacunaryPlan, d)
+    if not plan.K == len(plan.sequence) == len(plan.ts) == len(plan.radii) >= 1:
+        raise ValueError("plan needs K = len(sequence) = len(ts) = len(radii) >= 1")
+    if plan.radii != [bk_radius(plan.sequence, k) for k in range(1, plan.K + 1)]:
+        raise ValueError("plan radii are not the ball radii of its sequence")
+    return plan
 
 
 def paley_to_json(result):

@@ -57,9 +57,12 @@ def test_missing_input_is_validation_error(capsys):
 
 
 def test_unknown_flag_exits_2(capsys):
-    code = main(["check-property-o", "--bogus"])
-    capsys.readouterr()
-    assert code == 2
+    for argv in (["check-property-o", "--bogus"],
+                 ["build-sequence", "--indices", REF, "--cap", "100"],
+                 ["run-all", "--indices", REF, "--cap", "100"]):
+        code = main(argv)
+        capsys.readouterr()
+        assert code == 2, argv
 
 
 def test_check_property_o_matches_module(capsys):
@@ -121,6 +124,36 @@ def test_bad_rational_in_plan_exits_2(capsys, plan_file, tmp_path, field):
     code, payload, err = run(capsys, "riesz-spectrum", "--plan", str(bad))
     assert code == 2
     assert "bad plan file" in payload["error"]
+
+
+def _edited_plan(plan_file, tmp_path, **fields):
+    data = json.loads(open(plan_file).read())
+    data.update(fields)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["riesz-spectrum", "estimate-paley"])
+@pytest.mark.parametrize("fields", [{"K": 5}, {"radii": [0, 3]}])
+def test_inconsistent_plan_exits_2(capsys, plan_file, tmp_path, command,
+                                   fields):
+    path = _edited_plan(plan_file, tmp_path, **fields)
+    code, payload, _ = run(capsys, command, "--plan", path)
+    assert code == 2
+    assert "bad plan file" in payload["error"]
+
+
+def test_riesz_spectrum_reports_claim_b_collision(capsys, plan_file, tmp_path):
+    # consistent radii, but 1 + 2 = 3 in the first coordinate
+    path = _edited_plan(plan_file, tmp_path, K=3,
+                        sequence=[[1, 1], [2, 5], [3, 9]], radii=[0, 2, 9],
+                        ts=["100", "16000", "160000"])
+    code, payload, _ = run(capsys, "riesz-spectrum", "--plan", path)
+    assert code == 3
+    assert payload["stage"] == "riesz"
+    assert payload["failure"] == "claim_b_collision"
+    assert len(payload["details"]["patterns"]) == 2
 
 
 def test_project(capsys, plan_file, tmp_path):
@@ -210,7 +243,7 @@ def test_run_all_tiny(capsys):
     assert payload["claim_a"] and payload["claim_b"]
     assert payload["composite_max_rel_error"] < 1e-9
     assert payload["digest"] == (
-        "cdfcf1026294064dac65b3cdd3ab5339f0b6cfc531b5bd6a217a41bb4137f685")
+        "15e13866f5270df7753a8c4c52f474c51d8ce28000246466f998ad63ccd1c236")
     assert "construction verified" in err
 
 
@@ -222,9 +255,11 @@ def test_run_all_no_witness(capsys):
 
 
 def test_run_all_q_s_overflow_is_stage_failure(capsys):
-    # the first retry of {(4,0),(0,1)} puts Q_S(n_4) beyond double range
+    # the squared schedule puts Q_S(n_4) of {(4,0),(0,1)} beyond double
+    # range
     code, payload, _ = run(capsys, "run-all", "--indices",
-                           "0,0;1,0;2,0;3,0;4,0;0,1", "--matrix-dim", "1")
+                           "0,0;1,0;2,0;3,0;4,0;0,1", "--matrix-dim", "1",
+                           "--t0", "10000", "--q", "100")
     assert code == 3
     assert payload == {"failure": "q_s_overflow", "stage": "sequence",
                        "details": {"k": 4}}

@@ -11,6 +11,8 @@ from paleykit.orchestrator import (
 )
 
 S = Smoothness.from_indices(saturate({(2, 0), (0, 1)}))
+# fails condition (iv) at the first two schedules (sum_iv 4.81, 2.04)
+S_RETRY = Smoothness.from_indices(saturate({(2, 0), (0, 3)}))
 TINY = OrchestratorConfig(K=2, matrix_dims=(1,), paley_count=3,
                           composite_count=3, paley_box=3, grid_n=21)
 
@@ -28,15 +30,18 @@ def test_full_run_succeeds(tiny_report):
     assert rep.composite_max_rel_error < 1e-9
     assert rep.paley["sup_ratio"] > 0.0
     assert rep.digest == (
-        "cdfcf1026294064dac65b3cdd3ab5339f0b6cfc531b5bd6a217a41bb4137f685")
+        "15e13866f5270df7753a8c4c52f474c51d8ce28000246466f998ad63ccd1c236")
 
 
-def test_retry_squares_the_schedule(tiny_report):
-    # the first schedule fails the smallness conditions, the squared one
-    # passes, so exactly one retry and t0 = 100^2
-    assert tiny_report.retries_used == 1
-    assert tiny_report.plan.t0 == 10000
-    assert tiny_report.plan.q == 100
+def test_retry_squares_the_schedule():
+    # the first two schedules fail the smallness conditions, the twice
+    # squared one passes, so two retries and t0 = 100^4
+    rep = run_construction(S_RETRY, OrchestratorConfig(matrix_dims=(),
+                                                       composite_count=3))
+    assert rep.retries_used == 2
+    assert rep.plan.t0 == 100**4
+    assert rep.plan.q == 10**4
+    assert rep.plan.report.bound_iv_met
 
 
 def test_determinism(tiny_report):
@@ -111,7 +116,7 @@ def test_no_witness_failures():
 def test_conditions_unmet_failure():
     cfg = OrchestratorConfig(K=4, retries=0, matrix_dims=())
     with pytest.raises(StageFailure) as exc:
-        run_construction(S, cfg)
+        run_construction(S_RETRY, cfg)
     assert exc.value.stage == "sequence"
     assert exc.value.reason == "conditions_unmet"
     assert exc.value.details["last_report"]["bound_iv_met"] is False
@@ -119,7 +124,7 @@ def test_conditions_unmet_failure():
 
 def test_report_json_shape(tiny_report):
     d = report_to_json(tiny_report)
-    assert d["schema_version"] == 1
+    assert d["schema_version"] == 2
     assert d["paley"]["per_dim"]["1"]["sup_ratio"] > 0.0
     assert set(d["timings"]) == {"property_o", "sequence", "riesz",
                                  "composite", "paley"}

@@ -1,20 +1,16 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from paleykit.errors import (
-    ConstructionError,
-    EnumerationLimitError,
-    SingularFrequencyError,
-    StageFailure,
-)
-from paleykit.multiindex import Smoothness, q_s_eval, saturate
+from paleykit.errors import ConstructionError, SingularFrequencyError, StageFailure
+from paleykit.multiindex import Smoothness, q_s_eval, saturate, symbol_eval
 from paleykit.property_o import find_witness
+from paleykit.riesz import riesz_spectrum
 from paleykit.sequence import (
     RhoSampler,
     ball_count,
-    bk_enumerate,
     bk_radius,
     build_sequence,
     check_conditions,
@@ -149,52 +145,61 @@ def test_ball_count_matches_brute_force():
             assert ball_count(d, radius) == brute, (d, radius)
 
 
-def test_bk_enumerate_small():
-    seq = [(40,)]
-    assert list(bk_enumerate(seq, 1)) == [(40,)]
-    seq = [(2,), (3,), (40,)]
-    pts = list(bk_enumerate(seq, 3))
-    assert pts == [(m,) for m in range(35, 46)]
-    seq2 = [(1, 0), (10, 10)]
-    pts2 = list(bk_enumerate(seq2, 2))
-    assert len(pts2) == 5
-    assert pts2 == sorted(pts2)
-
-
-def test_bk_enumerate_cap():
-    seq = [(10, 100), (126, 16000)]
-    with pytest.raises(EnumerationLimitError) as exc:
-        list(bk_enumerate(seq, 2, cap=100))
-    assert exc.value.count == ball_count(2, 110)
-
-
 def test_check_conditions_reference():
     p = ref_plan()
     r = p.report
     assert r.cond_i
     assert 0 < r.sum_iii < 0.5 and r.bound_iii_met
-    # the k=2 ball contributes heavily at this schedule
-    assert r.sum_iv > 1 and not r.bound_iv_met
-    assert r.iv_evaluated == [1, 2]
-    assert r.iv_skipped == [3, 4]
-
-
-def test_check_conditions_strict_raises():
-    p = ref_plan()
-    with pytest.raises(EnumerationLimitError):
-        check_conditions(p.smoothness, p, cap=1000, on_cap="raise")
+    # 2 + 8 + 26 spectrum points of B_2..B_4 at this schedule
+    assert r.sum_iv == pytest.approx(0.2768477037216, rel=1e-12)
+    assert r.bound_iv_met
 
 
 def test_check_conditions_squared_schedule():
-    # the inflated schedule pushes every ball past the cap except B_1,
-    # whose only point cancels exactly (the last power point is a
-    # perfect square, so ell_hat is exactly 1)
+    # the old retry schedule; every ball is summed, none is skipped
     p = ref_plan(t0=100**2, q=10**2)
     r = p.report
     assert r.cond_i and r.bound_iii_met and r.bound_iv_met
-    assert r.sum_iv == 0.0
-    assert r.iv_evaluated == [1]
-    assert r.iv_skipped == [2, 3, 4]
+    assert r.sum_iv == pytest.approx(0.0254757258722, rel=1e-12)
+
+
+def _iv_term(plan, m):
+    a, b = plan.witness.alpha, plan.witness.beta
+    neg = tuple(-c for c in m)
+    num = abs(symbol_eval(a, neg) + plan.tau * plan.ell_hat * symbol_eval(b, neg))
+    return num / math.sqrt(q_s_eval(plan.smoothness, m))
+
+
+def _ball(center, radius):
+    # every lattice point of the closed l1 ball, by brute force
+    axes = [range(c - radius, c + radius + 1) for c in center]
+    return [m for m in product(*axes)
+            if sum(abs(x - c) for x, c in zip(m, center)) <= radius]
+
+
+@pytest.mark.parametrize("maximal, K", [
+    ({(2, 0), (0, 1)}, 3),
+    ({(2, 0), (0, 3)}, 4),
+    ({(3, 0), (2, 1), (0, 2)}, 3),
+])
+def test_check_conditions_sums_the_spectrum_in_each_ball(maximal, K):
+    # tiny plans whose balls can be enumerated in full: condition (iv)
+    # sums exactly over spec(R_K) ∩ B_k minus the centre n_k, and that
+    # is at most the full lattice-ball sum
+    S = Smoothness.from_indices(saturate(maximal))
+    p = build_sequence(S, find_witness(S), K, 2, 2)
+    spectrum = riesz_spectrum(p.sequence, K)
+    spec_sum = full_sum = 0.0
+    for k in range(1, K + 1):
+        center = p.sequence[k - 1]
+        ball = _ball(center, p.radii[k - 1])
+        assert len(ball) == ball_count(S.dim, p.radii[k - 1])
+        points = (spectrum & set(ball)) - {center}
+        assert len(points) == 3 ** (k - 1) - 1
+        spec_sum += sum(_iv_term(p, m) for m in points)
+        full_sum += sum(_iv_term(p, m) for m in ball)
+    assert p.report.sum_iv == pytest.approx(spec_sum, rel=1e-12)
+    assert p.report.sum_iv <= full_sum
 
 
 def test_check_conditions_q_s_overflow_names_k():

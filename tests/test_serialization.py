@@ -86,13 +86,13 @@ def test_plan_encoding_bytes_pinned():
     # every field of the plan, its condition report included
     text = canonical_dumps(plan_to_json(PLAN))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "ab0951e8633a464a6ded961bec1dfa817ef0b920b4e52b9eb56b7744277352b8")
+        "67fe2ac39a83f20261ff95cbc82e5f41a715ad0fa51a4fde16a37537cb4abbe6")
 
 
 def test_condition_report_round_trip():
     d = to_jsonable(PLAN.report)
     assert from_jsonable(ConditionReport, d) == PLAN.report
-    assert d["iv_evaluated"] == [1, 2] and d["iv_skipped"] == [3, 4]
+    assert len(d) == 7 and d["bound_iv_met"] is True
 
 
 @pytest.mark.parametrize("path, value", [
@@ -103,6 +103,11 @@ def test_condition_report_round_trip():
     (("K",), "4"),
     (("sequence",), 5),
     (("tau",), [0, 1]),
+    # each field decodes, but the plan disagrees with itself
+    (("K",), 5),
+    (("K",), 3),
+    (("radii", 1), 3),
+    (("ts",), ["100"]),
 ])
 def test_plan_from_json_rejects_malformed(path, value):
     d = plan_to_json(PLAN)
