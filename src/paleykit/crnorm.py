@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .parallel import pmap
-from .trigpoly import TrigPoly, s1_l1_norm, trace_norm
+from .trigpoly import TrigPoly, s1_l1_norm
 
 SMOOTHING = 1e-9
 
@@ -77,27 +76,20 @@ class Decomposition:
             raise ValueError("y and z parts must have matching shapes")
 
 
-def _psd_sqrt(h):
-    # Gram sums are PSD up to rounding; clamp before the square root
-    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def column_row_value(dec):
-    """Value of one decomposition: trace norms of the square roots of
-    the two Gram sums."""
-    c = np.einsum("kij,kil->jl", dec.ys.conj(), dec.ys)
-    r = np.einsum("kij,klj->il", dec.zs, dec.zs.conj())
-    return trace_norm(_psd_sqrt(c)) + trace_norm(_psd_sqrt(r))
-
-
 def _smoothed_objective(ys, zs, eps):
+    # Gram sums are PSD up to rounding; clamp before the square roots
     c = np.einsum("kij,kil->jl", ys.conj(), ys)
     r = np.einsum("kij,klj->il", zs, zs.conj())
     wc = np.clip(np.linalg.eigvalsh((c + c.conj().T) / 2.0) + eps, 0.0, None)
     wr = np.clip(np.linalg.eigvalsh((r + r.conj().T) / 2.0) + eps, 0.0, None)
     return float(np.sqrt(wc).sum() + np.sqrt(wr).sum())
+
+
+def column_row_value(dec):
+    """Value of one decomposition: trace norms of the square roots of
+    the two Gram sums, i.e. the sums of the square roots of their
+    eigenvalues."""
+    return _smoothed_objective(dec.ys, dec.zs, 0.0)
 
 
 def _inv_sqrt(h, eps):
@@ -155,8 +147,7 @@ def cr_norm(xs, restarts=6, iterations=300, tolerance=1e-10, seed=0):
 
     Deterministic starts first (z = 0, y = 0, the even split), then
     seeded random perturbations of the even split up to ``restarts``
-    total; restarts run through the shared worker pool and the best
-    unsmoothed value wins.
+    total; the best unsmoothed value wins.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -175,8 +166,7 @@ def cr_norm(xs, restarts=6, iterations=300, tolerance=1e-10, seed=0):
         dec = Decomposition(ys, x - ys)
         return column_row_value(dec), dec, ok
 
-    runs = pmap(one, starts)
-    value, dec, ok = min(runs, key=lambda r: r[0])
+    value, dec, ok = min((one(ys0) for ys0 in starts), key=lambda r: r[0])
     return CrNormResult(value=value, decomposition=dec, converged=ok,
                         restarts_used=len(starts))
 
@@ -195,34 +185,33 @@ def _validate_freqs(xs, freqs):
     return freqs
 
 
-def khintchine_ratio(xs, freqs, n_points=None, opt=None):
+def khintchine_ratio(xs, freqs):
     """L1(S1) norm of sum_k x_k e^{i n_k t} over the C+R norm of (x_k)."""
     xs = MatrixSequence.coerce(xs)
     freqs = _validate_freqs(xs, freqs)
-    den = cr_norm(xs, **(opt or {})).value
+    den = cr_norm(xs).value
     if den == 0.0:
         raise ValueError("Khintchine ratio undefined for the zero sequence")
-    num = s1_l1_norm(_lacunary_poly(xs, freqs), n_points)
+    num = s1_l1_norm(_lacunary_poly(xs, freqs))
     return num / den
 
 
-def unconditionality_ratio(a, xs, freqs, n_points=None):
+def unconditionality_ratio(a, xs, freqs):
     """How much multiplying the coefficients by (a_k) can move the
     L1(S1) norm of the lacunary series."""
     xs = MatrixSequence.coerce(xs)
     freqs = _validate_freqs(xs, freqs)
     if len(a) != xs.length:
         raise ValueError("need one scalar per matrix")
-    den = s1_l1_norm(_lacunary_poly(xs, freqs), n_points)
+    den = s1_l1_norm(_lacunary_poly(xs, freqs))
     if den == 0.0:
         raise ValueError("unconditionality ratio undefined for the zero series")
     scaled = MatrixSequence([complex(c) * m for c, m in zip(a, xs.matrices)])
-    num = s1_l1_norm(_lacunary_poly(scaled, freqs), n_points)
+    num = s1_l1_norm(_lacunary_poly(scaled, freqs))
     return num / den
 
 
-def khintchine_envelope(count=100, seed=0, max_mdim=4, max_length=8,
-                        n_points=None):
+def khintchine_envelope(count=100, seed=0, max_mdim=4, max_length=8):
     """Empirical two-sided Khintchine constant over random samples.
 
     Each sample draws a dimension m <= max_mdim, a length L <= max_length,
@@ -245,9 +234,9 @@ def khintchine_envelope(count=100, seed=0, max_mdim=4, max_length=8,
             for _ in range(length)
         ]
         freqs = [3**k for k in range(length)]
-        return khintchine_ratio(MatrixSequence(mats), freqs, n_points)
+        return khintchine_ratio(MatrixSequence(mats), freqs)
 
-    ratios = pmap(one, range(count))
+    ratios = [one(i) for i in range(count)]
     k_hat = max(max(ratios), 1.0 / min(ratios))
     return {
         "k_hat": k_hat,

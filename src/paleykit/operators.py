@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import ConstructionError
 from .multiindex import derivative_multiplier, q_s_eval, symbol_eval
-from .parallel import pmap
 from .riesz import riesz_coeffs
 from .trigpoly import TrigPoly, paley_l2_norm, random_trigpoly, sobolev_norm
 
@@ -181,7 +180,7 @@ def paley_ratio(f, smoothness, frequencies, n_points=None):
     if len(f) == 0:
         raise ValueError("Paley ratio undefined for the zero polynomial")
     num = paley_l2_norm(f, smoothness, frequencies)
-    den = sobolev_norm(f, smoothness, 1, n_points)
+    den = sobolev_norm(f, smoothness, n_points)
     return num / den
 
 
@@ -238,8 +237,7 @@ def estimate_paley_constant(smoothness, frequencies, sampler):
     always = [tuple(int(c) for c in n) for n in sampler.always]
     lam = [tuple(int(c) for c in n) for n in frequencies]
 
-    def one(job):
-        m, i = job
+    def one(m, i):
         rng = np.random.default_rng([sampler.seed, m, i])
         freqs = list(always)
         if support:
@@ -251,13 +249,11 @@ def estimate_paley_constant(smoothness, frequencies, sampler):
         return paley_ratio(f, smoothness, lam, n_points=sampler.grid_n)
 
     mdims = sampler.mdims()
-    jobs = [(m, i) for m in mdims for i in range(sampler.count)]
-    ratios = pmap(one, jobs)
     per_dim = {}
-    for pos, m in enumerate(mdims):
-        block = ratios[pos * sampler.count:(pos + 1) * sampler.count]
-        best = max(range(sampler.count), key=lambda i: block[i])
-        per_dim[m] = {"sup_ratio": block[best], "argmax_index": best}
+    for m in mdims:
+        ratios = [one(m, i) for i in range(sampler.count)]
+        best = max(range(sampler.count), key=lambda i: ratios[i])
+        per_dim[m] = {"sup_ratio": ratios[best], "argmax_index": best}
     top = max(mdims, key=lambda m: per_dim[m]["sup_ratio"])
     return {
         "sup_ratio": per_dim[top]["sup_ratio"],

@@ -116,7 +116,3 @@ def find_witness(smoothness):
                 return w
     return None
 
-
-def has_property_o(smoothness):
-    """True when the set admits a parity-splitting witness."""
-    return find_witness(smoothness) is not None

@@ -14,13 +14,11 @@ Quadrature uses the uniform grid x_t = -pi + 2*pi*t/N per axis with
 weight N^{-d}.  The rule integrates any polynomial with no nonzero
 frequency divisible by N exactly, so N >= 2*maxfreq(f) + 1 makes every
 product of two factors of f exact; the default N = 4*maxfreq + 1 leaves
-headroom.  Grid values can be produced either by direct summation over
-the nonzero coefficients or by an FFT after folding coefficients into
-bins mod N; the two agree to rounding at any N, and the cheaper one is
-picked by density.
+headroom.  Grid values come from folding each coefficient into its bin
+mod N, which is exact in the integer frequency however large it is, and
+then one inverse FFT.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -28,9 +26,6 @@ import numpy as np
 from .multiindex import derivative_multiplier, q_s_eval
 
 CHOP = 1e-15
-
-# density of nonzero coefficients below which direct summation beats the FFT
-_DIRECT_DENSITY = 0.01
 
 
 def grid_points(n):
@@ -200,41 +195,11 @@ class TrigPoly:
         """Default nodes per axis: 4*maxfreq + 1."""
         return 4 * int(self.maxfreq()) + 1
 
-    def evaluate(self, n_points=None, method="auto"):
-        """Values on the uniform grid, shape (N,)*dim (+(m, m)).
-
-        method is "direct", "fft", or "auto" (density decides).  Both
-        routes produce identical values up to rounding at any N.
-        """
+    def evaluate(self, n_points=None):
+        """Values on the uniform grid, shape (N,)*dim (+(m, m))."""
         n = int(n_points) if n_points is not None else self.default_grid_n()
         if n < 1:
             raise ValueError("need at least one grid point per axis")
-        if method == "auto":
-            density = len(self.coeffs) / float(n**self.dim)
-            method = "direct" if density < _DIRECT_DENSITY else "fft"
-        if method == "direct":
-            return self._eval_direct(n)
-        if method == "fft":
-            return self._eval_fft(n)
-        raise ValueError("unknown evaluation method %r" % (method,))
-
-    def _eval_direct(self, n):
-        pts = grid_points(n)
-        shape = (n,) * self.dim
-        if self.mdim is None:
-            out = np.zeros(shape, dtype=complex)
-        else:
-            out = np.zeros(shape + (self.mdim, self.mdim), dtype=complex)
-        for freq, c in self.coeffs.items():
-            axes = [np.exp(1j * float(fj) * pts) for fj in freq]
-            phase = functools.reduce(np.multiply.outer, axes)
-            if self.mdim is None:
-                out += c * phase
-            else:
-                out += phase[..., None, None] * c
-        return out
-
-    def _eval_fft(self, n):
         # e^{i k x_t} = (-1)^k * e^{2 pi i k t / N} on this grid, so fold
         # each coefficient, signed by frequency parity, into its bin mod N
         shape = (n,) * self.dim
@@ -246,8 +211,7 @@ class TrigPoly:
             sign = -1.0 if sum(freq) % 2 else 1.0
             idx = tuple(int(fj % n) for fj in freq)
             acc[idx] = acc[idx] + sign * c
-        vals = np.fft.ifftn(acc, axes=tuple(range(self.dim)))
-        return vals * float(n**self.dim)
+        return np.fft.ifftn(acc, axes=tuple(range(self.dim)), norm="forward")
 
 
 # ----------------------------------------------------------------------
@@ -258,11 +222,11 @@ def lp_norm(f, p, n_points=None):
     """L^p norm of a scalar polynomial by grid quadrature (p in [1, inf])."""
     if f.is_matrix_valued():
         raise ValueError("lp_norm is for scalar polynomials; see s1_l1_norm")
+    if not p >= 1:  # also rejects nan
+        raise ValueError("p must be at least 1 or math.inf")
     vals = np.abs(f.evaluate(n_points))
     if math.isinf(p):
         return float(vals.max()) if vals.size else 0.0
-    if p < 1:
-        raise ValueError("p must be at least 1")
     w = 1.0 / vals.size
     return float((vals**p).sum() * w) ** (1.0 / p)
 
@@ -287,22 +251,10 @@ def s1_l1_norm(f, n_points=None):
     return float(sv.sum() / flat.shape[0])
 
 
-def sobolev_norm(f, smoothness, p=1, n_points=None):
-    """(sum_{gamma in S} ||d^gamma f||_p^p)^{1/p}.
-
-    For matrix-valued f only p = 1 is supported, with the pointwise trace
-    norm playing the role of the absolute value.
-    """
-    if f.is_matrix_valued() and p != 1:
-        raise ValueError("matrix-valued Sobolev norm implemented for p=1 only")
-    total = 0.0
-    for gamma in smoothness:
-        g = f.derivative(gamma)
-        if f.is_matrix_valued():
-            total += s1_l1_norm(g, n_points)
-        else:
-            total += lp_norm(g, p, n_points) ** p
-    return total ** (1.0 / p)
+def sobolev_norm(f, smoothness, n_points=None):
+    """sum_{gamma in S} ||d^gamma f||_1, with the pointwise trace norm in
+    place of the absolute value when f is matrix valued."""
+    return sum(s1_l1_norm(f.derivative(gamma), n_points) for gamma in smoothness)
 
 
 def paley_l2_norm(f, smoothness, frequencies):
@@ -335,8 +287,3 @@ def random_trigpoly(frequencies, mdim=None, seed=0):
     if not freqs:
         raise ValueError("need at least one frequency")
     return TrigPoly(out)
-
-
-def spectrum(f):
-    """Frozenset of frequencies with nonzero coefficients."""
-    return f.spectrum()

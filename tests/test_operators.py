@@ -228,13 +228,3 @@ def test_multiplier_operators_commute():
     a = convolve_riesz(paley_project(f, lam), PIPE.riesz)
     b = paley_project(convolve_riesz(f, PIPE.riesz), lam)
     assert a.coeffs == b.coeffs
-
-
-def test_estimate_paley_constant_threaded_matches(monkeypatch):
-    lam = [(4, 16), (9, 32)]
-    kw = dict(support=[(1, 1), (2, 3), (3, 2)], always=lam, terms=2,
-              mdim=2, seed=9)
-    serial = estimate_paley_constant(S, lam, PaleySampler(count=4, **kw))
-    monkeypatch.setenv("PALEY_THREADS", "3")
-    threaded = estimate_paley_constant(S, lam, PaleySampler(count=4, **kw))
-    assert serial == threaded

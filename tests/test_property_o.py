@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 from paleykit.multiindex import Smoothness, saturate
-from paleykit.property_o import find_witness, has_property_o, verify_witness
+from paleykit.property_o import find_witness, verify_witness
 
 
 def anisotropic_example():
@@ -50,7 +50,7 @@ def test_full_box_has_no_witness():
     # every member sits under the corner, so any strictly positive c
     # pairing some gamma to 1 pushes the corner above 1
     assert find_witness(saturate({(2, 2)})) is None
-    assert not has_property_o(saturate({(3,)}))
+    assert find_witness(saturate({(3,)})) is None
 
 
 def test_isotropic_first_order_has_witness():

@@ -100,33 +100,38 @@ def test_derivative_multiplies_coefficients():
     assert len(z) == 0
 
 
-def test_direct_and_fft_agree():
-    f = random_trigpoly([(0, 0), (1, 2), (-3, 1), (4, -4)], seed=11)
-    for n in (5, 9, 17, 33):
-        vd = f.evaluate(n, method="direct")
-        vf = f.evaluate(n, method="fft")
-        assert np.allclose(vd, vf, atol=1e-10)
-
-
-def test_direct_and_fft_agree_matrix():
-    f = random_trigpoly([(1, 1), (-2, 0)], mdim=2, seed=12)
-    vd = f.evaluate(9, method="direct")
-    vf = f.evaluate(9, method="fft")
-    assert np.allclose(vd, vf, atol=1e-10)
+def naive_values(f, n):
+    # sum_k c_k e^{i<k, x>} at every grid point, one coefficient at a time
+    axes = np.meshgrid(*([grid_points(n)] * f.dim), indexing="ij")
+    out = 0
+    for k, c in f.coeffs.items():
+        phase = np.exp(1j * sum(kj * x for kj, x in zip(k, axes)))
+        out = out + (phase[..., None, None] * c if f.mdim else phase * c)
+    return out
 
 
 def test_evaluate_matches_naive_sum():
-    f = random_trigpoly([(2, -1), (0, 3)], seed=13)
-    n = 7
-    pts = grid_points(n)
-    vals = f.evaluate(n)
-    for s, t in [(0, 0), (3, 5), (6, 1)]:
-        x = (pts[s], pts[t])
-        ref = sum(
-            c * np.exp(1j * (k[0] * x[0] + k[1] * x[1]))
-            for k, c in f.coeffs.items()
-        )
-        assert abs(vals[s, t] - ref) < 1e-12
+    cases = [(random_trigpoly([(2, -1), (0, 3)], seed=13), 7)]
+    # N = 5 and 9 fold the frequency span onto itself
+    wide = random_trigpoly([(0, 0), (1, 2), (-3, 1), (4, -4)], seed=11)
+    cases += [(wide, n) for n in (5, 9, 17, 33)]
+    cases.append((random_trigpoly([(1, 1), (-2, 0)], mdim=2, seed=12), 9))
+    for f, n in cases:
+        vals = f.evaluate(n)
+        ref = naive_values(f, n)
+        assert vals.shape == ref.shape
+        assert np.max(np.abs(vals - ref)) < 1e-12
+
+
+def test_evaluate_exact_at_huge_frequencies():
+    # folding mod N uses the integer frequency, so nothing is lost to
+    # forming k * x in floating point
+    n = 101
+    t = np.arange(n)
+    for k in (10**12 + 7, 10**17 + 3, 2**60 + 1):
+        vals = TrigPoly({(k,): 1.0}).evaluate(n)
+        ref = (-1) ** (k % 2) * np.exp(2j * np.pi * ((k % n) * t % n) / n)
+        assert np.max(np.abs(vals - ref)) < 1e-12
 
 
 def test_lp_norm_known_values():
@@ -142,6 +147,12 @@ def test_lp_norm_known_values():
     assert abs(lp_norm(f, math.inf, n_points=2001) - 2.0) < 1e-4
     g = TrigPoly({(1,): 0.5, (-1,): 0.5})  # cos x
     assert abs(lp_norm(g, 2) - math.sqrt(0.5)) < 1e-12
+
+
+@pytest.mark.parametrize("p", [0.5, 0, -1, -math.inf, math.nan])
+def test_lp_norm_rejects_bad_p(p):
+    with pytest.raises(ValueError):
+        lp_norm(TrigPoly({(3,): 2.0}), p)
 
 
 def test_parseval():
