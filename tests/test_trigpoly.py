@@ -111,16 +111,30 @@ def naive_values(f, n):
 
 
 def test_evaluate_matches_naive_sum():
-    cases = [(random_trigpoly([(2, -1), (0, 3)], seed=13), 7)]
-    # N = 5 and 9 fold the frequency span onto itself
-    wide = random_trigpoly([(0, 0), (1, 2), (-3, 1), (4, -4)], seed=11)
-    cases += [(wide, n) for n in (5, 9, 17, 33)]
-    cases.append((random_trigpoly([(1, 1), (-2, 0)], mdim=2, seed=12), 9))
-    for f, n in cases:
+    f = random_trigpoly([(2, -1), (0, 3)], seed=13)
+    vals = f.evaluate(7)
+    ref = naive_values(f, 7)
+    assert vals.shape == ref.shape
+    assert np.max(np.abs(vals - ref)) < 1e-12
+
+
+def test_direct_and_fft_agree():
+    # the FFT evaluation against a direct sum; N = 5 and 9 fold the
+    # frequency span onto itself
+    f = random_trigpoly([(0, 0), (1, 2), (-3, 1), (4, -4)], seed=11)
+    for n in (5, 9, 17, 33):
         vals = f.evaluate(n)
         ref = naive_values(f, n)
         assert vals.shape == ref.shape
         assert np.max(np.abs(vals - ref)) < 1e-12
+
+
+def test_direct_and_fft_agree_matrix():
+    f = random_trigpoly([(1, 1), (-2, 0)], mdim=2, seed=12)
+    vals = f.evaluate(9)
+    ref = naive_values(f, 9)
+    assert vals.shape == ref.shape
+    assert np.max(np.abs(vals - ref)) < 1e-12
 
 
 def test_evaluate_exact_at_huge_frequencies():
