@@ -88,6 +88,15 @@ def _load_plan(args):
         raise _ValidationError("bad plan file: %s" % exc)
 
 
+def _matrix_dims(args, default):
+    dims = tuple(args.matrix_dim or default)
+    if any(m < 1 for m in dims):
+        raise _ValidationError("--matrix-dim must be at least 1")
+    if len(set(dims)) != len(dims):
+        raise _ValidationError("--matrix-dim repeats a dimension")
+    return dims
+
+
 def _check_positive(args, names):
     for name in names:
         v = getattr(args, name, None)
@@ -170,9 +179,7 @@ def _cmd_project(args):
 def _cmd_estimate_paley(args):
     plan = _load_plan(args)
     _check_positive(args, ["count", "grid_n"])
-    dims = tuple(args.matrix_dim or [1])
-    if any(m < 1 for m in dims):
-        raise _ValidationError("--matrix-dim must be at least 1")
+    dims = _matrix_dims(args, (1,))
     sampler = PaleySampler.for_plan(
         plan, count=args.count, box=OrchestratorConfig.paley_box,
         terms=OrchestratorConfig.paley_terms, mdim=dims, seed=args.seed,
@@ -226,7 +233,7 @@ def _cmd_run_all(args):
     if args.t0 <= 1 or args.q <= 1:
         raise _ValidationError("--t0 and --q must be greater than 1")
     _check_positive(args, ["K", "count", "grid_n"])
-    dims = tuple(args.matrix_dim or OrchestratorConfig.matrix_dims)
+    dims = _matrix_dims(args, OrchestratorConfig.matrix_dims)
     config = OrchestratorConfig(K=args.K, t0=args.t0, q=args.q, seed=args.seed,
                                 paley_count=args.count, matrix_dims=dims,
                                 grid_n=args.grid_n)

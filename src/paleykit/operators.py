@@ -233,6 +233,9 @@ def estimate_paley_constant(smoothness, frequencies, sampler):
     """
     if sampler.count < 1:
         raise ValueError("need at least one sample")
+    mdims = sampler.mdims()
+    if len(set(mdims)) != len(mdims):
+        raise ValueError("repeated matrix dimension in %r" % (mdims,))
     support = [tuple(int(c) for c in n) for n in sampler.support]
     always = [tuple(int(c) for c in n) for n in sampler.always]
     lam = [tuple(int(c) for c in n) for n in frequencies]
@@ -248,7 +251,6 @@ def estimate_paley_constant(smoothness, frequencies, sampler):
         f = random_trigpoly(freqs, mdim=m, seed=coeff_seed)
         return paley_ratio(f, smoothness, lam, n_points=sampler.grid_n)
 
-    mdims = sampler.mdims()
     per_dim = {}
     for m in mdims:
         ratios = [one(m, i) for i in range(sampler.count)]

@@ -14,9 +14,14 @@ Quadrature uses the uniform grid x_t = -pi + 2*pi*t/N per axis with
 weight N^{-d}.  The rule integrates any polynomial with no nonzero
 frequency divisible by N exactly, so N >= 2*maxfreq(f) + 1 makes every
 product of two factors of f exact; the default N = 4*maxfreq + 1 leaves
-headroom.  Grid values come from folding each coefficient into its bin
-mod N, which is exact in the integer frequency however large it is, and
-then one inverse FFT.
+headroom.
+
+On that grid e^{i k x_t} = (-1)^k w^{(k mod N) t mod N} with w = e^{2 pi i/N},
+so grid values come from one table of the N roots of unity per axis,
+indexed by residues taken in Python integers: exact in the frequency
+however large it is, at a cost of O(T N^d m^2) for T terms of size m x m.
+Per-point trace norms use |a| at m = 1, the closed form
+(||a||_F^2 + 2|det a|)^{1/2} at m = 2 and singular values above.
 """
 
 import math
@@ -196,22 +201,35 @@ class TrigPoly:
         return 4 * int(self.maxfreq()) + 1
 
     def evaluate(self, n_points=None):
-        """Values on the uniform grid, shape (N,)*dim (+(m, m))."""
+        """Values on the uniform grid, shape (N,)*dim (+(m, m)).
+
+        Each axis j gets the phase table E_j[t, k] = (-1)^{n_kj}
+        w[(n_kj mod N) t mod N] over the T terms; the reduction mod N is
+        done in Python integers, so it is exact at any frequency.  The
+        first dim - 1 tables are multiplied into the coefficients as
+        leading batch axes, and one matmul with the last table sums the
+        terms.  Cost O(T N^dim m^2); no intermediate holds more than
+        N^(dim-1) T m^2 entries.
+        """
         n = int(n_points) if n_points is not None else self.default_grid_n()
         if n < 1:
             raise ValueError("need at least one grid point per axis")
-        # e^{i k x_t} = (-1)^k * e^{2 pi i k t / N} on this grid, so fold
-        # each coefficient, signed by frequency parity, into its bin mod N
-        shape = (n,) * self.dim
-        if self.mdim is None:
-            acc = np.zeros(shape, dtype=complex)
-        else:
-            acc = np.zeros(shape + (self.mdim, self.mdim), dtype=complex)
-        for freq, c in self.coeffs.items():
-            sign = -1.0 if sum(freq) % 2 else 1.0
-            idx = tuple(int(fj % n) for fj in freq)
-            acc[idx] = acc[idx] + sign * c
-        return np.fft.ifftn(acc, axes=tuple(range(self.dim)), norm="forward")
+        freqs = list(self.coeffs)
+        vshape = () if self.mdim is None else (self.mdim, self.mdim)
+        acc = np.array([self.coeffs[k] for k in freqs], dtype=complex)
+        acc = acc.reshape(len(freqs), math.prod(vshape))
+        roots = np.exp(2j * np.pi * np.arange(n) / n)
+        ts = np.arange(n)
+
+        def table(j):
+            residues = np.array([k[j] % n for k in freqs], dtype=np.int64)
+            signs = np.array([-1.0 if k[j] % 2 else 1.0 for k in freqs])
+            return roots[np.outer(ts, residues) % n] * signs
+
+        for j in range(self.dim - 1):
+            acc = table(j)[:, :, None] * acc[..., None, :, :]
+        vals = table(self.dim - 1) @ acc
+        return vals.reshape((n,) * self.dim + vshape)
 
 
 # ----------------------------------------------------------------------
@@ -231,10 +249,26 @@ def lp_norm(f, p, n_points=None):
     return float((vals**p).sum() * w) ** (1.0 / p)
 
 
+def trace_norms(a):
+    """Trace norms of a stack of matrices, shape (..., m, m) -> (...).
+
+    |a| at m = 1.  At m = 2, sigma_1 + sigma_2 = (||a||_F^2 + 2|det a|)^{1/2},
+    since sigma_1^2 + sigma_2^2 = ||a||_F^2 and sigma_1 sigma_2 = |det a|;
+    both terms are non-negative, so the absolute error is eps ||a|| as
+    with an SVD.  Singular values otherwise.
+    """
+    if a.shape[-2:] == (1, 1):
+        return np.abs(a[..., 0, 0])
+    if a.shape[-2:] == (2, 2):
+        fro2 = np.sum(a.real**2 + a.imag**2, axis=(-2, -1))
+        det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+        return np.sqrt(fro2 + 2.0 * np.abs(det))
+    return np.linalg.svd(a, compute_uv=False).sum(-1)
+
+
 def trace_norm(a):
     """Sum of singular values of one matrix."""
-    a = np.asarray(a, dtype=complex)
-    return float(np.linalg.svd(a, compute_uv=False).sum())
+    return float(trace_norms(np.asarray(a, dtype=complex)))
 
 
 def s1_l1_norm(f, n_points=None):
@@ -245,10 +279,7 @@ def s1_l1_norm(f, n_points=None):
     """
     if not f.is_matrix_valued():
         return lp_norm(f, 1, n_points)
-    vals = f.evaluate(n_points)
-    flat = vals.reshape(-1, f.mdim, f.mdim)
-    sv = np.linalg.svd(flat, compute_uv=False)
-    return float(sv.sum() / flat.shape[0])
+    return float(trace_norms(f.evaluate(n_points)).mean())
 
 
 def sobolev_norm(f, smoothness, n_points=None):

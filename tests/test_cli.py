@@ -192,6 +192,22 @@ def test_estimate_paley_is_thin_wrapper(capsys, plan_file):
     assert "plan_digest" in payload
 
 
+def test_estimate_paley_rejects_repeated_matrix_dim(capsys, plan_file):
+    code, payload, err = run(capsys, "estimate-paley", "--plan", plan_file,
+                             "--count", "2", "--matrix-dim", "2",
+                             "--matrix-dim", "2", "--grid-n", "21")
+    assert code == 2
+    assert "repeats" in payload["error"]
+
+
+def test_run_all_rejects_repeated_matrix_dim(capsys):
+    code, payload, _ = run(capsys, "run-all", "--indices", REF,
+                           "--K", "2", "--count", "3", "--matrix-dim", "1",
+                           "--matrix-dim", "1", "--grid-n", "21")
+    assert code == 2
+    assert "repeats" in payload["error"]
+
+
 def test_cr_norm_subcommand(capsys, tmp_path):
     ms = tmp_path / "ms.json"
     ms.write_text(canonical_dumps(matrixseq_to_json(MatrixSequence([3.0, 4.0]))))

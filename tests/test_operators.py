@@ -195,6 +195,25 @@ def test_estimate_paley_constant_rejects_empty():
         estimate_paley_constant(S, [(4, 16)], PaleySampler(count=0))
 
 
+def test_estimate_paley_constant_rejects_repeated_mdim():
+    with pytest.raises(ValueError):
+        estimate_paley_constant(S, [(4, 16)], PaleySampler(count=1, mdim=(2, 2)))
+
+
+def test_reference_probe_pinned():
+    # the probe of the reference plan in every matrix dimension; the
+    # values were recorded with the FFT evaluator and per-point SVDs
+    sampler = PaleySampler.for_plan(PLAN, count=12, box=6, terms=8,
+                                    mdim=(1, 2, 4, 8), seed=0, grid_n=51)
+    r = estimate_paley_constant(S, PLAN.sequence, sampler)
+    want = {1: (0.6622481706813905, 8), 2: (0.5416551739143323, 1),
+            4: (0.3873795330465836, 10), 8: (0.2618257608076764, 7)}
+    assert set(r["per_dim"]) == set(want)
+    for m, (ratio, index) in want.items():
+        assert r["per_dim"][m]["argmax_index"] == index
+        assert r["per_dim"][m]["sup_ratio"] == pytest.approx(ratio, rel=1e-12)
+
+
 def test_single_character_closed_form():
     # a sample holding only chi_{n_1} has ratio sqrt(Q_S(n_1)) over the
     # sum of the derivative multipliers, by homogeneity independent of

@@ -13,6 +13,7 @@ from paleykit.trigpoly import (
     s1_l1_norm,
     sobolev_norm,
     trace_norm,
+    trace_norms,
 )
 
 
@@ -119,8 +120,8 @@ def test_evaluate_matches_naive_sum():
 
 
 def test_direct_and_fft_agree():
-    # the FFT evaluation against a direct sum; N = 5 and 9 fold the
-    # frequency span onto itself
+    # the evaluator against a direct sum; N = 5 and 9 fold the frequency
+    # span onto itself
     f = random_trigpoly([(0, 0), (1, 2), (-3, 1), (4, -4)], seed=11)
     for n in (5, 9, 17, 33):
         vals = f.evaluate(n)
@@ -137,9 +138,25 @@ def test_direct_and_fft_agree_matrix():
     assert np.max(np.abs(vals - ref)) < 1e-12
 
 
+@pytest.mark.parametrize("freqs,n", [
+    # d = 3: negative frequencies and 9, -7 beyond N = 5 fold
+    ([(0, 0, 0), (1, -2, 3), (-3, 1, 0), (9, -7, 2), (2, 2, -4)], 5),
+    ([(0, 0, 0), (1, -2, 3), (-3, 1, 0), (9, -7, 2), (2, 2, -4)], 11),
+    # d = 1: 13 and -20 fold at N = 7
+    ([(0,), (-1,), (3,), (13,), (-20,)], 7),
+    ([(0,), (-1,), (3,), (13,), (-20,)], 41),
+])
+def test_evaluate_matrix_valued_matches_naive_sum(freqs, n):
+    f = random_trigpoly(freqs, mdim=3, seed=14)
+    vals = f.evaluate(n)
+    ref = naive_values(f, n)
+    assert vals.shape == ref.shape == (n,) * f.dim + (3, 3)
+    assert np.max(np.abs(vals - ref)) < 1e-12
+
+
 def test_evaluate_exact_at_huge_frequencies():
-    # folding mod N uses the integer frequency, so nothing is lost to
-    # forming k * x in floating point
+    # the residue mod N is taken in the integer frequency, so nothing is
+    # lost to forming k * x in floating point
     n = 101
     t = np.arange(n)
     for k in (10**12 + 7, 10**17 + 3, 2**60 + 1):
@@ -188,6 +205,34 @@ def test_trace_norm():
     assert abs(trace_norm(a) - 7.0) < 1e-12
     u = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
     assert abs(trace_norm(u) - 2.0) < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_trace_norms_match_svd(m):
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((4, 50, m, m)) + 1j * rng.standard_normal((4, 50, m, m))
+    a *= 10.0 ** rng.uniform(-3, 3, size=(4, 50, 1, 1))
+    got = trace_norms(a)
+    ref = np.linalg.svd(a, compute_uv=False).sum(-1)
+    assert got.shape == ref.shape == (4, 50)
+    assert np.max(np.abs(got - ref) / ref) < 1e-13
+
+
+@pytest.mark.parametrize("a", [
+    np.array([[1.0, 2.0], [2.0, 4.0]]),  # singular, det = 0
+    np.outer([1.0 + 1j, 0.5j], [2.0, 1.0 - 0.5j]),  # complex, rank one
+    np.diag([3.0, -4.0]),
+    np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2),  # Hadamard unitary
+])
+def test_trace_norms_2x2_edge_cases(a):
+    a = np.asarray(a, dtype=complex)
+    ref = np.linalg.svd(a, compute_uv=False).sum()
+    assert abs(trace_norm(a) - ref) <= 1e-13 * ref
+
+
+def test_trace_norms_zero_matrix():
+    assert trace_norm(np.zeros((2, 2))) == 0.0
+    assert trace_norm(np.zeros((1, 1))) == 0.0
 
 
 def test_s1_l1_scalar_matches_l1():
