@@ -229,13 +229,15 @@ def estimate_paley_constant(smoothness, frequencies, sampler):
     was attained, and a per-matrix-dimension table.  Sample streams
     depend only on (seed, m, index), never on count, so enlarging the
     sample can only raise the sup.  An observed sup is a lower bound on
-    the true constant, never a proof of boundedness.
+    the true constant, never a proof of boundedness.  The sampler's
+    matrix dimensions must be distinct, each at least 1.
     """
     if sampler.count < 1:
         raise ValueError("need at least one sample")
     mdims = sampler.mdims()
-    if len(set(mdims)) != len(mdims):
-        raise ValueError("repeated matrix dimension in %r" % (mdims,))
+    if not mdims or len(set(mdims)) != len(mdims) or min(mdims) < 1:
+        raise ValueError("need distinct matrix dimensions, each at least 1, "
+                         "got %r" % (mdims,))
     support = [tuple(int(c) for c in n) for n in sampler.support]
     always = [tuple(int(c) for c in n) for n in sampler.always]
     lam = [tuple(int(c) for c in n) for n in frequencies]

@@ -193,19 +193,23 @@ def test_estimate_paley_is_thin_wrapper(capsys, plan_file):
 
 
 def test_estimate_paley_rejects_repeated_matrix_dim(capsys, plan_file):
-    code, payload, err = run(capsys, "estimate-paley", "--plan", plan_file,
-                             "--count", "2", "--matrix-dim", "2",
-                             "--matrix-dim", "2", "--grid-n", "21")
+    code, payload, _ = run(capsys, "estimate-paley", "--plan", plan_file,
+                           "--count", "2", "--matrix-dim", "2",
+                           "--matrix-dim", "2", "--grid-n", "21")
     assert code == 2
     assert "repeats" in payload["error"]
 
 
-def test_run_all_rejects_repeated_matrix_dim(capsys):
-    code, payload, _ = run(capsys, "run-all", "--indices", REF,
-                           "--K", "2", "--count", "3", "--matrix-dim", "1",
-                           "--matrix-dim", "1", "--grid-n", "21")
+@pytest.mark.parametrize("dims,message", [
+    (("1", "1"), "repeats"),
+    (("0",), "at least 1"),
+], ids=["repeated", "zero"])
+def test_run_all_rejects_bad_matrix_dim(capsys, dims, message):
+    flags = [a for m in dims for a in ("--matrix-dim", m)]
+    code, payload, _ = run(capsys, "run-all", "--indices", REF, "--K", "2",
+                           "--count", "3", "--grid-n", "21", *flags)
     assert code == 2
-    assert "repeats" in payload["error"]
+    assert message in payload["error"]
 
 
 def test_cr_norm_subcommand(capsys, tmp_path):

@@ -195,14 +195,17 @@ def test_estimate_paley_constant_rejects_empty():
         estimate_paley_constant(S, [(4, 16)], PaleySampler(count=0))
 
 
-def test_estimate_paley_constant_rejects_repeated_mdim():
-    with pytest.raises(ValueError):
-        estimate_paley_constant(S, [(4, 16)], PaleySampler(count=1, mdim=(2, 2)))
+@pytest.mark.parametrize("mdim", [(2, 2), 0, ()])
+def test_estimate_paley_constant_rejects_bad_mdim(mdim):
+    with pytest.raises(ValueError, match="distinct matrix dimensions"):
+        estimate_paley_constant(S, [(4, 16)], PaleySampler(
+            count=1, always=[(4, 16)], mdim=mdim))
 
 
 def test_reference_probe_pinned():
-    # the probe of the reference plan in every matrix dimension; the
-    # values were recorded with the FFT evaluator and per-point SVDs
+    # the reference plan's probe in every matrix dimension, pinned at
+    # the values of the inverse-FFT evaluator with per-point SVDs: a new
+    # evaluation order may move the ratios in the last bits only
     sampler = PaleySampler.for_plan(PLAN, count=12, box=6, terms=8,
                                     mdim=(1, 2, 4, 8), seed=0, grid_n=51)
     r = estimate_paley_constant(S, PLAN.sequence, sampler)

@@ -220,6 +220,7 @@ def test_trace_norms_match_svd(m):
 
 @pytest.mark.parametrize("a", [
     np.array([[1.0, 2.0], [2.0, 4.0]]),  # singular, det = 0
+    np.zeros((2, 2)),
     np.outer([1.0 + 1j, 0.5j], [2.0, 1.0 - 0.5j]),  # complex, rank one
     np.diag([3.0, -4.0]),
     np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2),  # Hadamard unitary
@@ -228,11 +229,6 @@ def test_trace_norms_2x2_edge_cases(a):
     a = np.asarray(a, dtype=complex)
     ref = np.linalg.svd(a, compute_uv=False).sum()
     assert abs(trace_norm(a) - ref) <= 1e-13 * ref
-
-
-def test_trace_norms_zero_matrix():
-    assert trace_norm(np.zeros((2, 2))) == 0.0
-    assert trace_norm(np.zeros((1, 1))) == 0.0
 
 
 def test_s1_l1_scalar_matches_l1():
