@@ -115,6 +115,12 @@ class Smoothness:
         """Members in descending lexicographic order (monomial display order)."""
         return sorted(self.indices, reverse=True)
 
+    def maximal(self):
+        """Members lying below no other member, in sorted_indices() order."""
+        members = self.sorted_indices()
+        return [g for g in members
+                if not any(h != g and multi_le(g, h) for h in members)]
+
 
 def symbol_abs_int(gamma, x):
     """|x^gamma| as an exact integer, 0 if any coordinate of x is zero.

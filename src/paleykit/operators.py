@@ -80,7 +80,7 @@ def paley_project(f, frequencies):
     """Restrict the coefficient map to the given frequencies."""
     keep = {tuple(int(c) for c in n) for n in frequencies}
     out = {n: v for n, v in f.coeffs.items() if n in keep}
-    return TrigPoly(out, dim=f.dim)
+    return TrigPoly(out, dim=f.dim, mdim=f.mdim)
 
 
 def operator_m(f, pipeline):
@@ -105,7 +105,7 @@ def operator_m(f, pipeline):
             )
         if factor != 0:
             out[nu] = factor * coeff
-    return TrigPoly(out, dim=f.dim).chop()
+    return TrigPoly(out, dim=f.dim, mdim=f.mdim).chop()
 
 
 def convolve_riesz(f, riesz):
@@ -115,7 +115,7 @@ def convolve_riesz(f, riesz):
         w = riesz.multiplier(n)
         if w:
             out[n] = w * v
-    return TrigPoly(out, dim=f.dim)
+    return TrigPoly(out, dim=f.dim, mdim=f.mdim)
 
 
 def coordinate_projection(f, pipeline):
@@ -145,7 +145,7 @@ def composite_closed_form(f, pipeline):
     for k, n in enumerate(pipeline.plan.sequence):
         if n in f.coeffs:
             out[n] = pipeline.rho_k[k] * pipeline.sqrt_q[k] * f.coeffs[n]
-    return TrigPoly(out, dim=f.dim)
+    return TrigPoly(out, dim=f.dim, mdim=f.mdim)
 
 
 def composite_relative_error(f, pipeline):

@@ -10,6 +10,14 @@ The weight vector is found by exact linear programming: maximize the
 smallest coordinate of c subject to the two equalities and the cap
 constraints.  A pair qualifies iff the optimum is strictly positive, so
 the verdict is exact, never a float comparison.
+
+Only maximal members can belong to a qualifying pair.  S is downward
+closed, so if alpha < gamma for some gamma in S, then gamma exceeds
+alpha in some coordinate j, and every c > 0 with <alpha, c> = 1 gives
+<gamma, c> >= 1 + c_j > 1, breaking gamma's cap; likewise for beta.  The
+search therefore solves LPs for pairs of maximal members only, which
+turns the quadratic scan over all of S into one over its antichain of
+maximal members (a box has one, so it solves none).
 """
 
 from dataclasses import dataclass
@@ -88,16 +96,20 @@ def find_witness(smoothness):
     or None when no pair qualifies.
 
     Pairs (alpha, beta) are scanned with alpha as major key and beta as
-    minor key, both in descending lexicographic order over the members of
-    S, skipping pairs of equal parity.  The returned weight vector is the
-    exact LP optimizer, so repeated runs agree bit for bit.
+    minor key, both in descending lexicographic order over the maximal
+    members of S, skipping pairs of equal parity.  No pair with a
+    non-maximal member qualifies (see the module docstring), so the first
+    qualifying pair is the one a scan over all members in the same order
+    would find.  Each LP still carries the cap of every member of S, so
+    its tableau, and hence the returned optimizer c and t_star, is the
+    one that scan would solve: the result equals the full scan's bit for
+    bit, and repeated runs agree.
     """
     S = _coerce(smoothness)
     members = S.sorted_indices()
-    for alpha in members:
-        for beta in members:
-            if alpha == beta:
-                continue
+    tops = S.maximal()
+    for alpha in tops:
+        for beta in tops:
             if (order(alpha) - order(beta)) % 2 == 0:
                 continue
             try:

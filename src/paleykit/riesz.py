@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .errors import ConstructionError
 from .sequence import bk_radius, pattern_frequency, sign_patterns
-from .trigpoly import TrigPoly
 
 
 @dataclass
@@ -99,16 +98,3 @@ def riesz_coeffs(sequence, K):
 def riesz_spectrum(sequence, K):
     """The 3^K frequencies of the truncated product."""
     return frozenset(riesz_coeffs(sequence, K).coeffs)
-
-
-def riesz_poly(measure):
-    """The truncated product as a TrigPoly (symbolic expansion)."""
-    dim = len(next(iter(measure.coeffs)))
-    return TrigPoly(dict(measure.coeffs), dim=dim)
-
-
-def cos_factor_poly(n):
-    """1 + cos<x, n> as a TrigPoly."""
-    n = tuple(int(c) for c in n)
-    neg = tuple(-c for c in n)
-    return TrigPoly({(0,) * len(n): 1.0, n: 0.5, neg: 0.5})

@@ -210,7 +210,7 @@ def poly_from_json(d):
                 [[_cplx(x) for x in row] for row in v], dtype=complex)
         else:
             coeffs[n] = _cplx(v)
-    return TrigPoly(coeffs, dim=d["dim"])
+    return TrigPoly(coeffs, dim=d["dim"], mdim=d.get("mdim"))
 
 
 def matrixseq_to_json(ms):

@@ -33,11 +33,6 @@ from .multiindex import derivative_multiplier, q_s_eval
 CHOP = 1e-15
 
 
-def grid_points(n):
-    """The N quadrature nodes -pi + 2*pi*t/N on one axis."""
-    return -np.pi + 2.0 * np.pi * np.arange(n) / n
-
-
 def _coerce_value(v):
     if isinstance(v, np.ndarray):
         a = np.asarray(v, dtype=complex)
@@ -57,11 +52,16 @@ class TrigPoly:
         complex matrices.  All values must share one shape.
     dim : int, optional
         Ambient dimension; required when ``coeffs`` is empty.
+    mdim : int, optional
+        Matrix size m; only needed for a matrix-valued polynomial with
+        no coefficients, so that a zero result stays matrix valued.
     """
 
-    def __init__(self, coeffs, dim=None):
+    def __init__(self, coeffs, dim=None, mdim=None):
+        if mdim is not None and (not isinstance(mdim, int)
+                                 or isinstance(mdim, bool) or mdim < 1):
+            raise ValueError("matrix size must be a positive integer")
         clean = {}
-        mdim = None
         seen_scalar = False
         for n, v in coeffs.items():
             key = tuple(int(c) for c in n)
@@ -130,7 +130,7 @@ class TrigPoly:
             mag = np.max(np.abs(v)) if isinstance(v, np.ndarray) else abs(v)
             if mag > tol:
                 out[n] = v
-        return TrigPoly(out, dim=self.dim)
+        return TrigPoly(out, dim=self.dim, mdim=self.mdim)
 
     def _check_compatible(self, other):
         if self.dim != other.dim or self.mdim != other.mdim:
@@ -141,7 +141,7 @@ class TrigPoly:
         out = dict(self.coeffs)
         for n, v in other.coeffs.items():
             out[n] = out[n] + v if n in out else v
-        return TrigPoly(out, dim=self.dim).chop()
+        return TrigPoly(out, dim=self.dim, mdim=self.mdim).chop()
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -153,7 +153,7 @@ class TrigPoly:
         if isinstance(other, TrigPoly):
             return self.convolve(other)
         out = {n: other * v for n, v in self.coeffs.items()}
-        return TrigPoly(out, dim=self.dim).chop()
+        return TrigPoly(out, dim=self.dim, mdim=self.mdim).chop()
 
     __rmul__ = __mul__
 
@@ -165,15 +165,15 @@ class TrigPoly:
         """
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        if (self.mdim is None) != (other.mdim is None):
-            raise ValueError("cannot multiply scalar by matrix polynomial")
+        if self.mdim != other.mdim:
+            raise ValueError("cannot multiply polynomials whose values differ in shape")
         out = {}
         for n1, v1 in self.coeffs.items():
             for n2, v2 in other.coeffs.items():
                 key = tuple(a + b for a, b in zip(n1, n2))
                 prod = v1 @ v2 if self.mdim is not None else v1 * v2
                 out[key] = out[key] + prod if key in out else prod
-        return TrigPoly(out, dim=self.dim).chop()
+        return TrigPoly(out, dim=self.dim, mdim=self.mdim).chop()
 
     def conj(self):
         """Pointwise adjoint: coefficient at n becomes the conjugate
@@ -182,7 +182,7 @@ class TrigPoly:
         for n, v in self.coeffs.items():
             key = tuple(-c for c in n)
             out[key] = v.conj().T if isinstance(v, np.ndarray) else v.conjugate()
-        return TrigPoly(out, dim=self.dim)
+        return TrigPoly(out, dim=self.dim, mdim=self.mdim)
 
     def derivative(self, gamma):
         """Partial derivative of multi-index gamma (0^0 = 1 convention)."""
@@ -191,7 +191,7 @@ class TrigPoly:
             m = derivative_multiplier(gamma, n)
             if m != 0:
                 out[n] = m * v
-        return TrigPoly(out, dim=self.dim).chop()
+        return TrigPoly(out, dim=self.dim, mdim=self.mdim).chop()
 
     # ------------------------------------------------------------------
     # evaluation and quadrature

@@ -1,0 +1,23 @@
+"""Reference constructions shared by the tests; nothing in paleykit uses them."""
+
+import numpy as np
+
+from paleykit.trigpoly import TrigPoly
+
+
+def grid_points(n):
+    """The N quadrature nodes -pi + 2*pi*t/N on one axis."""
+    return -np.pi + 2.0 * np.pi * np.arange(n) / n
+
+
+def cos_factor_poly(n):
+    """1 + cos<x, n> as a TrigPoly."""
+    n = tuple(int(c) for c in n)
+    neg = tuple(-c for c in n)
+    return TrigPoly({(0,) * len(n): 1.0, n: 0.5, neg: 0.5})
+
+
+def riesz_poly(measure):
+    """A truncated Riesz product as a TrigPoly (symbolic expansion)."""
+    dim = len(next(iter(measure.coeffs)))
+    return TrigPoly(dict(measure.coeffs), dim=dim)

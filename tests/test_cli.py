@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,30 @@ def test_check_property_o_no_witness(capsys):
                            "--indices", "0,0;1,0;0,1;1,1")
     assert code == 3
     assert payload == {"failure": "no_witness"}
+
+
+def _indices_arg(members):
+    return ";".join(",".join(map(str, g)) for g in sorted(members))
+
+
+def test_check_property_o_box_is_fast(capsys):
+    # 27 members and no witness; scanning every member pair took ~79 s
+    box = saturate({(2, 2, 2)})
+    t = time.perf_counter()
+    code, payload, _ = run(capsys, "check-property-o",
+                           "--indices", _indices_arg(box))
+    assert time.perf_counter() - t < 1.0
+    assert code == 3
+    assert payload == {"failure": "no_witness"}
+
+
+def test_check_property_o_three_dim_matches_module(capsys):
+    members = saturate({(2, 0, 0), (0, 1, 0), (0, 0, 2)})
+    code, payload, _ = run(capsys, "check-property-o",
+                           "--indices", _indices_arg(members))
+    assert code == 0
+    want = witness_to_json(find_witness(Smoothness.from_indices(members)))
+    assert payload == json.loads(canonical_dumps(want))
 
 
 def test_build_sequence_is_thin_wrapper(capsys):

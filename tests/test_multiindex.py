@@ -53,6 +53,13 @@ def test_smoothness_class_roundtrip():
         Smoothness.from_indices([(0, 0), (2, 0)])
 
 
+def test_maximal_members():
+    S = Smoothness.from_indices(saturate({(2, 0), (1, 1), (0, 2), (0, 1)}))
+    assert S.maximal() == [(2, 0), (1, 1), (0, 2)]
+    assert Smoothness.from_indices(saturate({(1, 2, 0)})).maximal() == [(1, 2, 0)]
+    assert Smoothness.from_indices({(0,)}).maximal() == [(0,)]
+
+
 def test_order_and_le():
     assert order((2, 3)) == 5
     assert multi_le((1, 1), (2, 1))

@@ -125,6 +125,20 @@ def test_paley_project():
     assert len(paley_project(f, [(7, 7)])) == 0
 
 
+def test_empty_results_keep_matrix_size():
+    eye = np.eye(2)
+    outs = [
+        operator_m(TrigPoly({(-10, -100): eye}), PIPE),
+        convolve_riesz(TrigPoly({(1, 1): eye}), PIPE.riesz),
+        paley_project(TrigPoly({(1, 1): eye}), PLAN.sequence),
+        composite_apply(TrigPoly({(0, 0): eye}), PIPE),
+        composite_closed_form(TrigPoly({(1, 1): eye}), PIPE),
+    ]
+    for out in outs:
+        assert len(out) == 0 and out.mdim == 2
+    assert composite_relative_error(TrigPoly({(1, 1): eye}), PIPE) == 0.0
+
+
 def test_coordinate_projection_keeps_lambda_only():
     f = TrigPoly({PLAN.sequence[0]: 1.0, (128, 16002): 1.0, (5, 5): 1.0})
     out = coordinate_projection(f, PIPE)

@@ -1,7 +1,18 @@
 from fractions import Fraction
 
-from paleykit.multiindex import Smoothness, saturate
-from paleykit.property_o import find_witness, verify_witness
+import numpy as np
+import pytest
+
+from paleykit import property_o
+from paleykit.errors import InfeasibleError, UnboundedError
+from paleykit.multiindex import Smoothness, order, saturate
+from paleykit.property_o import (
+    PropertyOWitness,
+    _pair_lp,
+    find_witness,
+    verify_witness,
+)
+from paleykit.simplex import lp_solve
 
 
 def anisotropic_example():
@@ -66,3 +77,137 @@ def test_three_dim_witness():
     assert w is not None
     assert verify_witness(S, w.alpha, w.beta, w.c)
     assert w.t_star > 0
+
+
+# ----------------------------------------------------------------------
+# the search over maximal members against the scan over all members
+
+
+def full_scan(S):
+    # the search before it was restricted to maximal members: every
+    # ordered member pair of opposite parity, alpha major and beta minor,
+    # both in descending lexicographic order, one _pair_lp each
+    members = S.sorted_indices()
+    for alpha in members:
+        for beta in members:
+            if alpha == beta or (order(alpha) - order(beta)) % 2 == 0:
+                continue
+            try:
+                res = _pair_lp(S.dim, members, alpha, beta)
+            except (InfeasibleError, UnboundedError):
+                continue
+            if res.value > 0:
+                return PropertyOWitness(alpha, beta, tuple(res.x[:-1]),
+                                        res.value)
+    return None
+
+
+def random_sets(seed, count, max_size=10):
+    # downward closures of 2-3 sparse random points in d = 2..4, kept
+    # small because the full scan solves one exact LP per member pair
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        d = int(rng.integers(2, 5))
+        tops = {tuple(int(v) * int(rng.random() < 0.4)
+                      for v in rng.integers(1, 4, size=d))
+                for _ in range(int(rng.integers(2, 4)))}
+        idx = saturate(tops)
+        if len(idx) <= max_size:
+            out.append(Smoothness.from_indices(idx))
+    return out
+
+
+FIXED_SETS = [
+    anisotropic_example(),
+    Smoothness.from_indices(saturate({(2, 0, 0), (0, 1, 0), (0, 0, 2)})),
+    Smoothness.from_indices(saturate({(2, 0), (0, 3)})),
+    Smoothness.from_indices(saturate({(3, 0), (1, 1), (0, 2)})),
+    Smoothness.from_indices(saturate({(1, 1)})),
+    Smoothness.from_indices(saturate({(3,)})),
+    Smoothness.from_indices(saturate({(1, 0, 0, 0), (0, 2, 0, 0),
+                                      (0, 0, 1, 1)})),
+]
+
+
+def pair_verdicts(S):
+    # exact verdict of every opposite-parity pair of maximal members:
+    # None when infeasible, else the optimum t
+    members = S.sorted_indices()
+    tops = S.maximal()
+    out = {}
+    for alpha in tops:
+        for beta in tops:
+            if (order(alpha) - order(beta)) % 2 == 0:
+                continue
+            try:
+                out[alpha, beta] = _pair_lp(S.dim, members, alpha, beta).value
+            except InfeasibleError:
+                out[alpha, beta] = None
+    return out
+
+
+def test_maximal_search_matches_full_scan():
+    sets = FIXED_SETS + random_sets(0, 30)
+    found = 0
+    for S in sets:
+        got = find_witness(S)
+        assert got == full_scan(S), sorted(S.indices)
+        if got is not None:
+            found += 1
+            assert got.t_star == min(got.c)
+    # both outcomes occur, in every dimension the sample covers
+    assert 8 <= found <= len(sets) - 8
+    assert {S.dim for S in sets} == {1, 2, 3, 4}
+
+
+def test_pair_verdicts_match_linprog():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    checked = 0
+    for S in FIXED_SETS + random_sets(1, 30):
+        members = S.sorted_indices()
+        d = S.dim
+        a_ub = [list(g) + [0] for g in members]
+        a_ub += [[-1 if i == j else 0 for i in range(d)] + [1]
+                 for j in range(d)]
+        b_ub = [1] * len(members) + [0] * d
+        for (alpha, beta), t in pair_verdicts(S).items():
+            ref = linprog([0] * d + [-1], A_ub=a_ub, b_ub=b_ub,
+                          A_eq=[list(alpha) + [0], list(beta) + [0]],
+                          b_eq=[1, 1], bounds=[(None, None)] * (d + 1),
+                          method="highs")
+            if t is None:
+                assert ref.status == 2, (sorted(S.indices), alpha, beta)
+            else:
+                assert ref.status == 0, (sorted(S.indices), alpha, beta)
+                assert abs(float(t) + ref.fun) < 1e-7
+                assert (t > 0) == (-ref.fun > 1e-7)
+            checked += 1
+    assert checked > 0
+
+
+def test_lp_calls_only_on_maximal_pairs(monkeypatch):
+    calls = []
+
+    def counting_lp_solve(*args, **kwargs):
+        calls.append(args)
+        return lp_solve(*args, **kwargs)
+
+    monkeypatch.setattr(property_o, "lp_solve", counting_lp_solve)
+    # a box has one maximal member, hence no pair and no LP
+    for corner in ((2, 2, 2), (1, 1, 1, 1)):
+        S = Smoothness.from_indices(saturate({corner}))
+        assert S.maximal() == [corner]
+        assert find_witness(S) is None
+    assert calls == []
+    S = anisotropic_example()
+    w = find_witness(S)
+    tops = S.maximal()
+    tried = []
+    for alpha in tops:
+        for beta in tops:
+            if (order(alpha) - order(beta)) % 2:
+                tried.append((alpha, beta))
+    tried = tried[:tried.index((w.alpha, w.beta)) + 1]
+    assert tried == [((2, 0), (0, 1))]
+    assert len(calls) == len(tried)

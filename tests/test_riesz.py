@@ -5,14 +5,14 @@ from paleykit.errors import ConstructionError
 from paleykit.multiindex import Smoothness, saturate
 from paleykit.property_o import find_witness
 from paleykit.riesz import (
-    cos_factor_poly,
     riesz_coeffs,
-    riesz_poly,
     riesz_spectrum,
     verify_claim_a,
     verify_claim_b,
 )
 from paleykit.sequence import build_sequence
+
+from helpers import cos_factor_poly, grid_points, riesz_poly
 
 
 def ref_plan(K):
@@ -113,8 +113,6 @@ def test_pointwise_product_formula():
     f = riesz_poly(mu)
     n = 2 * f.maxfreq() + 1
     vals = f.evaluate(n)
-    from paleykit.trigpoly import grid_points
-
     pts = grid_points(n)
     for s, t in [(0, 0), (5, 17), (100, 3)]:
         x = np.array([pts[s], pts[t]])

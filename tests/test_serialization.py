@@ -132,6 +132,8 @@ def test_poly_round_trip():
     fm2 = poly_from_json(poly_to_json(fm))
     assert fm2.mdim == 2
     assert all(np.array_equal(fm2.coeffs[k], fm.coeffs[k]) for k in fm.coeffs)
+    zero = poly_from_json(poly_to_json(fm - fm))
+    assert len(zero) == 0 and zero.mdim == 2
 
 
 def test_matrixseq_round_trip():

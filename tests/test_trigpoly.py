@@ -6,7 +6,6 @@ import pytest
 from paleykit.multiindex import Smoothness, saturate
 from paleykit.trigpoly import (
     TrigPoly,
-    grid_points,
     lp_norm,
     paley_l2_norm,
     random_trigpoly,
@@ -16,11 +15,7 @@ from paleykit.trigpoly import (
     trace_norms,
 )
 
-
-def cos_factor(n):
-    # 1 + cos<x, n> as a polynomial
-    neg = tuple(-c for c in n)
-    return TrigPoly({(0,) * len(n): 1.0, tuple(n): 0.5, neg: 0.5})
+from helpers import cos_factor_poly, grid_points
 
 
 def test_construction_and_cleanup():
@@ -38,6 +33,46 @@ def test_construction_errors():
     with pytest.raises(ValueError):
         TrigPoly({})
     assert len(TrigPoly({}, dim=2)) == 0
+    for bad in (0, -1, True, 2.0):
+        with pytest.raises(ValueError):
+            TrigPoly({}, dim=2, mdim=bad)
+    with pytest.raises(ValueError):
+        TrigPoly({(1, 0): 1.0}, mdim=2)
+    with pytest.raises(ValueError):
+        TrigPoly({(1, 0): np.eye(3)}, mdim=2)
+
+
+def test_matrix_zero_adds_back():
+    f = TrigPoly({(1, 0): np.eye(2)})
+    g = (f - f) + f
+    assert g.mdim == 2
+    assert np.array_equal(g.coeffs[(1, 0)], np.eye(2))
+
+
+def test_matrix_zero_evaluates_to_matrices():
+    f = TrigPoly({(1, 0): np.eye(2)})
+    vals = (f - f).evaluate(3)
+    assert vals.shape == (3, 3, 2, 2)
+    assert not vals.any()
+
+
+def test_matrix_constant_derivative_stays_matrix():
+    z = TrigPoly({(0, 0): np.eye(2)}).derivative((1, 0))
+    assert len(z) == 0 and z.mdim == 2
+    assert np.array_equal(z.coeff((5, 5)), np.zeros((2, 2)))
+
+
+def test_empty_results_keep_matrix_size():
+    f = TrigPoly({(1, 0): 1e-16 * np.eye(3)})
+    zero = TrigPoly({}, dim=2, mdim=3)
+    g = TrigPoly({(2, 1): np.ones((3, 3))})
+    for out in (f.chop(), 0.0 * g, zero.conj(), zero * g, g * zero,
+                zero + zero, zero - zero, -zero):
+        assert len(out) == 0 and out.mdim == 3, out
+    with pytest.raises(ValueError):
+        zero * TrigPoly({(1, 0): 1.0})
+    with pytest.raises(ValueError):
+        zero * TrigPoly({(1, 0): np.eye(2)})
 
 
 def test_add_mul_scalar():
@@ -48,8 +83,8 @@ def test_add_mul_scalar():
 
 
 def test_product_is_convolution():
-    f = cos_factor((3,))
-    g = cos_factor((9,))
+    f = cos_factor_poly((3,))
+    g = cos_factor_poly((9,))
     h = f * g
     # cross terms at 3+9, 3-9, etc
     assert h.coeff((12,)) == 0.25
@@ -169,7 +204,7 @@ def test_lp_norm_known_values():
     e = TrigPoly({(5,): 1.0})
     assert abs(lp_norm(e, 1) - 1.0) < 1e-12
     assert abs(lp_norm(e, 2) - 1.0) < 1e-12
-    f = cos_factor((1,))
+    f = cos_factor_poly((1,))
     assert abs(lp_norm(f, 1) - 1.0) < 1e-12
     # the node x = -pi is always on the grid, so 1 - cos peaks exactly there
     h = TrigPoly({(0,): 1.0, (1,): -0.5, (-1,): -0.5})
