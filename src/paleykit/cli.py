@@ -23,7 +23,7 @@ from .errors import (
 from .multiindex import Smoothness
 from .operators import PaleySampler, estimate_paley_constant, paley_project
 from .orchestrator import OrchestratorConfig, report_to_json, run_construction
-from .property_o import find_witness
+from .property_o import find_witness_or_fail
 from .riesz import riesz_spectrum, verify_claim_a, verify_claim_b
 from .sequence import RhoSampler, build_sequence, estimate_rho_de, techprop_quantities
 from .serialization import (
@@ -121,10 +121,7 @@ def _cmd_check_smoothness(args):
 
 
 def _cmd_check_property_o(args):
-    s = _load_smoothness(args)
-    w = find_witness(s)
-    if w is None:
-        return 3, {"failure": "no_witness"}, "no Property (O) witness"
+    w = find_witness_or_fail(_load_smoothness(args))
     return 0, witness_to_json(w), \
         "witness: alpha=%s beta=%s t*=%s" % (w.alpha, w.beta, w.t_star)
 
@@ -138,14 +135,6 @@ def _cmd_build_sequence(args):
     return 0, plan_to_json(plan), \
         "plan: K=%d first=%s digest=%s" % (
             plan.K, plan.sequence[0], plan_digest(plan)[:12])
-
-
-def find_witness_or_fail(s):
-    w = find_witness(s)
-    if w is None:
-        raise StageFailure("property_o", "no_witness",
-                           {"smoothness": smoothness_to_json(s)})
-    return w
 
 
 def _cmd_riesz_spectrum(args):

@@ -21,7 +21,7 @@ from .operators import (
     composite_relative_error,
     estimate_paley_constant,
 )
-from .property_o import find_witness
+from .property_o import find_witness_or_fail
 from .riesz import verify_claim_a, verify_claim_b
 from .sequence import build_sequence
 from .serialization import paley_to_json, plan_digest, to_jsonable
@@ -113,11 +113,8 @@ def run_construction(s, config=None):
     timings = {}
 
     t = time.perf_counter()
-    witness = find_witness(s)
+    witness = find_witness_or_fail(s)
     timings["property_o"] = time.perf_counter() - t
-    if witness is None:
-        raise StageFailure("property_o", "no_witness",
-                           {"smoothness": to_jsonable(s)})
 
     t = time.perf_counter()
     plan, retries_used = _build_with_retries(s, witness, config)

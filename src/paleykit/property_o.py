@@ -23,7 +23,7 @@ maximal members (a box has one, so it solves none).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InfeasibleError, UnboundedError
+from .errors import InfeasibleError, StageFailure, UnboundedError
 from .multiindex import Smoothness, order
 from .simplex import lp_solve
 
@@ -128,3 +128,12 @@ def find_witness(smoothness):
                 return w
     return None
 
+
+def find_witness_or_fail(smoothness):
+    """find_witness, raising StageFailure("property_o", "no_witness") with
+    the smoothness set in its details when there is no witness."""
+    S = _coerce(smoothness)
+    w = find_witness(S)
+    if w is None:
+        raise StageFailure("property_o", "no_witness", {"smoothness": S})
+    return w

@@ -72,11 +72,27 @@ def test_check_property_o_matches_module(capsys):
     assert payload == json.loads(canonical_dumps(witness_to_json(find_witness(S))))
 
 
+def _no_witness_payload(members):
+    return {"failure": "no_witness", "stage": "property_o",
+            "details": {"smoothness": {"dim": len(next(iter(members))),
+                                       "indices": sorted(map(list, members))}}}
+
+
 def test_check_property_o_no_witness(capsys):
     code, payload, _ = run(capsys, "check-property-o",
                            "--indices", "0,0;1,0;0,1;1,1")
     assert code == 3
-    assert payload == {"failure": "no_witness"}
+    assert payload == _no_witness_payload(saturate({(1, 1)}))
+
+
+def test_no_witness_payload_is_the_same_for_every_command(capsys):
+    # one find_witness_or_fail serves all three commands
+    outputs = set()
+    for argv in (["check-property-o"], ["build-sequence"],
+                 ["run-all", "--K", "2"]):
+        assert main(argv[:1] + ["--indices", "0,0;1,0;0,1;1,1"] + argv[1:]) == 3
+        outputs.add(capsys.readouterr().out)
+    assert len(outputs) == 1
 
 
 def _indices_arg(members):
@@ -91,7 +107,7 @@ def test_check_property_o_box_is_fast(capsys):
                            "--indices", _indices_arg(box))
     assert time.perf_counter() - t < 1.0
     assert code == 3
-    assert payload == {"failure": "no_witness"}
+    assert payload == _no_witness_payload(box)
 
 
 def test_check_property_o_three_dim_matches_module(capsys):

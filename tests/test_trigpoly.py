@@ -242,7 +242,7 @@ def test_trace_norm():
     assert abs(trace_norm(u) - 2.0) < 1e-12
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
 def test_trace_norms_match_svd(m):
     rng = np.random.default_rng(m)
     a = rng.standard_normal((4, 50, m, m)) + 1j * rng.standard_normal((4, 50, m, m))
@@ -264,6 +264,76 @@ def test_trace_norms_2x2_edge_cases(a):
     a = np.asarray(a, dtype=complex)
     ref = np.linalg.svd(a, compute_uv=False).sum()
     assert abs(trace_norm(a) - ref) <= 1e-13 * ref
+
+
+def _edge_cases(m):
+    rng = np.random.default_rng(10 + m)
+    g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    rank_one = np.outer(g[0], g[1].conj())
+    zero_column = g.copy()
+    zero_column[:, m // 2] = 0
+    # full rank, but sigma_min^2 / sigma_max^2 ~ 1e-11 is below the guard
+    u, _ = np.linalg.qr(g)
+    graded = (u * np.geomspace(1.0, 3e-6, m)) @ u.conj().T
+    inf_entry = g.copy()
+    inf_entry[1, 2] = np.inf
+    return {"zero": np.zeros((m, m), dtype=complex), "rank_one": rank_one,
+            "zero_column": zero_column, "graded": graded, "big": 1e200 * g,
+            "tiny": 1e-200 * g, "inf": inf_entry}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("m", [3, 4, 8])
+def test_trace_norms_edge_cases_match_svd(m):
+    cases = _edge_cases(m)
+    stack = np.array(list(cases.values()))
+    got = trace_norms(stack)
+    ref = np.linalg.svd(stack, compute_uv=False).sum(-1)
+    for i, name in enumerate(cases):
+        single = trace_norm(cases[name])
+        if name == "inf":
+            assert np.isnan(got[i]) and np.isnan(ref[i]) and np.isnan(single)
+        else:
+            assert abs(got[i] - ref[i]) <= 1e-13 * ref[i], name
+            assert single == got[i], name
+    nan_entry = np.eye(m, dtype=complex)
+    nan_entry[0, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.svd(nan_entry, compute_uv=False)
+    with pytest.raises(np.linalg.LinAlgError):
+        trace_norms(np.array([np.eye(m), nan_entry]))
+
+
+def test_trace_norms_send_only_ill_conditioned_matrices_to_svd(monkeypatch):
+    # an 8 x 8 probe stack on the 51 x 51 grid, kept well conditioned by a
+    # dominant constant term
+    rng = np.random.default_rng(5)
+    coeffs = {(0, 0): 20.0 * np.eye(8)}
+    for n in [(1, 2), (-3, 1), (2, -2)]:
+        coeffs[n] = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    vals = TrigPoly(coeffs).evaluate(51)
+    assert vals.shape == (51, 51, 8, 8)
+    svd = np.linalg.svd
+    ref = svd(vals, compute_uv=False).sum(-1)
+    sent = []
+
+    def counting(a, *args, **kwargs):
+        sent.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    got = trace_norms(vals)
+    assert sent == []
+    assert np.max(np.abs(got - ref) / ref) < 1e-13
+
+    bad = [(0, 0), (7, 30), (25, 25), (50, 50)]  # in different blocks
+    for i, j in bad:
+        vals[i, j, :, 3] = 0
+    ref = svd(vals, compute_uv=False).sum(-1)
+    sent.clear()
+    got = trace_norms(vals)
+    assert np.array_equal(np.concatenate(sent), np.array([vals[p] for p in bad]))
+    assert np.max(np.abs(got - ref) / ref) < 1e-13
 
 
 def test_s1_l1_scalar_matches_l1():
