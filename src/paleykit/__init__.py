@@ -53,13 +53,7 @@ from .orchestrator import (
     run_construction,
 )
 from .property_o import PropertyOWitness, find_witness, verify_witness
-from .riesz import (
-    RieszMeasure,
-    riesz_coeffs,
-    riesz_spectrum,
-    verify_claim_a,
-    verify_claim_b,
-)
+from .riesz import RieszMeasure, riesz_coeffs, riesz_spectrum
 from .sequence import (
     ConditionReport,
     LacunaryPlan,

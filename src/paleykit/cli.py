@@ -24,7 +24,7 @@ from .multiindex import Smoothness
 from .operators import PaleySampler, estimate_paley_constant, paley_project
 from .orchestrator import OrchestratorConfig, report_to_json, run_construction
 from .property_o import find_witness_or_fail
-from .riesz import riesz_spectrum, verify_claim_a, verify_claim_b
+from .riesz import riesz_coeffs
 from .sequence import RhoSampler, build_sequence, estimate_rho_de, techprop_quantities
 from .serialization import (
     canonical_dumps,
@@ -88,6 +88,17 @@ def _load_plan(args):
         raise _ValidationError("bad plan file: %s" % exc)
 
 
+def _rational(text):
+    """A --t0 or --q value: an int when integral, as OrchestratorConfig
+    holds it, else a Fraction."""
+    try:
+        v = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            "expected an integer or p/q, got %r" % text) from None
+    return v.numerator if v.denominator == 1 else v
+
+
 def _matrix_dims(args, default):
     dims = tuple(args.matrix_dim or default)
     if any(m < 1 for m in dims):
@@ -139,16 +150,12 @@ def _cmd_build_sequence(args):
 
 def _cmd_riesz_spectrum(args):
     plan = _load_plan(args)
-    ok_b, bad_b = verify_claim_b(plan.sequence, plan.K)
-    if not ok_b:
-        raise StageFailure("riesz", "claim_b_collision", {"patterns": bad_b})
-    spectrum = riesz_spectrum(plan.sequence, plan.K)
-    ok_a, _ = verify_claim_a(plan.sequence, plan.K)
+    # riesz_coeffs raises StageFailure unless both claims hold
+    spectrum = riesz_coeffs(plan.sequence, plan.K).coeffs
     sample = [list(n) for n in sorted(spectrum)[:9]]
-    payload = {"size": len(spectrum), "claims": {"a": ok_a, "b": ok_b},
+    payload = {"size": len(spectrum), "claims": {"a": True, "b": True},
                "sample_frequencies": sample}
-    return 0, payload, "spectrum: %d points, claim A %s, claim B %s" % (
-        len(spectrum), ok_a, ok_b)
+    return 0, payload, "spectrum: %d points, claims A and B hold" % len(spectrum)
 
 
 def _cmd_project(args):
@@ -258,14 +265,16 @@ def _build_parser():
             p.add_argument("--eps", type=float, default=0.1)
             p.add_argument("--D", type=int, default=1)
         if seq_flags:
-            p.add_argument("--K", type=int, default=4)
-            p.add_argument("--t0", type=Fraction, default=Fraction(100))
-            p.add_argument("--q", type=Fraction, default=Fraction(10))
+            p.add_argument("--K", type=int, default=OrchestratorConfig.K)
+            p.add_argument("--t0", type=_rational, default=OrchestratorConfig.t0)
+            p.add_argument("--q", type=_rational, default=OrchestratorConfig.q)
         if sample_flags:
-            p.add_argument("--count", type=int, default=100)
+            p.add_argument("--count", type=int,
+                           default=OrchestratorConfig.paley_count)
             p.add_argument("--matrix-dim", type=int, action="append",
                            dest="matrix_dim")
-            p.add_argument("--grid-n", type=int, default=51, dest="grid_n")
+            p.add_argument("--grid-n", type=int, default=OrchestratorConfig.grid_n,
+                           dest="grid_n")
         return p
 
     add("check-smoothness", _cmd_check_smoothness,

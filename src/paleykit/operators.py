@@ -19,18 +19,14 @@ same floating-point expressions as the derivative part, so the
 cancellation at frequencies -n_k is exact, not approximate.
 """
 
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError
 from .multiindex import derivative_multiplier, q_s_eval, symbol_eval
 from .riesz import riesz_coeffs
 from .trigpoly import TrigPoly, paley_l2_norm, random_trigpoly, sobolev_norm
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -41,13 +37,6 @@ class OperatorPipeline:
     riesz: object
     rho_k: list
     sqrt_q: list
-
-    def in_sigma(self, m):
-        """Membership in Sigma = {0} union of the balls B_k."""
-        m = tuple(int(c) for c in m)
-        if all(c == 0 for c in m):
-            return True
-        return ball_multiplicity(self.plan, m) > 0
 
 
 def ball_multiplicity(plan, m):
@@ -62,7 +51,10 @@ def ball_multiplicity(plan, m):
 
 
 def build_pipeline(plan):
-    """Assemble the Riesz measure and the per-index constants rho_k."""
+    """Assemble the Riesz measure and the per-index constants rho_k.
+
+    riesz_coeffs raises StageFailure at stage "riesz" when claim A or
+    claim B fails on the plan's sequence."""
     riesz = riesz_coeffs(plan.sequence, plan.K)
     a, b = plan.witness.alpha, plan.witness.beta
     tau_ell = plan.tau * plan.ell_hat
@@ -119,15 +111,8 @@ def convolve_riesz(f, riesz):
 
 
 def coordinate_projection(f, pipeline):
-    """Projection onto Lambda = (n_k).
-
-    Inputs are expected to live on Sigma; frequencies outside it are
-    legal (they arise in testing) and are reported at debug level, then
-    projected away like any other non-Lambda frequency.
-    """
-    stray = [n for n in f.coeffs if not pipeline.in_sigma(n)]
-    if stray:
-        log.debug("projection input carries %d frequencies outside Sigma", len(stray))
+    """Projection onto Lambda = (n_k): paley_project onto the plan's
+    sequence, whatever the rest of the spectrum of f."""
     return paley_project(f, pipeline.plan.sequence)
 
 

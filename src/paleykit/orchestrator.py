@@ -22,7 +22,6 @@ from .operators import (
     estimate_paley_constant,
 )
 from .property_o import find_witness_or_fail
-from .riesz import verify_claim_a, verify_claim_b
 from .sequence import build_sequence
 from .serialization import paley_to_json, plan_digest, to_jsonable
 from .trigpoly import random_trigpoly
@@ -51,7 +50,11 @@ class OrchestratorConfig:
 
 @dataclass
 class ConstructionReport:
-    """Pure data; every boolean corresponds to a re-runnable check."""
+    """Pure data; every boolean corresponds to a re-runnable check.
+
+    claim_a and claim_b are true in every report: riesz_coeffs, run by
+    build_pipeline, raises StageFailure when either claim fails.
+    """
 
     schema_version: int
     smoothness: object
@@ -121,13 +124,7 @@ def run_construction(s, config=None):
     timings["sequence"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    ok_a, bad_a = verify_claim_a(plan.sequence, plan.K)
-    ok_b, bad_b = verify_claim_b(plan.sequence, plan.K)
-    if not ok_b:
-        raise StageFailure("riesz", "claim_b_collision", {"patterns": bad_b})
-    if not ok_a:
-        raise StageFailure("riesz", "claim_a_escape", {"frequency": bad_a})
-    pipeline = build_pipeline(plan)
+    pipeline = build_pipeline(plan)  # raises unless claims A and B hold
     timings["riesz"] = time.perf_counter() - t
 
     t = time.perf_counter()
@@ -158,8 +155,8 @@ def run_construction(s, config=None):
         plan=plan,
         digest=plan_digest(plan),
         retries_used=retries_used,
-        claim_a=ok_a,
-        claim_b=ok_b,
+        claim_a=True,
+        claim_b=True,
         rho_bounds_ok=rho_ok,
         composite_max_rel_error=composite_err,
         paley=paley,

@@ -2,21 +2,20 @@
 
 The K-term product  prod_{k<=K} (1 + cos<x, n_k>)  expands into 3^K
 exponentials indexed by sign patterns d in {-1,0,1}^K: the frequency is
-sum_k d_k n_k and the coefficient is 2^{-(number of nonzero d_k)}.  The
-expansion is only trusted after the first coordinates certify that
-distinct patterns give distinct frequencies (claim B below); a collision
-would mean coefficients silently merged, so it is an error, never a
-merge.
+sum_k d_k n_k and the coefficient is 2^{-(number of nonzero d_k)}.
 
-Claim A: every nonzero spectrum point lies in B_k or -B_k for k the
-largest index with d_k nonzero.  Claim B: the first-coordinate
-projection of the spectrum is injective.  Both are verified by brute
-force over all sign patterns.
+Two claims make the expansion trustworthy.  Claim A: every nonzero
+spectrum point lies in B_k or -B_k for k the largest index with d_k
+nonzero.  Claim B: the first-coordinate projection of the spectrum is
+injective, so distinct patterns give distinct frequencies; a collision
+would mean coefficients silently merged, so it is an error, never a
+merge.  riesz_coeffs certifies both by brute force in the same single
+walk over the sign patterns that writes the coefficients.
 """
 
 from dataclasses import dataclass
 
-from .errors import ConstructionError
+from .errors import StageFailure
 from .sequence import bk_radius, pattern_frequency, sign_patterns
 
 
@@ -37,62 +36,44 @@ class RieszMeasure:
         return self.coeffs.get(tuple(int(c) for c in n), 0.0)
 
 
-def verify_claim_b(sequence, K):
-    """Distinctness of the 3^K first coordinates sum_k d_k n_k(1).
-
-    Returns (True, None) or (False, (d, d')) with two colliding sign
-    patterns.
-    """
-    seen = {}
-    for d in sign_patterns(K):
-        first = sum(dk * n[0] for dk, n in zip(d, sequence))
-        if first in seen:
-            return False, (seen[first], d)
-        seen[first] = d
-    return True, None
-
-
-def verify_claim_a(sequence, K):
-    """Containment of every nonzero spectrum point in B_k or -B_k for
-    k the largest active index.  Returns (True, None) or (False, m)."""
-    dim = len(sequence[0]) if sequence else 1
-    for d in sign_patterns(K):
-        active = [k for k in range(K) if d[k] != 0]
-        if not active:
-            continue
-        k = active[-1] + 1  # 1-based ball index
-        m = pattern_frequency(sequence, d, dim)
-        radius = bk_radius(sequence, k)
-        center = sequence[k - 1]
-        dist_pos = sum(abs(a - b) for a, b in zip(m, center))
-        dist_neg = sum(abs(-a - b) for a, b in zip(m, center))
-        if dist_pos > radius and dist_neg > radius:
-            return False, m
-    return True, None
-
-
 def riesz_coeffs(sequence, K):
-    """Expand the K-term product into its 3^K Fourier coefficients.
+    """Expand the K-term product into its 3^K Fourier coefficients,
+    certifying claims A and B on the way; K = 0 gives the plain Lebesgue
+    measure.
 
-    Requires claim B (certified injectivity) so that no two patterns
-    write the same frequency; K = 0 gives the plain Lebesgue measure.
+    Raises StageFailure("riesz", "claim_b_collision", {"patterns":
+    (d', d)}) at the first pattern d whose first coordinate the earlier
+    pattern d' already took.  An escape from claim A is raised only after
+    the walk, as StageFailure("riesz", "claim_a_escape", {"frequency":
+    m}) with the first escaping m, so a collision anywhere takes
+    precedence.
     """
     sequence = tuple(tuple(int(c) for c in n) for n in sequence)
     if K < 0 or K > len(sequence):
         raise ValueError("K must be between 0 and len(sequence)")
-    ok, collision = verify_claim_b(sequence, K)
-    if not ok:
-        raise ConstructionError(
-            "sign patterns %s and %s collide in the first coordinate"
-            % collision
-        )
     dim = len(sequence[0]) if sequence else 1
+    sequence = sequence[:K]
+    radii = [bk_radius(sequence, k) for k in range(1, K + 1)]
+    first_seen = {}
+    escape = None
     coeffs = {}
     for d in sign_patterns(K):
-        freq = pattern_frequency(sequence[:K], d, dim)
-        nonzero = sum(1 for dk in d if dk)
-        coeffs[freq] = 2.0 ** (-nonzero)
-    return RieszMeasure(sequence=sequence[:K], K=K, coeffs=coeffs)
+        freq = pattern_frequency(sequence, d, dim)
+        if freq[0] in first_seen:
+            raise StageFailure("riesz", "claim_b_collision",
+                               {"patterns": (first_seen[freq[0]], d)})
+        first_seen[freq[0]] = d
+        active = [k for k in range(K) if d[k]]
+        if active and escape is None:
+            # claim A fails: farther than D_k from n_k and from -n_k in l1
+            center, radius = sequence[active[-1]], radii[active[-1]]
+            if (sum(abs(a - b) for a, b in zip(freq, center)) > radius
+                    and sum(abs(a + b) for a, b in zip(freq, center)) > radius):
+                escape = freq
+        coeffs[freq] = 2.0 ** (-len(active))
+    if escape is not None:
+        raise StageFailure("riesz", "claim_a_escape", {"frequency": escape})
+    return RieszMeasure(sequence=sequence, K=K, coeffs=coeffs)
 
 
 def riesz_spectrum(sequence, K):

@@ -185,44 +185,30 @@ def paley_to_json(result):
 
 
 def poly_to_json(f):
-    entries = []
-    for n in sorted(f.coeffs):
-        v = f.coeffs[n]
-        if isinstance(v, np.ndarray):
-            val = [[to_jsonable(complex(x)) for x in row] for row in v]
-        else:
-            val = to_jsonable(complex(v))
-        entries.append({"n": list(n), "value": val})
     return {
         "dim": f.dim,
         "mdim": f.mdim if f.is_matrix_valued() else None,
-        "coeffs": entries,
+        "coeffs": [{"n": list(n), "value": to_jsonable(f.coeffs[n])}
+                   for n in sorted(f.coeffs)],
     }
 
 
+def _matrix(rows):
+    return np.array([[_cplx(x) for x in row] for row in rows], dtype=complex)
+
+
 def poly_from_json(d):
-    coeffs = {}
-    for e in d["coeffs"]:
-        n = tuple(e["n"])
-        v = e["value"]
-        if d.get("mdim"):
-            coeffs[n] = np.array(
-                [[_cplx(x) for x in row] for row in v], dtype=complex)
-        else:
-            coeffs[n] = _cplx(v)
+    decode = _matrix if d.get("mdim") else _cplx
+    coeffs = {tuple(e["n"]): decode(e["value"]) for e in d["coeffs"]}
     return TrigPoly(coeffs, dim=d["dim"], mdim=d.get("mdim"))
 
 
 def matrixseq_to_json(ms):
-    mats = [[[to_jsonable(complex(x)) for x in row] for row in m]
-            for m in ms.matrices]
-    return {"mdim": ms.mdim, "matrices": mats}
+    return {"mdim": ms.mdim, "matrices": to_jsonable(ms.matrices)}
 
 
 def matrixseq_from_json(d):
-    mats = [np.array([[_cplx(x) for x in row] for row in m], dtype=complex)
-            for m in d["matrices"]]
-    return MatrixSequence(mats)
+    return MatrixSequence([_matrix(m) for m in d["matrices"]])
 
 
 def plan_digest(plan):

@@ -1,7 +1,9 @@
-"""Reference constructions shared by the tests; nothing in paleykit uses them."""
+"""Reference constructions and probes shared by the tests; nothing in
+paleykit uses them."""
 
 import numpy as np
 
+from paleykit import riesz
 from paleykit.trigpoly import TrigPoly
 
 
@@ -21,3 +23,17 @@ def riesz_poly(measure):
     """A truncated Riesz product as a TrigPoly (symbolic expansion)."""
     dim = len(next(iter(measure.coeffs)))
     return TrigPoly(dict(measure.coeffs), dim=dim)
+
+
+def count_sign_patterns(monkeypatch):
+    """Count the walks over sign patterns that paleykit.riesz starts:
+    returns the list that records K for each call."""
+    calls = []
+    original = riesz.sign_patterns
+
+    def counted(K):
+        calls.append(K)
+        return original(K)
+
+    monkeypatch.setattr(riesz, "sign_patterns", counted)
+    return calls

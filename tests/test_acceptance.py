@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from paleykit.crnorm import MatrixSequence, cr_norm, khintchine_envelope
+from paleykit.errors import StageFailure
 from paleykit.multiindex import Smoothness, order, q_s_eval, saturate
 from paleykit.operators import (
     PaleySampler,
@@ -22,12 +23,7 @@ from paleykit.operators import (
 )
 from paleykit.orchestrator import OrchestratorConfig, replay, run_construction
 from paleykit.property_o import find_witness, verify_witness
-from paleykit.riesz import (
-    riesz_coeffs,
-    riesz_spectrum,
-    verify_claim_a,
-    verify_claim_b,
-)
+from paleykit.riesz import riesz_coeffs
 from paleykit.sequence import build_sequence, estimate_rho_de, techprop_quantities
 from paleykit.trigpoly import TrigPoly, lp_norm, random_trigpoly, trace_norm
 
@@ -136,19 +132,15 @@ def test_riesz_brute_force(capsys):
     def body():
         plan5 = build_sequence(S_REF, WITNESS, 5, 100, 10)
         seq = plan5.sequence
-        spec = riesz_spectrum(seq, 5)
-        if len(spec) != 243:
-            return False, "spectrum has %d points, want 243" % len(spec)
-        ok_a, why_a = verify_claim_a(seq, 5)
-        ok_b, why_b = verify_claim_b(seq, 5)
-        if not ok_a:
-            return False, "ball containment fails: %s" % why_a
-        if not ok_b:
-            return False, "pattern collision: %s" % why_b
+        try:
+            meas = riesz_coeffs(seq, 5)
+        except StageFailure as exc:
+            return False, "%s: %s" % (exc.reason, exc.details)
+        if len(meas.coeffs) != 243:
+            return False, "spectrum has %d points, want 243" % len(meas.coeffs)
         prod = cos_factor_poly(seq[0])
         for n in seq[1:]:
             prod = prod * cos_factor_poly(n)
-        meas = riesz_coeffs(seq, 5)
         if set(prod.coeffs) != set(meas.coeffs):
             return False, "symbolic product spectrum differs"
         for k, v in meas.coeffs.items():

@@ -8,6 +8,11 @@ from paleykit.cli import main
 from paleykit.crnorm import MatrixSequence
 from paleykit.multiindex import Smoothness, saturate
 from paleykit.operators import PaleySampler, estimate_paley_constant
+from paleykit.orchestrator import (
+    OrchestratorConfig,
+    report_to_json,
+    run_construction,
+)
 from paleykit.property_o import find_witness
 from paleykit.sequence import build_sequence
 from paleykit.serialization import (
@@ -18,6 +23,8 @@ from paleykit.serialization import (
     witness_to_json,
 )
 from paleykit.trigpoly import random_trigpoly
+
+from helpers import count_sign_patterns
 
 REF = "0,0;1,0;0,1;2,0"
 S = Smoothness.from_indices(saturate({(2, 0), (0, 1)}))
@@ -148,6 +155,14 @@ def test_riesz_spectrum(capsys, plan_file):
     assert [0, 0] in payload["sample_frequencies"]
 
 
+def test_riesz_spectrum_walks_the_patterns_once(capsys, plan_file,
+                                               monkeypatch):
+    calls = count_sign_patterns(monkeypatch)
+    code, _, _ = run(capsys, "riesz-spectrum", "--plan", plan_file)
+    assert code == 0
+    assert calls == [2]
+
+
 def test_riesz_spectrum_missing_file(capsys):
     code, payload, _ = run(capsys, "riesz-spectrum", "--plan", "/nonexistent")
     assert code == 2
@@ -195,6 +210,17 @@ def test_riesz_spectrum_reports_claim_b_collision(capsys, plan_file, tmp_path):
     assert payload["stage"] == "riesz"
     assert payload["failure"] == "claim_b_collision"
     assert len(payload["details"]["patterns"]) == 2
+
+
+def test_riesz_spectrum_reports_claim_a_escape(capsys, plan_file, tmp_path):
+    # radii consistent with the sequence, but D_2 = 10 - 100 < 0 leaves
+    # B_2 empty, so the first pattern (-1, -1) escapes
+    path = _edited_plan(plan_file, tmp_path,
+                        sequence=[[10, -100], [126, 16000]], radii=[0, -90])
+    code, payload, _ = run(capsys, "riesz-spectrum", "--plan", path)
+    assert code == 3
+    assert payload == {"failure": "claim_a_escape", "stage": "riesz",
+                       "details": {"frequency": [-136, -15900]}}
 
 
 def test_project(capsys, plan_file, tmp_path):
@@ -306,6 +332,26 @@ def test_run_all_tiny(capsys):
     assert payload["digest"] == (
         "15e13866f5270df7753a8c4c52f474c51d8ce28000246466f998ad63ccd1c236")
     assert "construction verified" in err
+
+
+@pytest.mark.parametrize("schedule", [(), ("--t0", "10000", "--q", "100")])
+def test_run_all_prints_the_run_construction_report(capsys, schedule):
+    code, payload, _ = run(capsys, "run-all", "--indices", REF, "--K", "2",
+                           "--count", "3", "--matrix-dim", "1",
+                           "--grid-n", "21", *schedule)
+    assert code == 0
+    t0, q = (10000, 100) if schedule else (100, 10)
+    report = run_construction(S, OrchestratorConfig(
+        K=2, t0=t0, q=q, paley_count=3, matrix_dims=(1,), grid_n=21))
+    want = json.loads(canonical_dumps(report_to_json(report)))
+    payload.pop("timings"), want.pop("timings")
+    assert payload == want
+
+
+@pytest.mark.parametrize("value", ["1/0", "x"])
+def test_bad_rational_flag_exits_2(capsys, value):
+    code, _, _ = run(capsys, "build-sequence", "--indices", REF, "--t0", value)
+    assert code == 2
 
 
 def test_run_all_no_witness(capsys):

@@ -38,15 +38,6 @@ def test_pipeline_constants():
         assert lo - 1e-12 <= abs(r) <= hi + 1e-12
 
 
-def test_in_sigma():
-    assert PIPE.in_sigma((0, 0))
-    assert PIPE.in_sigma((10, 100))
-    # inside B_2 (radius 110) but not a center
-    assert PIPE.in_sigma((128, 16002))
-    assert not PIPE.in_sigma((1, 1))
-    assert not PIPE.in_sigma((-10, -100))
-
-
 def test_ball_multiplicity_counts_every_containment():
     fake = types.SimpleNamespace(K=2, sequence=[(10, 10), (12, 12)], radii=[5, 5])
     assert ball_multiplicity(fake, (11, 11)) == 2

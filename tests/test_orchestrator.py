@@ -10,6 +10,8 @@ from paleykit.orchestrator import (
     run_construction,
 )
 
+from helpers import count_sign_patterns
+
 S = Smoothness.from_indices(saturate({(2, 0), (0, 1)}))
 # fails condition (iv) at the first two schedules (sum_iv 4.81, 2.04)
 S_RETRY = Smoothness.from_indices(saturate({(2, 0), (0, 3)}))
@@ -42,6 +44,14 @@ def test_retry_squares_the_schedule():
     assert rep.plan.t0 == 100**4
     assert rep.plan.q == 10**4
     assert rep.plan.report.bound_iv_met
+
+
+def test_one_sign_pattern_walk_per_construction(monkeypatch):
+    calls = count_sign_patterns(monkeypatch)
+    rep = run_construction(S, OrchestratorConfig(K=2, matrix_dims=(),
+                                                 composite_count=3))
+    assert calls == [2]
+    assert rep.claim_a and rep.claim_b
 
 
 def test_determinism(tiny_report):

@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
-from paleykit.errors import ConstructionError
+from paleykit.errors import StageFailure
 from paleykit.multiindex import Smoothness, saturate
 from paleykit.property_o import find_witness
-from paleykit.riesz import (
-    riesz_coeffs,
-    riesz_spectrum,
-    verify_claim_a,
-    verify_claim_b,
-)
+from paleykit.riesz import riesz_coeffs, riesz_spectrum
 from paleykit.sequence import build_sequence
 
 from helpers import cos_factor_poly, grid_points, riesz_poly
@@ -47,43 +42,57 @@ def test_spectrum_sizes():
     assert (0, 0) in riesz_spectrum(p.sequence, 2)
 
 
+def _failure(sequence, K):
+    with pytest.raises(StageFailure) as info:
+        riesz_coeffs(sequence, K)
+    assert info.value.stage == "riesz"
+    return info.value.reason, info.value.details
+
+
 def test_claim_b_balanced_ternary():
     seq = [(1,), (3,), (9,)]
-    ok, _ = verify_claim_b(seq, 3)
-    assert ok
+    mu = riesz_coeffs(seq, 3)
+    assert sorted(mu.coeffs) == [(v,) for v in range(-13, 14)]
 
 
 def test_claim_b_collision():
     # first coordinates 1 and 2: pattern sums collide (9 patterns, 7 values)
     seq = [(1,), (2,)]
-    ok, pair = verify_claim_b(seq, 2)
-    assert not ok
-    assert pair is not None
-    a, b = pair
+    reason, details = _failure(seq, 2)
+    assert reason == "claim_b_collision"
+    assert details == {"patterns": ((-1, 0), (1, -1))}
+    a, b = details["patterns"]
     f = lambda d: sum(dk * n[0] for dk, n in zip(d, seq))
     assert f(a) == f(b) and a != b
 
 
 def test_riesz_coeffs_refuses_collisions():
-    with pytest.raises(ConstructionError):
-        riesz_coeffs([(1,), (2,)], 2)
+    # -1 + 2 - 3 = -2 in the first coordinate; the second coordinates
+    # differ, but claim B asks for injectivity of the first coordinate
+    reason, details = _failure([(1, 1), (2, 5), (3, 9)], 3)
+    assert reason == "claim_b_collision"
+    assert details == {"patterns": ((-1, 1, -1), (0, -1, 0))}
 
 
 def test_claim_a_reference():
     for K in (1, 2, 4):
         p = ref_plan(K)
-        ok, bad = verify_claim_a(p.sequence, K)
-        assert ok, bad
+        assert len(riesz_coeffs(p.sequence, K).coeffs) == 3**K
 
 
 def test_claim_a_counterexample_detection():
     # for honest plans (positive coordinates) containment is automatic by
     # the triangle inequality, so the detector can only fire on malformed
     # input: a negative coordinate makes the nominal radius too small
-    seq = [(-5,), (20,)]
-    ok, bad = verify_claim_a(seq, 2)
-    assert not ok
-    assert bad is not None
+    assert _failure([(-5,), (20,)], 2) == (
+        "claim_a_escape", {"frequency": (-15,)})
+
+
+def test_claim_b_takes_precedence_over_escape():
+    # the first pattern (-1, -1) already escapes (frequency -1, radius
+    # D_2 = -1), and (1, 0) collides with it only later in the walk
+    assert _failure([(-1,), (2,)], 2) == (
+        "claim_b_collision", {"patterns": ((-1, -1), (1, 0))})
 
 
 def test_symbolic_expansion_matches():
