@@ -2,12 +2,15 @@
 
 Every subcommand is a thin wrapper over one library operation: it loads
 inputs, calls the operation, and prints the result as canonical JSON on
-standard output with a one-line human summary on standard error.  Exit
-codes: 0 success, 2 input validation, 3 structured domain failure (for
-example, no Property (O) witness), 1 internal error.
+standard output with a one-line human summary on standard error.  A
+subcommand takes exactly the flags its handler reads (_COMMANDS).  Exit
+codes: 0 success, 2 input validation, including any unknown, missing or
+ill-valued flag, 3 structured domain failure (for example, no Property
+(O) witness), 1 internal error.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -21,8 +24,8 @@ from .errors import (
     StageFailure,
 )
 from .multiindex import Smoothness
-from .operators import PaleySampler, estimate_paley_constant, paley_project
-from .orchestrator import OrchestratorConfig, report_to_json, run_construction
+from .operators import paley_project
+from .orchestrator import OrchestratorConfig, paley_probe, report_to_json, run_construction
 from .property_o import find_witness_or_fail
 from .riesz import riesz_coeffs
 from .sequence import RhoSampler, build_sequence, estimate_rho_de, techprop_quantities
@@ -46,73 +49,102 @@ class _ValidationError(Exception):
     pass
 
 
-def _read_json(path):
+class _Parser(argparse.ArgumentParser):
+    """Sends flag errors down the exit-2 JSON path of all bad input."""
+
+    def error(self, message):
+        raise _ValidationError(message)
+
+
+def _load(path, what, decode):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return decode(json.load(fh))
     except OSError as exc:
         raise _ValidationError("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
-        raise _ValidationError("%s is not valid JSON: %s" % (path, exc))
-
-
-def _parse_indices(text):
-    try:
-        return [tuple(int(c) for c in part.split(","))
-                for part in text.split(";") if part.strip()]
-    except ValueError:
-        raise _ValidationError(
-            "bad --indices; expected like '0,0;1,0;0,1'")
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError too
+        raise _ValidationError("bad %s file: %s" % (what, exc))
 
 
 def _load_smoothness(args):
     """Build the smoothness set from --indices or --input."""
-    if getattr(args, "indices", None):
-        return Smoothness.from_indices(_parse_indices(args.indices))
-    if getattr(args, "input", None):
-        d = _read_json(args.input)
-        try:
-            return smoothness_from_json(d)
-        except (KeyError, TypeError) as exc:
-            raise _ValidationError("bad smoothness file: %s" % exc)
+    if args.indices:
+        return Smoothness.from_indices(args.indices)
+    if args.input:
+        return _load(args.input, "smoothness", smoothness_from_json)
     raise _ValidationError("need --indices or --input")
 
 
-def _load_plan(args):
-    if not getattr(args, "plan", None):
-        raise _ValidationError("need --plan")
-    data = _read_json(args.plan)
-    try:
-        return plan_from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _ValidationError("bad plan file: %s" % exc)
+def _config(args, **defaults):
+    """OrchestratorConfig of the flags given; a field no flag sets takes
+    its value from defaults, else OrchestratorConfig's default."""
+    names = {f.name for f in dataclasses.fields(OrchestratorConfig)}
+    given = {k: v for k, v in vars(args).items() if k in names}
+    return OrchestratorConfig(**dict(defaults, **given))
 
 
-def _rational(text):
-    """A --t0 or --q value: an int when integral, as OrchestratorConfig
-    holds it, else a Fraction."""
-    try:
-        v = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            "expected an integer or p/q, got %r" % text) from None
+def _checked(convert, expected, ok=lambda v: True):
+    """An argparse type: convert(text), rejected unless ok."""
+    def parse(text):
+        try:
+            v = convert(text)
+            if ok(v):
+                return v
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise argparse.ArgumentTypeError("expected %s, got %r" % (expected, text))
+    return parse
+
+
+def _indices(text):
+    return [tuple(int(c) for c in part.split(","))
+            for part in text.split(";") if part.strip()]
+
+
+def _fraction(text):
+    """An int when integral, as OrchestratorConfig holds it, else a Fraction."""
+    v = Fraction(text)
     return v.numerator if v.denominator == 1 else v
 
 
-def _matrix_dims(args, default):
-    dims = tuple(args.matrix_dim or default)
-    if any(m < 1 for m in dims):
-        raise _ValidationError("--matrix-dim must be at least 1")
-    if len(set(dims)) != len(dims):
-        raise _ValidationError("--matrix-dim repeats a dimension")
-    return dims
+_positive_int = _checked(int, "an integer at least 1", lambda v: v >= 1)
+_rational = _checked(_fraction, "an integer or p/q greater than 1", lambda v: v > 1)
 
 
-def _check_positive(args, names):
-    for name in names:
-        v = getattr(args, name, None)
-        if v is not None and v < 1:
-            raise _ValidationError("--%s must be at least 1" % name.replace("_", "-"))
+class _MatrixDims(argparse.Action):
+    """Repeatable --matrix-dim, collected into a tuple; naming a dimension
+    twice is an error."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        dims = getattr(namespace, self.dest, ())
+        if value in dims:
+            raise argparse.ArgumentError(self, "repeats dimension %d" % value)
+        setattr(namespace, self.dest, dims + (value,))
+
+
+# add_argument keywords per flag.  A flag with no default is absent from
+# the parsed namespace unless given; its dest names an OrchestratorConfig
+# field, whose default _config supplies.
+_FLAGS = {
+    "--indices": dict(type=_checked(_indices, "indices like '0,0;1,0;0,1'"),
+                      default=None, help="inline multi-indices '0,0;1,0;0,1'"),
+    "--input": dict(default=None, help="JSON input file"),
+    "--seed": dict(type=int, default=0),
+    "--plan": dict(required=True, help="plan JSON file"),
+    "--poly": dict(required=True, help="polynomial JSON file"),
+    "--pair": dict(default=None, help="JSON file with a frequency pair {m, n}"),
+    "--eps": dict(type=_checked(float, "a number in (0, 1)", lambda v: 0 < v < 1),
+                  default=0.1),
+    "--D": dict(type=_checked(int, "an integer at least 0", lambda v: v >= 0),
+                default=1),
+    "--K": dict(type=_positive_int),
+    "--t0": dict(type=_rational),
+    "--q": dict(type=_rational),
+    "--count": dict(type=_positive_int, dest="paley_count", metavar="COUNT"),
+    "--matrix-dim": dict(type=_positive_int, action=_MatrixDims, dest="matrix_dims",
+                         metavar="M"),
+    "--grid-n": dict(type=_positive_int),
+}
 
 
 # ----------------------------------------------------------------------
@@ -138,18 +170,15 @@ def _cmd_check_property_o(args):
 
 
 def _cmd_build_sequence(args):
-    s = _load_smoothness(args)
-    if args.t0 <= 1 or args.q <= 1:
-        raise _ValidationError("--t0 and --q must be greater than 1")
-    _check_positive(args, ["K"])
-    plan = build_sequence(s, find_witness_or_fail(s), args.K, args.t0, args.q)
+    s, c = _load_smoothness(args), _config(args)
+    plan = build_sequence(s, find_witness_or_fail(s), c.K, c.t0, c.q)
     return 0, plan_to_json(plan), \
         "plan: K=%d first=%s digest=%s" % (
             plan.K, plan.sequence[0], plan_digest(plan)[:12])
 
 
 def _cmd_riesz_spectrum(args):
-    plan = _load_plan(args)
+    plan = _load(args.plan, "plan", plan_from_json)
     # riesz_coeffs raises StageFailure unless both claims hold
     spectrum = riesz_coeffs(plan.sequence, plan.K).coeffs
     sample = [list(n) for n in sorted(spectrum)[:9]]
@@ -159,44 +188,27 @@ def _cmd_riesz_spectrum(args):
 
 
 def _cmd_project(args):
-    plan = _load_plan(args)
-    if not args.poly:
-        raise _ValidationError("need --poly")
-    data = _read_json(args.poly)
-    try:
-        f = poly_from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _ValidationError("bad polynomial file: %s" % exc)
+    plan = _load(args.plan, "plan", plan_from_json)
+    f = _load(args.poly, "polynomial", poly_from_json)
     out = paley_project(f, plan.sequence)
     return 0, poly_to_json(out), "kept %d of %d coefficients" % (
         len(out), len(f))
 
 
 def _cmd_estimate_paley(args):
-    plan = _load_plan(args)
-    _check_positive(args, ["count", "grid_n"])
-    dims = _matrix_dims(args, (1,))
-    sampler = PaleySampler.for_plan(
-        plan, count=args.count, box=OrchestratorConfig.paley_box,
-        terms=OrchestratorConfig.paley_terms, mdim=dims, seed=args.seed,
-        grid_n=args.grid_n)
-    result = estimate_paley_constant(plan.smoothness, plan.sequence, sampler)
+    plan = _load(args.plan, "plan", plan_from_json)
+    config = _config(args, matrix_dims=(1,))
+    result = paley_probe(plan, config)
     payload = paley_to_json(result)
     payload["m"] = payload.pop("mdim")
     payload["plan_digest"] = plan_digest(plan)
     return 0, payload, "empirical sup ratio %.6g over %d samples (m=%s)" % (
-        result["sup_ratio"], args.count, list(dims))
+        result["sup_ratio"], config.paley_count, list(config.matrix_dims))
 
 
 def _cmd_cr_norm(args):
-    if not args.input:
-        raise _ValidationError("need --input")
-    data = _read_json(args.input)
-    try:
-        ms = matrixseq_from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _ValidationError("bad matrix sequence file: %s" % exc)
-    r = cr_norm(ms, seed=args.seed)
+    r = cr_norm(_load(args.input, "matrix sequence", matrixseq_from_json),
+                seed=args.seed)
     payload = {"value": r.value, "converged": r.converged,
                "restarts_used": r.restarts_used}
     return 0, payload, "C+R norm %.9g (%d restarts%s)" % (
@@ -206,34 +218,17 @@ def _cmd_cr_norm(args):
 def _cmd_techprop(args):
     s = _load_smoothness(args)
     if args.pair:
-        d = _read_json(args.pair)
-        try:
-            m, n = tuple(d["m"]), tuple(d["n"])
-        except (KeyError, TypeError) as exc:
-            raise _ValidationError("bad pair file: %s" % exc)
-        q1, q2, q3 = techprop_quantities(s, m, n)
+        q1, q2, q3 = _load(args.pair, "pair",
+                           lambda d: techprop_quantities(s, d["m"], d["n"]))
         return 0, {"q1": q1, "q2": q2, "q3": q3}, \
-            "quantities at m=%s n=%s: %.6g %.6g %.6g" % (m, n, q1, q2, q3)
-    if not 0.0 < args.eps < 1.0:
-        raise _ValidationError("--eps must be in (0, 1)")
-    if args.D < 0:
-        raise _ValidationError("--D must be non-negative")
-    result = estimate_rho_de(s, args.D, args.eps,
-                             RhoSampler(seed=args.seed))
+            "pair quantities: %.6g %.6g %.6g" % (q1, q2, q3)
+    result = estimate_rho_de(s, args.D, args.eps, RhoSampler(seed=args.seed))
     return 0, result, "rho(D=%d, eps=%g) = %d after %d pairs" % (
         args.D, args.eps, result["rho"], result["pairs_tested"])
 
 
 def _cmd_run_all(args):
-    s = _load_smoothness(args)
-    if args.t0 <= 1 or args.q <= 1:
-        raise _ValidationError("--t0 and --q must be greater than 1")
-    _check_positive(args, ["K", "count", "grid_n"])
-    dims = _matrix_dims(args, OrchestratorConfig.matrix_dims)
-    config = OrchestratorConfig(K=args.K, t0=args.t0, q=args.q, seed=args.seed,
-                                paley_count=args.count, matrix_dims=dims,
-                                grid_n=args.grid_n)
-    report = run_construction(s, config)
+    report = run_construction(_load_smoothness(args), _config(args))
     summary = ("construction verified: claims %s/%s, composite err %.3g, "
                "paley sup %.6g, digest %s" % (
                    report.claim_a, report.claim_b,
@@ -243,100 +238,70 @@ def _cmd_run_all(args):
     return 0, report_to_json(report), summary
 
 
+_SMOOTHNESS = ("--indices", "--input")
+_SCHEDULE = ("--K", "--t0", "--q")
+_PROBE = ("--seed", "--count", "--matrix-dim", "--grid-n")
+
+# name, handler, help, flags, {flag: keywords that differ from _FLAGS}
+_COMMANDS = (
+    ("check-smoothness", _cmd_check_smoothness,
+     "validate a downward-closed multi-index set", _SMOOTHNESS, {}),
+    ("check-property-o", _cmd_check_property_o,
+     "search for a Property (O) witness", _SMOOTHNESS, {}),
+    ("build-sequence", _cmd_build_sequence,
+     "build a verified lacunary plan", _SMOOTHNESS + _SCHEDULE, {}),
+    ("riesz-spectrum", _cmd_riesz_spectrum,
+     "spectrum size and claim checks for a plan", ("--plan",), {}),
+    ("project", _cmd_project,
+     "restrict a polynomial to the plan frequencies", ("--plan", "--poly"), {}),
+    ("estimate-paley", _cmd_estimate_paley, "empirical Paley constants for a plan",
+     ("--plan",) + _PROBE, {}),
+    ("cr-norm", _cmd_cr_norm, "C+R norm of a matrix sequence",
+     ("--input", "--seed"), {"--input": {"required": True}}),
+    ("techprop", _cmd_techprop, "pair quantities or the rho(D, eps) doubling search",
+     _SMOOTHNESS + ("--seed", "--pair", "--eps", "--D"), {}),
+    ("run-all", _cmd_run_all, "full construction with every verification stage",
+     _SMOOTHNESS + _SCHEDULE + _PROBE, {}),
+)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="paleykit",
         description="Anisotropic Paley projections: construction and checks")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, helptext, plan=False, poly=False, pair=False,
-            seq_flags=False, sample_flags=False):
-        p = sub.add_parser(name, help=helptext)
+    for name, handler, helptext, flags, overrides in _COMMANDS:
+        p = sub.add_parser(name, help=helptext, argument_default=argparse.SUPPRESS)
         p.set_defaults(handler=handler)
-        p.add_argument("--indices", help="inline multi-indices '0,0;1,0;0,1'")
-        p.add_argument("--input", help="JSON input file")
-        p.add_argument("--seed", type=int, default=0)
-        if plan:
-            p.add_argument("--plan", help="plan JSON file")
-        if poly:
-            p.add_argument("--poly", help="polynomial JSON file")
-        if pair:
-            p.add_argument("--pair", help="JSON file with a frequency pair {m, n}")
-            p.add_argument("--eps", type=float, default=0.1)
-            p.add_argument("--D", type=int, default=1)
-        if seq_flags:
-            p.add_argument("--K", type=int, default=OrchestratorConfig.K)
-            p.add_argument("--t0", type=_rational, default=OrchestratorConfig.t0)
-            p.add_argument("--q", type=_rational, default=OrchestratorConfig.q)
-        if sample_flags:
-            p.add_argument("--count", type=int,
-                           default=OrchestratorConfig.paley_count)
-            p.add_argument("--matrix-dim", type=int, action="append",
-                           dest="matrix_dim")
-            p.add_argument("--grid-n", type=int, default=OrchestratorConfig.grid_n,
-                           dest="grid_n")
-        return p
-
-    add("check-smoothness", _cmd_check_smoothness,
-        "validate a downward-closed multi-index set")
-    add("check-property-o", _cmd_check_property_o,
-        "search for a Property (O) witness")
-    add("build-sequence", _cmd_build_sequence,
-        "build a verified lacunary plan", seq_flags=True)
-    add("riesz-spectrum", _cmd_riesz_spectrum,
-        "spectrum size and claim checks for a plan", plan=True)
-    add("project", _cmd_project,
-        "restrict a polynomial to the plan frequencies", plan=True, poly=True)
-    add("estimate-paley", _cmd_estimate_paley,
-        "empirical Paley constants for a plan", plan=True, sample_flags=True)
-    add("cr-norm", _cmd_cr_norm, "C+R norm of a matrix sequence")
-    add("techprop", _cmd_techprop,
-        "pair quantities or the rho(D, eps) doubling search", pair=True)
-    add("run-all", _cmd_run_all,
-        "full construction with every verification stage",
-        seq_flags=True, sample_flags=True)
+        for flag in flags:
+            p.add_argument(flag, **dict(_FLAGS[flag], **overrides.get(flag, {})))
     return parser
 
 
-def main(argv=None):
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-
-    try:
-        code, payload, summary = args.handler(args)
-    except _ValidationError as exc:
-        print(canonical_dumps({"error": str(exc)}))
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except InvalidSmoothnessError as exc:
-        print(canonical_dumps({"error": str(exc)}))
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except StageFailure as exc:
+def _failure(exc):
+    """(exit code, payload, summary) for an exception out of main."""
+    if isinstance(exc, (_ValidationError, InvalidSmoothnessError)):
+        return 2, {"error": str(exc)}, "error: %s" % exc
+    if isinstance(exc, StageFailure):
         payload = {"failure": exc.reason, "stage": exc.stage}
         if exc.details:
             payload["details"] = to_jsonable(exc.details)
-        print(canonical_dumps(payload))
-        print("failed at stage %s: %s" % (exc.stage, exc.reason),
-              file=sys.stderr)
-        return 3
-    except (ConstructionError, SingularFrequencyError) as exc:
-        print(canonical_dumps({"failure": type(exc).__name__,
-                               "error": str(exc)}))
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except PaleykitError as exc:
-        print(canonical_dumps({"error": str(exc)}))
-        print("internal error: %s" % exc, file=sys.stderr)
-        return 1
-    except Exception as exc:
-        print(canonical_dumps({"error": "%s: %s" % (type(exc).__name__, exc)}))
-        print("internal error: %s" % exc, file=sys.stderr)
-        return 1
+        return 3, payload, "failed at stage %s: %s" % (exc.stage, exc.reason)
+    if isinstance(exc, (ConstructionError, SingularFrequencyError)):
+        return 3, {"failure": type(exc).__name__, "error": str(exc)}, "error: %s" % exc
+    text = str(exc) if isinstance(exc, PaleykitError) else "%s: %s" % (
+        type(exc).__name__, exc)
+    return 1, {"error": text}, "internal error: %s" % exc
 
+
+def main(argv=None):
+    try:
+        args = _build_parser().parse_args(argv)
+        code, payload, summary = args.handler(args)
+    except SystemExit as exc:  # --help
+        return exc.code
+    except Exception as exc:
+        code, payload, summary = _failure(exc)
     print(canonical_dumps(payload))
     if summary:
         print(summary, file=sys.stderr)

@@ -190,17 +190,6 @@ class PaleySampler:
     seed: int = 0
     grid_n: int = None
 
-    @classmethod
-    def for_plan(cls, plan, count, box, terms, mdim, seed, grid_n):
-        """The sampler of a plan's Paley probe: ``terms`` draws from the
-        box [1, box]^2 (no support off d = 2), plus the plan's n_1 in
-        every sample."""
-        support = [(i, j) for i in range(1, box + 1) for j in range(1, box + 1)] \
-            if plan.smoothness.dim == 2 else []
-        return cls(count=count, support=tuple(support),
-                   always=(plan.sequence[0],), terms=terms, mdim=mdim,
-                   seed=seed, grid_n=grid_n)
-
     def mdims(self):
         if isinstance(self.mdim, int):
             return (self.mdim,)

@@ -106,6 +106,19 @@ def _rho_bounds_ok(plan, pipeline):
     return all(lo - slack <= abs(r) <= hi + slack for r in pipeline.rho_k)
 
 
+def paley_probe(plan, config):
+    """The plan's empirical Paley probe: config.paley_terms draws from
+    the box [1, paley_box]^2 (no support off d = 2) plus n_1 in every
+    sample, in each of config.matrix_dims."""
+    box = range(1, config.paley_box + 1)
+    support = [(i, j) for i in box for j in box] if plan.smoothness.dim == 2 else []
+    sampler = PaleySampler(count=config.paley_count, support=tuple(support),
+                           always=(plan.sequence[0],), terms=config.paley_terms,
+                           mdim=tuple(config.matrix_dims), seed=config.seed,
+                           grid_n=config.grid_n)
+    return estimate_paley_constant(plan.smoothness, plan.sequence, sampler)
+
+
 def run_construction(s, config=None):
     """Execute every stage on the smoothness set and report.
 
@@ -133,18 +146,7 @@ def run_construction(s, config=None):
     timings["composite"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    paley = {}
-    if config.matrix_dims:
-        sampler = PaleySampler.for_plan(
-            plan,
-            count=config.paley_count,
-            box=config.paley_box,
-            terms=config.paley_terms,
-            mdim=tuple(config.matrix_dims),
-            seed=config.seed,
-            grid_n=config.grid_n,
-        )
-        paley = estimate_paley_constant(s, plan.sequence, sampler)
+    paley = paley_probe(plan, config) if config.matrix_dims else {}
     timings["paley"] = time.perf_counter() - t
 
     return ConstructionReport(

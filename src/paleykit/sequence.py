@@ -23,6 +23,7 @@ together with an empirical search for the threshold rho(D, eps).
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -377,16 +378,27 @@ def check_conditions(S, plan):
 # stability of the fundamental-polynomial ratio
 
 
+def _int_frequency(S, v):
+    v = tuple(v)
+    if len(v) == S.dim and not any(isinstance(c, bool) for c in v):
+        try:
+            return tuple(map(operator.index, v))
+        except TypeError:
+            pass
+    raise ValueError("need %d integer coordinates, got %r" % (S.dim, v))
+
+
 def techprop_quantities(S, m, n):
     """The three closeness quantities between frequencies m and n.
 
     q1 = |1 - Q_S(n)/Q_S(m)|; q2 and q3 are the l2 sizes of the
     normalized symbol differences, unsigned and signed respectively.
+    m and n must each hold S.dim integers (a bool is not one); anything
+    else raises ValueError.
     """
     if not isinstance(S, Smoothness):
         S = Smoothness.from_indices(S)
-    m = tuple(int(c) for c in m)
-    n = tuple(int(c) for c in n)
+    m, n = _int_frequency(S, m), _int_frequency(S, n)
     qm = q_s_eval(S, m)
     qn = q_s_eval(S, n)
     if qm == 0 or qn == 0:

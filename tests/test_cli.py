@@ -1,10 +1,12 @@
 import json
+import pathlib
+import shlex
 import time
 from fractions import Fraction
 
 import pytest
 
-from paleykit.cli import main
+from paleykit.cli import _COMMANDS, _build_parser, main
 from paleykit.crnorm import MatrixSequence
 from paleykit.multiindex import Smoothness, saturate
 from paleykit.operators import PaleySampler, estimate_paley_constant
@@ -64,13 +66,94 @@ def test_missing_input_is_validation_error(capsys):
     assert "error" in payload
 
 
+def _assert_error_payload(out):
+    assert out == canonical_dumps(json.loads(out)) + "\n"
+    assert set(json.loads(out)) == {"error"}
+
+
 def test_unknown_flag_exits_2(capsys):
+    # argparse errors take the exit-2 JSON path of every input error
     for argv in (["check-property-o", "--bogus"],
                  ["build-sequence", "--indices", REF, "--cap", "100"],
-                 ["run-all", "--indices", REF, "--cap", "100"]):
+                 ["run-all", "--indices", REF, "--cap", "100"],
+                 ["build-sequence", "--indices", REF, "--t0", "x"],
+                 ["run-all", "--indices", REF, "--matrix-dim", "a"],
+                 ["no-such-command"],
+                 []):
         code = main(argv)
-        capsys.readouterr()
         assert code == 2, argv
+        _assert_error_payload(capsys.readouterr().out)
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert "run-all" in capsys.readouterr().out
+
+
+# flags each subcommand accepted and ignored before it took only the
+# flags its handler reads
+BASE_ARGV = {
+    "check-smoothness": ["--indices", REF],
+    "check-property-o": ["--indices", REF],
+    "build-sequence": ["--indices", REF],
+    "riesz-spectrum": ["--plan", "plan.json"],
+    "project": ["--plan", "plan.json", "--poly", "poly.json"],
+    "estimate-paley": ["--plan", "plan.json"],
+    "cr-norm": ["--input", "matrices.json"],
+}
+REMOVED_FLAGS = [
+    ("check-smoothness", "--seed", "3"),
+    ("check-property-o", "--seed", "3"),
+    ("build-sequence", "--seed", "99"),
+    ("riesz-spectrum", "--indices", "0,0"),
+    ("riesz-spectrum", "--input", "set.json"),
+    ("riesz-spectrum", "--seed", "3"),
+    ("project", "--indices", "0,0"),
+    ("project", "--input", "set.json"),
+    ("project", "--seed", "3"),
+    ("estimate-paley", "--indices", REF),
+    ("estimate-paley", "--input", "set.json"),
+    ("cr-norm", "--indices", REF),
+]
+
+
+@pytest.mark.parametrize("command,flag,value", REMOVED_FLAGS,
+                         ids=["%s %s" % (c, f) for c, f, _ in REMOVED_FLAGS])
+def test_flag_of_no_use_to_the_command_exits_2(capsys, command, flag, value):
+    code, payload, _ = run(capsys, command, *BASE_ARGV[command], flag, value)
+    assert code == 2
+    assert payload == {"error": "unrecognized arguments: %s %s" % (flag, value)}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["riesz-spectrum"], "--plan"),
+    (["project", "--plan", "plan.json"], "--poly"),
+    (["cr-norm"], "--input"),
+    (["techprop", "--indices", REF, "--D", "-1"], "at least 0"),
+], ids=["plan", "poly", "input", "D"])
+def test_missing_or_bad_flag_exits_2(capsys, argv, message):
+    code, payload, _ = run(capsys, *argv)
+    assert code == 2
+    assert message in payload["error"]
+
+
+def _readme_commands():
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    lines = block.split("```", 1)[0].replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("paleykit ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_examples_parse(argv):
+    # parsing opens no file, so the example file names need not exist
+    assert _build_parser().parse_args(argv).handler
+
+
+def test_readme_shows_every_command():
+    assert {argv[0] for argv in _readme_commands()} == {
+        name for name, *_ in _COMMANDS}
 
 
 def test_check_property_o_matches_module(capsys):
@@ -303,6 +386,18 @@ def test_techprop_pair_quantities(capsys, tmp_path):
                            "--pair", str(pair))
     assert code == 0
     assert payload["q1"] == pytest.approx(float(Fraction(67, 6734)), rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [[101.7, 100], [1, 2, 3], ["x", 100],
+                               [True, 100]],
+                         ids=["float", "long", "str", "bool"])
+def test_techprop_rejects_bad_pair(capsys, tmp_path, m):
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"m": m, "n": [100, 100]}))
+    code, payload, _ = run(capsys, "techprop", "--indices", "0,0;1,0;0,1",
+                           "--pair", str(pair))
+    assert code == 2
+    assert "bad pair file" in payload["error"]
 
 
 def test_techprop_rho_search_replays(capsys):

@@ -19,6 +19,7 @@ from paleykit.operators import (
     paley_project,
     paley_ratio,
 )
+from paleykit.orchestrator import OrchestratorConfig, paley_probe
 from paleykit.property_o import find_witness
 from paleykit.sequence import build_sequence
 from paleykit.trigpoly import TrigPoly, random_trigpoly
@@ -211,9 +212,9 @@ def test_reference_probe_pinned():
     # the reference plan's probe in every matrix dimension, pinned at
     # the values of the inverse-FFT evaluator with per-point SVDs: a new
     # evaluation order may move the ratios in the last bits only
-    sampler = PaleySampler.for_plan(PLAN, count=12, box=6, terms=8,
-                                    mdim=(1, 2, 4, 8), seed=0, grid_n=51)
-    r = estimate_paley_constant(S, PLAN.sequence, sampler)
+    r = paley_probe(PLAN, OrchestratorConfig(
+        paley_count=12, paley_box=6, paley_terms=8, matrix_dims=(1, 2, 4, 8),
+        seed=0, grid_n=51))
     want = {1: (0.6622481706813905, 8), 2: (0.5416551739143323, 1),
             4: (0.3873795330465836, 10), 8: (0.2618257608076764, 7)}
     assert set(r["per_dim"]) == set(want)

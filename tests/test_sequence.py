@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from paleykit.errors import ConstructionError, SingularFrequencyError, StageFailure
@@ -235,6 +236,24 @@ def test_techprop_singular():
     S = Smoothness.from_indices(saturate({(1, 0), (0, 1)}))
     with pytest.raises(SingularFrequencyError):
         techprop_quantities(S, (0, 5), (1, 1))
+
+
+@pytest.mark.parametrize("m", [(101.7, 100), (101, 100, 3), (101,),
+                               ("x", 100), (True, 100)],
+                         ids=["float", "long", "short", "str", "bool"])
+def test_techprop_rejects_non_integer_frequencies(m):
+    S = Smoothness.from_indices(saturate({(1, 0), (0, 1)}))
+    with pytest.raises(ValueError, match="need 2 integer coordinates"):
+        techprop_quantities(S, m, (100, 100))
+    with pytest.raises(ValueError, match="need 2 integer coordinates"):
+        techprop_quantities(S, (100, 100), m)
+
+
+def test_techprop_accepts_numpy_integers():
+    S = Smoothness.from_indices(saturate({(1, 0), (0, 1)}))
+    m = tuple(np.array([101, 100], dtype=np.int64))
+    assert techprop_quantities(S, m, (100, 100)) == \
+        techprop_quantities(S, (101, 100), (100, 100))
 
 
 def test_estimate_rho_de_anchors():
