@@ -108,6 +108,7 @@ def _fraction(text):
 
 
 _positive_int = _checked(int, "an integer at least 1", lambda v: v >= 1)
+_nonnegative_int = _checked(int, "an integer at least 0", lambda v: v >= 0)
 _rational = _checked(_fraction, "an integer or p/q greater than 1", lambda v: v > 1)
 
 
@@ -129,14 +130,13 @@ _FLAGS = {
     "--indices": dict(type=_checked(_indices, "indices like '0,0;1,0;0,1'"),
                       default=None, help="inline multi-indices '0,0;1,0;0,1'"),
     "--input": dict(default=None, help="JSON input file"),
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=_nonnegative_int, default=0),
     "--plan": dict(required=True, help="plan JSON file"),
     "--poly": dict(required=True, help="polynomial JSON file"),
     "--pair": dict(default=None, help="JSON file with a frequency pair {m, n}"),
     "--eps": dict(type=_checked(float, "a number in (0, 1)", lambda v: 0 < v < 1),
                   default=0.1),
-    "--D": dict(type=_checked(int, "an integer at least 0", lambda v: v >= 0),
-                default=1),
+    "--D": dict(type=_nonnegative_int, default=1),
     "--K": dict(type=_positive_int),
     "--t0": dict(type=_rational),
     "--q": dict(type=_rational),

@@ -26,7 +26,13 @@ import numpy as np
 
 from .multiindex import derivative_multiplier, q_s_eval, symbol_eval
 from .riesz import riesz_coeffs
-from .trigpoly import TrigPoly, paley_l2_norm, random_trigpoly, sobolev_norm
+from .trigpoly import (
+    TrigPoly,
+    paley_l2_norm,
+    random_trigpoly,
+    s1_l1_lower_bound,
+    s1_l1_norm,
+)
 
 
 @dataclass
@@ -158,15 +164,33 @@ def _coeff_l2(f):
 # ----------------------------------------------------------------------
 # empirical Paley constants
 
+# relative slack of the skip rule; estimate_paley_constant's docstring
+# argues that it covers rounding
+PALEY_MARGIN = 1e-6
 
-def paley_ratio(f, smoothness, frequencies, n_points=None):
+
+def paley_ratio(f, smoothness, frequencies, n_points=None, best=None):
     """paley_l2_norm over sobolev_norm (p = 1), the per-function Paley
-    quotient; undefined for the zero polynomial."""
+    quotient; undefined for the zero polynomial.
+
+    With best given, returns None as soon as the quotient is proven not
+    to exceed best (the skip rule of estimate_paley_constant).  A
+    quotient that is returned always sums its s1_l1_norm terms in the
+    order of smoothness, so it is bit-identical to
+    paley_l2_norm(f) / sobolev_norm(f) whatever best is.
+    """
     if len(f) == 0:
         raise ValueError("Paley ratio undefined for the zero polynomial")
     num = paley_l2_norm(f, smoothness, frequencies)
-    den = sobolev_norm(f, smoothness, n_points)
-    return num / den
+    parts = [f.derivative(gamma) for gamma in smoothness]
+    terms = [0.0] * len(parts)
+    if best is not None:
+        terms = [s1_l1_lower_bound(p, n_points) for p in parts]
+    for j in sorted(range(len(parts)), key=lambda j: -terms[j]):
+        if best is not None and num <= best * sum(terms) * (1.0 - PALEY_MARGIN):
+            return None
+        terms[j] = s1_l1_norm(parts[j], n_points)
+    return num / sum(terms)
 
 
 @dataclass
@@ -195,6 +219,19 @@ class PaleySampler:
             return (self.mdim,)
         return tuple(int(m) for m in self.mdim)
 
+    def draw(self, m, i):
+        """Sample i of matrix dimension m, from the stream (seed, m, i)
+        alone: Gaussian m x m coefficients on ``always`` plus ``terms``
+        frequencies of ``support``."""
+        rng = np.random.default_rng([self.seed, m, i])
+        freqs = list(self.always)
+        if len(self.support):
+            take = min(self.terms, len(self.support))
+            idx = rng.choice(len(self.support), size=take, replace=False)
+            freqs.extend(self.support[j] for j in idx)
+        coeff_seed = int(rng.integers(0, 2**31))
+        return random_trigpoly(freqs, mdim=m, seed=coeff_seed)
+
 
 def estimate_paley_constant(smoothness, frequencies, sampler):
     """Empirical sup of the Paley quotient over seeded random samples.
@@ -205,6 +242,35 @@ def estimate_paley_constant(smoothness, frequencies, sampler):
     sample can only raise the sup.  An observed sup is a lower bound on
     the true constant, never a proof of boundedness.  The sampler's
     matrix dimensions must be distinct, each at least 1.
+
+    Most samples cannot beat the running best, and their grid work is
+    skipped.  A sample computes its numerator, then for each gamma in S
+    the grid-free bound L_gamma = s1_l1_lower_bound(d^gamma f) <= E_gamma
+    = s1_l1_norm(d^gamma f), then the exact E_gamma, largest bound first.
+    Before each exact term it stops if
+
+        num <= best * sum_gamma (E_gamma if computed, else L_gamma)
+                    * (1 - PALEY_MARGIN),
+
+    since then num / sum E_gamma < best.  A sample that finishes sums its
+    E_gamma in the order of S, exactly as sobolev_norm does, so every
+    per-m sup and argmax is the one of the plain loop over paley_ratio,
+    bit for bit; a tie never replaces an earlier index.
+
+    The margin covers rounding, which can push a computed L_gamma above
+    the computed E_gamma although L_gamma <= E_gamma exactly.  Both
+    start from the same T coefficients c_k; the bins and the grid values
+    are sums of at most T terms with phases accurate to a few u (the unit
+    roundoff), so with kappa = (sum_k ||c_k||_F)^2 / sum_r ||B_r||_F^2,
+    which is at most T when no two frequencies share a bin, grid-value
+    rounding moves E_gamma by at most about (2T + d + 4) sqrt(m) kappa u
+    relative (E_gamma >= sum_r ||B_r||_F^2 / sum_k ||c_k||_F by discrete
+    Parseval); trace_norms adds its stated c m^2 u / (2 sqrt(GRAM_TAU)),
+    about c * 3.6e-13 at m = 8, and the sums and the quotient a few u
+    more.  At T = 9, m = 8 that is below 1e-12 relative, and PALEY_MARGIN
+    = 1e-6 holds for kappa up to about 10^8: it fails only if every bin
+    cancels to about 1e-3 of its coefficients' size, where the grid
+    values are themselves mostly rounding.
     """
     if sampler.count < 1:
         raise ValueError("need at least one sample")
@@ -212,26 +278,16 @@ def estimate_paley_constant(smoothness, frequencies, sampler):
     if not mdims or len(set(mdims)) != len(mdims) or min(mdims) < 1:
         raise ValueError("need distinct matrix dimensions, each at least 1, "
                          "got %r" % (mdims,))
-    support = [tuple(int(c) for c in n) for n in sampler.support]
-    always = [tuple(int(c) for c in n) for n in sampler.always]
     lam = [tuple(int(c) for c in n) for n in frequencies]
-
-    def one(m, i):
-        rng = np.random.default_rng([sampler.seed, m, i])
-        freqs = list(always)
-        if support:
-            take = min(sampler.terms, len(support))
-            idx = rng.choice(len(support), size=take, replace=False)
-            freqs.extend(support[j] for j in idx)
-        coeff_seed = int(rng.integers(0, 2**31))
-        f = random_trigpoly(freqs, mdim=m, seed=coeff_seed)
-        return paley_ratio(f, smoothness, lam, n_points=sampler.grid_n)
-
     per_dim = {}
     for m in mdims:
-        ratios = [one(m, i) for i in range(sampler.count)]
-        best = max(range(sampler.count), key=lambda i: ratios[i])
-        per_dim[m] = {"sup_ratio": ratios[best], "argmax_index": best}
+        best = index = None
+        for i in range(sampler.count):
+            r = paley_ratio(sampler.draw(m, i), smoothness, lam,
+                            n_points=sampler.grid_n, best=best)
+            if r is not None and (best is None or r > best):
+                best, index = r, i
+        per_dim[m] = {"sup_ratio": best, "argmax_index": index}
     top = max(mdims, key=lambda m: per_dim[m]["sup_ratio"])
     return {
         "sup_ratio": per_dim[top]["sup_ratio"],

@@ -198,6 +198,8 @@ def _matrix(rows):
 
 
 def poly_from_json(d):
+    if not isinstance(d, dict):
+        raise TypeError("a polynomial is a JSON object, got %r" % (d,))
     decode = _matrix if d.get("mdim") else _cplx
     coeffs = {tuple(e["n"]): decode(e["value"]) for e in d["coeffs"]}
     return TrigPoly(coeffs, dim=d["dim"], mdim=d.get("mdim"))

@@ -25,6 +25,14 @@ Per-point trace norms use |a| at m = 1, the closed form
 the eigenvalues of a^H a, with singular values only for the matrices
 whose Frobenius norm is out of range or whose Gram matrix is
 ill-conditioned (see ``trace_norms`` for the guards and the error bound).
+
+``s1_l1_lower_bound`` bounds that grid mean from below without the grid:
+the coefficients binned by residue mod N and signed by (-1)^{|n|} are the
+grid's discrete Fourier coefficients, and by the triangle inequality the
+largest trace norm among them is at most the mean, in any d and under
+aliasing.  The Paley probe uses it to skip samples that cannot raise its
+sup (see ``operators.estimate_paley_constant`` for the skip rule and the
+rounding margin).
 """
 
 import math
@@ -208,6 +216,12 @@ class TrigPoly:
         """Default nodes per axis: 4*maxfreq + 1."""
         return 4 * int(self.maxfreq()) + 1
 
+    def _grid_n(self, n_points):
+        n = int(n_points) if n_points is not None else self.default_grid_n()
+        if n < 1:
+            raise ValueError("need at least one grid point per axis")
+        return n
+
     def evaluate(self, n_points=None):
         """Values on the uniform grid, shape (N,)*dim (+(m, m)).
 
@@ -219,9 +233,7 @@ class TrigPoly:
         terms.  Cost O(T N^dim m^2); no intermediate holds more than
         N^(dim-1) T m^2 entries.
         """
-        n = int(n_points) if n_points is not None else self.default_grid_n()
-        if n < 1:
-            raise ValueError("need at least one grid point per axis")
+        n = self._grid_n(n_points)
         freqs = list(self.coeffs)
         vshape = () if self.mdim is None else (self.mdim, self.mdim)
         acc = np.array([self.coeffs[k] for k in freqs], dtype=complex)
@@ -324,6 +336,32 @@ def s1_l1_norm(f, n_points=None):
     if not f.is_matrix_valued():
         return lp_norm(f, 1, n_points)
     return float(trace_norms(f.evaluate(n_points)).mean())
+
+
+def s1_l1_lower_bound(f, n_points=None):
+    """A lower bound on s1_l1_norm(f, n_points) that never touches the grid.
+
+    Bin the coefficients by residue r = n mod N, each signed by
+    (-1)^{|n|} as ``evaluate`` signs it:  B_r = sum_{n = r mod N}
+    (-1)^{|n|} c_n.  The grid values are f(x_t) = sum_r B_r w^{<r,t>}, so
+    B_r = N^{-d} sum_t f(x_t) w^{-<r,t>} is the grid's discrete Fourier
+    coefficient, and since the trace norm is a norm and |w| = 1,
+    ||B_r||_1 <= N^{-d} sum_t ||f(x_t)||_1, the grid mean s1_l1_norm
+    computes.  This holds in any d and whatever the aliasing; the bound
+    is max_r ||B_r||_1, at a cost of O(T m^2) plus one trace norm per bin.
+    """
+    n = f._grid_n(n_points)
+    bins = {}
+    for k, v in f.coeffs.items():
+        r = tuple(c % n for c in k)
+        v = -v if sum(k) % 2 else v
+        bins[r] = bins[r] + v if r in bins else v
+    if not bins:
+        return 0.0
+    vals = np.array(list(bins.values()), dtype=complex)
+    if not f.is_matrix_valued():
+        return float(np.abs(vals).max())
+    return float(trace_norms(vals).max())
 
 
 def sobolev_norm(f, smoothness, n_points=None):

@@ -4,6 +4,7 @@ paleykit uses them."""
 import numpy as np
 
 from paleykit import riesz
+from paleykit.operators import paley_ratio
 from paleykit.trigpoly import TrigPoly
 
 
@@ -37,3 +38,17 @@ def count_sign_patterns(monkeypatch):
 
     monkeypatch.setattr(riesz, "sign_patterns", counted)
     return calls
+
+
+def paley_oracle(smoothness, frequencies, sampler):
+    """The per-m sup of estimate_paley_constant by the plain loop: every
+    sample's full paley_ratio, the first index on ties.  Returns
+    {m: (sup_ratio, argmax_index)}."""
+    out = {}
+    for m in sampler.mdims():
+        ratios = [paley_ratio(sampler.draw(m, i), smoothness, frequencies,
+                              n_points=sampler.grid_n)
+                  for i in range(sampler.count)]
+        best = max(range(sampler.count), key=ratios.__getitem__)
+        out[m] = (ratios[best], best)
+    return out

@@ -137,6 +137,39 @@ def test_missing_or_bad_flag_exits_2(capsys, argv, message):
     assert message in payload["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate-paley", "--plan", "plan.json"],
+    ["cr-norm", "--input", "matrices.json"],
+    ["techprop", "--indices", REF],
+    ["run-all", "--indices", REF],
+], ids=lambda argv: argv[0])
+def test_negative_seed_exits_2(capsys, argv):
+    code, payload, _ = run(capsys, *argv, "--seed", "-1")
+    assert code == 2
+    assert payload == {"error": "argument --seed: expected an integer "
+                                "at least 0, got '-1'"}
+
+
+LOADERS = {
+    "smoothness": lambda path, plan: ["check-smoothness", "--input", path],
+    "plan": lambda path, plan: ["riesz-spectrum", "--plan", path],
+    "polynomial": lambda path, plan: ["project", "--plan", plan, "--poly", path],
+    "matrix sequence": lambda path, plan: ["cr-norm", "--input", path],
+    "pair": lambda path, plan: ["techprop", "--indices", REF, "--pair", path],
+}
+
+
+@pytest.mark.parametrize("text", ["[1]", '"x"'], ids=["list", "string"])
+@pytest.mark.parametrize("what", sorted(LOADERS))
+def test_file_that_is_not_an_object_exits_2(capsys, plan_file, tmp_path,
+                                            what, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, payload, _ = run(capsys, *LOADERS[what](str(path), plan_file))
+    assert code == 2
+    assert payload["error"].startswith("bad %s file: " % what)
+
+
 def _readme_commands():
     text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = text.split("## Command line", 1)[1].split("```sh", 1)[1]

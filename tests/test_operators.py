@@ -4,6 +4,7 @@ import types
 import numpy as np
 import pytest
 
+from paleykit import operators
 from paleykit.multiindex import Smoothness, derivative_multiplier, saturate
 from paleykit.operators import (
     PaleySampler,
@@ -22,7 +23,15 @@ from paleykit.operators import (
 from paleykit.orchestrator import OrchestratorConfig, paley_probe
 from paleykit.property_o import find_witness
 from paleykit.sequence import build_sequence
-from paleykit.trigpoly import TrigPoly, random_trigpoly
+from paleykit.trigpoly import (
+    TrigPoly,
+    paley_l2_norm,
+    random_trigpoly,
+    s1_l1_lower_bound,
+    sobolev_norm,
+)
+
+from helpers import paley_oracle
 
 S = Smoothness.from_indices(saturate({(2, 0), (0, 1)}))
 WITNESS = find_witness(S)
@@ -221,6 +230,105 @@ def test_reference_probe_pinned():
     for m, (ratio, index) in want.items():
         assert r["per_dim"][m]["argmax_index"] == index
         assert r["per_dim"][m]["sup_ratio"] == pytest.approx(ratio, rel=1e-12)
+
+
+BOX = tuple((i, j) for i in range(1, 7) for j in range(1, 7))
+
+
+def reference_sampler(seed, count):
+    # the sampler of paley_probe on PLAN under the default config
+    return PaleySampler(count=count, support=BOX, always=(PLAN.sequence[0],),
+                        terms=8, mdim=(1, 2, 4, 8), seed=seed, grid_n=51)
+
+
+def mismatches(smoothness, lam, sampler):
+    """(m, probe, oracle) wherever the per-m sup bits or argmax differ."""
+    got = estimate_paley_constant(smoothness, lam, sampler)["per_dim"]
+    out = []
+    for m, (ratio, index) in paley_oracle(smoothness, lam, sampler).items():
+        mine = (got[m]["sup_ratio"].hex(), got[m]["argmax_index"])
+        if mine != (ratio.hex(), index):
+            out.append((m, mine, (ratio.hex(), index)))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_probe_matches_oracle_on_reference(seed):
+    assert mismatches(S, PLAN.sequence, reference_sampler(seed, 16)) == []
+
+
+def test_probe_matches_oracle_under_aliasing():
+    # on the 7-grid n_1 = (10, 100) falls in the bin of (3, 2), and every
+    # support frequency shares its bin with a shifted copy
+    support = BOX[:12] + tuple((i + 7, j - 14) for i, j in BOX[:12])
+    sampler = PaleySampler(count=40, support=support, always=(PLAN.sequence[0],),
+                           terms=6, mdim=(1, 3), seed=4, grid_n=7)
+    assert mismatches(S, PLAN.sequence, sampler) == []
+
+
+def d3_without_support():
+    # every sample is c e_n: the ratios agree to rounding, and the bound
+    # equals the norm up to rounding, so the argmax rests on the last bits
+    s3 = Smoothness.from_indices(saturate({(2, 0, 0), (0, 1, 0), (0, 0, 1)}))
+    lam = [(1, 2, 3)]
+    sampler = PaleySampler(count=10, always=lam, mdim=(1, 2), seed=3, grid_n=9)
+    return mismatches(s3, lam, sampler)
+
+
+def test_probe_matches_oracle_d3_without_support():
+    assert d3_without_support() == []
+
+
+def test_zero_margin_fails_oracle(monkeypatch):
+    # without the margin, rounding in the bound skips a sample whose
+    # ratio beats the best in the last bits
+    monkeypatch.setattr(operators, "PALEY_MARGIN", 0.0)
+    assert [m for m, *_ in d3_without_support()] == [1]
+
+
+def test_probe_matches_oracle_on_default_grid():
+    # grid_n=None: each derivative is bounded and normed on its own
+    # default grid, 4 maxfreq + 1 of its spectrum
+    lam = [(4, 16), (9, 32)]
+    sampler = PaleySampler(count=15, support=BOX[:15], always=lam[:1], terms=4,
+                           mdim=(1, 2), seed=6)
+    assert mismatches(S, lam, sampler) == []
+
+
+def test_inflated_bound_fails_oracle(monkeypatch):
+    # a bound 1.5 times too high skips samples that beat the best
+    monkeypatch.setattr(operators, "s1_l1_lower_bound",
+                        lambda f, n_points: 1.5 * s1_l1_lower_bound(f, n_points))
+    assert any(mismatches(S, PLAN.sequence, reference_sampler(seed, 16))
+               for seed in (0, 1, 2))
+
+
+def test_paley_ratio_is_l2_over_sobolev_bitwise():
+    # with best given (0.0 never skips) the exact terms run largest bound
+    # first, but are still summed in the order of S
+    sampler = reference_sampler(0, 4)
+    for m in (1, 4):
+        for i in range(4):
+            f = sampler.draw(m, i)
+            want = paley_l2_norm(f, S, PLAN.sequence) / sobolev_norm(f, S, 51)
+            assert paley_ratio(f, S, PLAN.sequence, 51).hex() == want.hex()
+            assert paley_ratio(f, S, PLAN.sequence, 51, best=0.0).hex() == want.hex()
+
+
+def test_reference_probe_grid_evaluations(monkeypatch):
+    # s1_l1_norm calls per m on the default reference probe: 100 samples
+    # of 4 terms each would be 400 without the skip rule
+    calls = {}
+    original = operators.s1_l1_norm
+
+    def counted(f, n_points=None):
+        calls[f.mdim] = calls.get(f.mdim, 0) + 1
+        return original(f, n_points)
+
+    monkeypatch.setattr(operators, "s1_l1_norm", counted)
+    r = paley_probe(PLAN, OrchestratorConfig())
+    assert calls == {1: 80, 2: 39, 4: 83, 8: 149}
+    assert r["per_dim"][8]["argmax_index"] == 44
 
 
 def test_single_character_closed_form():

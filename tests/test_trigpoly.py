@@ -9,6 +9,7 @@ from paleykit.trigpoly import (
     lp_norm,
     paley_l2_norm,
     random_trigpoly,
+    s1_l1_lower_bound,
     s1_l1_norm,
     sobolev_norm,
     trace_norm,
@@ -345,6 +346,41 @@ def test_s1_l1_constant_matrix():
     a = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
     f = TrigPoly({(0,): a})
     assert abs(s1_l1_norm(f, n_points=4) - trace_norm(a)) < 1e-12
+
+
+@pytest.mark.parametrize("dim,mdim", [(1, None), (2, None), (3, None),
+                                      (1, 3), (2, 2), (2, 4), (3, 1)])
+def test_s1_l1_lower_bound_below_norm(dim, mdim):
+    # frequencies up to 3N, so many of them share a bin mod N; each case
+    # also holds a pair n, n + N e_1 whose coefficients cancel in their bin
+    n_grid = 7
+    rng = np.random.default_rng([dim, mdim or 0])
+    for trial in range(20):
+        draw = rng.integers(-3 * n_grid, 3 * n_grid + 1, size=(6, dim))
+        freqs = [tuple(int(c) for c in row) for row in draw]
+        f = random_trigpoly(freqs, mdim=mdim, seed=trial)
+        n = freqs[0]
+        twin = (n[0] + n_grid,) + n[1:]
+        if twin not in f.coeffs:
+            f = f + TrigPoly({twin: f.coeffs[n]}, dim=dim, mdim=mdim)
+        lower = s1_l1_lower_bound(f, n_grid)
+        assert 0.0 < lower <= s1_l1_norm(f, n_grid)
+        assert s1_l1_lower_bound(f) <= s1_l1_norm(f)
+
+
+def test_s1_l1_lower_bound_cases():
+    # one bin: the bound is the norm; a bin that cancels contributes 0
+    # (7 is odd, so e_3 and e_10 carry opposite signs on the 7-grid)
+    a = np.array([[1.0, 2j], [0.5, -1.0]])
+    f = TrigPoly({(3,): a, (10,): a, (-4,): 2.0 * a})
+    assert s1_l1_lower_bound(f, 7) == pytest.approx(s1_l1_norm(f, 7), rel=1e-12)
+    assert s1_l1_lower_bound(f, 7) == pytest.approx(2.0 * trace_norm(a), rel=1e-15)
+    g = TrigPoly({(3,): 1.0, (10,): 1.0})
+    assert s1_l1_lower_bound(g, 7) == 0.0
+    assert s1_l1_norm(g, 7) < 1e-15
+    assert s1_l1_lower_bound(TrigPoly({}, dim=2, mdim=3), 5) == 0.0
+    with pytest.raises(ValueError):
+        s1_l1_lower_bound(g, 0)
 
 
 def test_sobolev_norm_single_frequency():
