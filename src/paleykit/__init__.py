@@ -58,8 +58,9 @@ from .sequence import (
     ConditionReport,
     LacunaryPlan,
     build_sequence,
+    certified_rho,
     check_conditions,
-    estimate_rho_de,
+    closeness_bounds,
     techprop_quantities,
 )
 from .serialization import canonical_dumps, plan_digest

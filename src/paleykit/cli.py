@@ -28,7 +28,7 @@ from .operators import paley_project
 from .orchestrator import OrchestratorConfig, paley_probe, report_to_json, run_construction
 from .property_o import find_witness_or_fail
 from .riesz import riesz_coeffs
-from .sequence import RhoSampler, build_sequence, estimate_rho_de, techprop_quantities
+from .sequence import build_sequence, certified_rho, closeness_bounds, techprop_quantities
 from .serialization import (
     canonical_dumps,
     matrixseq_from_json,
@@ -222,9 +222,10 @@ def _cmd_techprop(args):
                            lambda d: techprop_quantities(s, d["m"], d["n"]))
         return 0, {"q1": q1, "q2": q2, "q3": q3}, \
             "pair quantities: %.6g %.6g %.6g" % (q1, q2, q3)
-    result = estimate_rho_de(s, args.D, args.eps, RhoSampler(seed=args.seed))
-    return 0, result, "rho(D=%d, eps=%g) = %d after %d pairs" % (
-        args.D, args.eps, result["rho"], result["pairs_tested"])
+    rho = certified_rho(s, args.D, args.eps)
+    q1_bound, q2_bound = closeness_bounds(s, args.D, rho)
+    return 0, {"rho": rho, "q1_bound": q1_bound, "q2_bound": q2_bound}, \
+        "certified rho(D=%d, eps=%g) = %d" % (args.D, args.eps, rho)
 
 
 def _cmd_run_all(args):
@@ -258,8 +259,8 @@ _COMMANDS = (
      ("--plan",) + _PROBE, {}),
     ("cr-norm", _cmd_cr_norm, "C+R norm of a matrix sequence",
      ("--input", "--seed"), {"--input": {"required": True}}),
-    ("techprop", _cmd_techprop, "pair quantities or the rho(D, eps) doubling search",
-     _SMOOTHNESS + ("--seed", "--pair", "--eps", "--D"), {}),
+    ("techprop", _cmd_techprop, "pair quantities or the certified rho(D, eps)",
+     _SMOOTHNESS + ("--pair", "--eps", "--D"), {}),
     ("run-all", _cmd_run_all, "full construction with every verification stage",
      _SMOOTHNESS + _SCHEDULE + _PROBE, {}),
 )

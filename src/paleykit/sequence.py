@@ -18,8 +18,9 @@ appear only in reported sums.
 The module also carries the finite-truncation checks of the four
 sequence conditions (condition (iv) summed over the Riesz spectrum
 points of each ball B_k, all of them, see check_conditions), and the
-stability quantities q1, q2, q3 of the fundamental-polynomial ratio
-together with an empirical search for the threshold rho(D, eps).
+closeness quantities q1, q2, q3 of the fundamental-polynomial ratio
+together with their closed-form bounds, which certify the threshold
+rho(D, eps) (see closeness_bounds).
 """
 
 import math
@@ -164,17 +165,6 @@ def ball_count(d, radius):
     for i in range(0, min(d, radius) + 1):
         total += 2**i * math.comb(d, i) * math.comb(radius, i)
     return total
-
-
-def _offsets(d, budget):
-    # offsets with l1 norm <= budget, lexicographic
-    if d == 1:
-        for e in range(-budget, budget + 1):
-            yield (e,)
-        return
-    for e in range(-budget, budget + 1):
-        for rest in _offsets(d - 1, budget - abs(e)):
-            yield (e,) + rest
 
 
 def sign_patterns(K):
@@ -375,7 +365,7 @@ def check_conditions(S, plan):
 
 
 # ----------------------------------------------------------------------
-# stability of the fundamental-polynomial ratio
+# closeness of the fundamental-polynomial ratio
 
 
 def _int_frequency(S, v):
@@ -418,82 +408,58 @@ def techprop_quantities(S, m, n):
     return q1, math.sqrt(q2sq), math.sqrt(q3sq)
 
 
-@dataclass
-class RhoSampler:
-    """Sweep configuration for estimate_rho_de.
+def closeness_bounds(S, D, rho):
+    """Bounds (q1_bound, q2_bound), as Fractions, on techprop_quantities
+    over every pair (m, n) with min_i n_i >= rho > D and |m - n|_1 <= D.
 
-    band: candidate base points n run over [rho, rho+band]^d.
-    pair_cap: above this many (n, m) pairs the n's are subsampled
-    deterministically.  rho_limit: give up past this candidate.
-    """
-
-    band: int = 16
-    pair_cap: int = 500000
-    seed: int = 0
-    rho_limit: int = 2**20
-
-
-def estimate_rho_de(S, D, eps, sampler=None):
-    """Least rho in {2, 4, 8, ...} such that every tested pair (n, m)
-    with min_j n(j) >= rho and |n - m|_1 <= D has q1 < eps and
-    q2^2, q3^2 < eps^2.
-
-    The sweep is restricted to the positive orthant: every |sigma_gamma|
-    is even in each coordinate, so the quantities only depend on the
-    coordinate magnitudes.  The answer is empirical (a sweep over a
-    finite band), not a proof.
+    Lemma.  Put delta = D/rho and g = max_{gamma in S} |gamma|.  Then
+      q1 <= (1 - delta)^{-2g} - 1,
+      q2 <= ((1 + delta)/(1 - delta))^g - 1,
+      q3 = q2.
+    Proof.
+    (1) |m_i - n_i| <= D <= delta n_i, so m_i/n_i lies in [1 - delta,
+        1 + delta], and 1 - delta > 0: m is in the open positive orthant
+        with n.
+    (2) |sigma_gamma(m)|/|sigma_gamma(n)| = prod_i (m_i/n_i)^{gamma_i}
+        lies in [(1 - delta)^{|gamma|}, (1 + delta)^{|gamma|}], inside
+        [(1 - delta)^g, (1 + delta)^g].
+    (3) Q_S = sum_gamma |sigma_gamma|^2, so Q_S(n)/Q_S(m) lies in
+        [y^{2g}, x^{2g}] with x = 1/(1 - delta), y = 1/(1 + delta), and
+        q1 <= max(x^{2g} - 1, 1 - y^{2g}) = x^{2g} - 1, because x^{2g} +
+        y^{2g} >= 2 (xy)^g >= 2 as xy = 1/(1 - delta^2) >= 1.
+    (4) For a_gamma = |sigma_gamma|/Q_S^{1/2}, a_gamma(m)/a_gamma(n) is
+        the ratio of (2) over (Q_S(m)/Q_S(n))^{1/2}; both lie in
+        [(1 - delta)^g, (1 + delta)^g], so it lies in [1/u, u] with u =
+        ((1 + delta)/(1 - delta))^g, and |a_gamma(m) - a_gamma(n)| <=
+        (u - 1) a_gamma(n) as u - 1 >= 1 - 1/u.  sum_gamma a_gamma(n)^2
+        = 1, so q2 <= u - 1.
+    (5) sigma_gamma(x) = i^{|gamma|} x^gamma has one phase on the
+        positive orthant, so each signed difference of q3 has the
+        modulus of the unsigned one of q2.
+    Both bounds fall to 0 as rho grows, and q1_bound >= q2_bound since
+    1/(1 - delta) >= 1 + delta.  Needs 0 <= D < rho, else ValueError.
     """
     if not isinstance(S, Smoothness):
         S = Smoothness.from_indices(S)
+    if not 0 <= D < rho:
+        raise ValueError("need 0 <= D < rho")
+    delta = Fraction(D) / rho
+    g = max(order(gamma) for gamma in S)
+    return (1 - delta) ** (-2 * g) - 1, ((1 + delta) / (1 - delta)) ** g - 1
+
+
+def certified_rho(S, D, eps):
+    """The threshold rho(D, eps) of the perturbation step, certified by
+    closeness_bounds: the least rho in {2, 4, 8, ...} with rho > D at
+    which both bounds are below eps, so that every pair with min_i n_i
+    >= rho and |m - n|_1 <= D has q1, q2, q3 < eps.  The comparison is
+    in exact rationals, against Fraction(eps); the bounds tend to 0, so
+    the doubling always ends.
+    """
     if D < 0 or not 0 < eps < 1:
         raise ValueError("need D >= 0 and eps in (0, 1)")
-    sampler = sampler or RhoSampler()
-    d = S.dim
-    eps2 = eps * eps
+    eps = Fraction(eps)
     rho = 2
-    tested = 0
-    per_n = ball_count(d, D)
-    while rho <= sampler.rho_limit:
-        ok = True
-        for n in _band_points(d, rho, sampler, per_n):
-            for off in _offsets(d, D):
-                m = tuple(a + b for a, b in zip(n, off))
-                if any(c <= 0 for c in m):
-                    continue
-                q1, q2, q3 = techprop_quantities(S, m, n)
-                tested += 1
-                if q1 >= eps or q2 * q2 >= eps2 or q3 * q3 >= eps2:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return {
-                "rho": rho,
-                "pairs_tested": tested,
-                "band": sampler.band,
-                "note": "empirical, not a proof",
-            }
+    while rho <= D or max(closeness_bounds(S, D, rho)) >= eps:
         rho *= 2
-    raise ConstructionError(
-        "no rho <= %d passed the (D=%d, eps=%g) sweep" % (sampler.rho_limit, D, eps)
-    )
-
-
-def _band_points(d, rho, sampler, per_n):
-    import itertools
-
-    import numpy as np
-
-    axis = range(rho, rho + sampler.band + 1)
-    total = (sampler.band + 1) ** d
-    pts = itertools.product(*([axis] * d))
-    if total * per_n <= sampler.pair_cap:
-        yield from pts
-        return
-    keep = max(1, sampler.pair_cap // per_n)
-    rng = np.random.default_rng(sampler.seed + rho)
-    idx = set(rng.choice(total, size=min(keep, total), replace=False).tolist())
-    for i, p in enumerate(pts):
-        if i in idx:
-            yield p
+    return rho

@@ -152,8 +152,7 @@ def from_jsonable(cls, data):
 # ----------------------------------------------------------------------
 # typed names for the generic pair
 
-smoothness_to_json = witness_to_json = condition_report_to_json = \
-    plan_to_json = to_jsonable
+smoothness_to_json = witness_to_json = plan_to_json = to_jsonable
 
 
 def smoothness_from_json(d):

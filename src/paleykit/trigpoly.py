@@ -16,10 +16,11 @@ frequency divisible by N exactly, so N >= 2*maxfreq(f) + 1 makes every
 product of two factors of f exact; the default N = 4*maxfreq + 1 leaves
 headroom.
 
-On that grid e^{i k x_t} = (-1)^k w^{(k mod N) t mod N} with w = e^{2 pi i/N},
-so grid values come from one table of the N roots of unity per axis,
-indexed by residues taken in Python integers: exact in the frequency
-however large it is, at a cost of O(T N^d m^2) for T terms of size m x m.
+On that grid e^{i<n, x_t>} = (-1)^{|n|} w^{<n mod N, t> mod N} with
+w = e^{2 pi i/N}, so grid values come from the coefficients signed by
+(-1)^{|n|} and one table of the N roots of unity per axis, indexed by
+residues taken in Python integers: exact in the frequency however large
+it is, at a cost of O(T N^d m^2) for T terms of size m x m.
 Per-point trace norms use |a| at m = 1, the closed form
 (||a||_F^2 + 2|det a|)^{1/2} at m = 2, and above that the square roots of
 the eigenvalues of a^H a, with singular values only for the matrices
@@ -47,6 +48,16 @@ CHOP = 1e-15
 GRAM_BLOCK = 256
 GRAM_TAU = 1e-4
 FRO2_MIN, FRO2_MAX = 1e-280, 1e280
+
+
+def _above(v, tol):
+    """Whether the largest entry of a coefficient exceeds tol in modulus."""
+    return (np.max(np.abs(v)) if isinstance(v, np.ndarray) else abs(v)) > tol
+
+
+def _grid_signed(n, v):
+    """(-1)^{|n|} v: e^{i<n, x_0>} at the grid's first node x_0 = (-pi, ..., -pi)."""
+    return -v if sum(n) % 2 else v
 
 
 def _coerce_value(v):
@@ -141,11 +152,7 @@ class TrigPoly:
 
     def chop(self, tol=CHOP):
         """Drop coefficients whose largest entry is at most tol."""
-        out = {}
-        for n, v in self.coeffs.items():
-            mag = np.max(np.abs(v)) if isinstance(v, np.ndarray) else abs(v)
-            if mag > tol:
-                out[n] = v
+        out = {n: v for n, v in self.coeffs.items() if _above(v, tol)}
         return TrigPoly(out, dim=self.dim, mdim=self.mdim)
 
     def _check_compatible(self, other):
@@ -201,13 +208,14 @@ class TrigPoly:
         return TrigPoly(out, dim=self.dim, mdim=self.mdim)
 
     def derivative(self, gamma):
-        """Partial derivative of multi-index gamma (0^0 = 1 convention)."""
+        """Partial derivative of multi-index gamma (0^0 = 1 convention),
+        chopped as ``chop`` would chop it."""
         out = {}
         for n, v in self.coeffs.items():
-            m = derivative_multiplier(gamma, n)
-            if m != 0:
-                out[n] = m * v
-        return TrigPoly(out, dim=self.dim, mdim=self.mdim).chop()
+            dv = derivative_multiplier(gamma, n) * v
+            if _above(dv, CHOP):
+                out[n] = dv
+        return TrigPoly(out, dim=self.dim, mdim=self.mdim)
 
     # ------------------------------------------------------------------
     # evaluation and quadrature
@@ -225,26 +233,27 @@ class TrigPoly:
     def evaluate(self, n_points=None):
         """Values on the uniform grid, shape (N,)*dim (+(m, m)).
 
-        Each axis j gets the phase table E_j[t, k] = (-1)^{n_kj}
-        w[(n_kj mod N) t mod N] over the T terms; the reduction mod N is
-        done in Python integers, so it is exact at any frequency.  The
-        first dim - 1 tables are multiplied into the coefficients as
-        leading batch axes, and one matmul with the last table sums the
-        terms.  Cost O(T N^dim m^2); no intermediate holds more than
-        N^(dim-1) T m^2 entries.
+        Each coefficient c_k is signed once by (-1)^{|n_k|}, as
+        ``s1_l1_lower_bound`` signs it, and each axis j gets the phase
+        table E_j[t, k] = w[(n_kj mod N) t mod N] over the T terms; the
+        reduction mod N is done in Python integers, so it is exact at
+        any frequency.  The first dim - 1 tables are multiplied into the
+        signed coefficients as leading batch axes, and one matmul with
+        the last table sums the terms.  Cost O(T N^dim m^2); no
+        intermediate holds more than N^(dim-1) T m^2 entries.
         """
         n = self._grid_n(n_points)
         freqs = list(self.coeffs)
         vshape = () if self.mdim is None else (self.mdim, self.mdim)
-        acc = np.array([self.coeffs[k] for k in freqs], dtype=complex)
+        acc = np.array([_grid_signed(k, self.coeffs[k]) for k in freqs],
+                       dtype=complex)
         acc = acc.reshape(len(freqs), math.prod(vshape))
         roots = np.exp(2j * np.pi * np.arange(n) / n)
         ts = np.arange(n)
 
         def table(j):
             residues = np.array([k[j] % n for k in freqs], dtype=np.int64)
-            signs = np.array([-1.0 if k[j] % 2 else 1.0 for k in freqs])
-            return roots[np.outer(ts, residues) % n] * signs
+            return roots[np.outer(ts, residues) % n]
 
         for j in range(self.dim - 1):
             acc = table(j)[:, :, None] * acc[..., None, :, :]
@@ -354,7 +363,7 @@ def s1_l1_lower_bound(f, n_points=None):
     bins = {}
     for k, v in f.coeffs.items():
         r = tuple(c % n for c in k)
-        v = -v if sum(k) % 2 else v
+        v = _grid_signed(k, v)
         bins[r] = bins[r] + v if r in bins else v
     if not bins:
         return 0.0

@@ -1,10 +1,16 @@
 """Reference constructions and probes shared by the tests; nothing in
 paleykit uses them."""
 
+import itertools
+from dataclasses import dataclass
+
 import numpy as np
 
 from paleykit import riesz
+from paleykit.errors import ConstructionError
+from paleykit.multiindex import Smoothness
 from paleykit.operators import paley_ratio
+from paleykit.sequence import ball_count, techprop_quantities
 from paleykit.trigpoly import TrigPoly
 
 
@@ -52,3 +58,92 @@ def paley_oracle(smoothness, frequencies, sampler):
         best = max(range(sampler.count), key=ratios.__getitem__)
         out[m] = (ratios[best], best)
     return out
+
+
+def _offsets(d, budget):
+    # offsets with l1 norm <= budget, lexicographic
+    if d == 1:
+        for e in range(-budget, budget + 1):
+            yield (e,)
+        return
+    for e in range(-budget, budget + 1):
+        for rest in _offsets(d - 1, budget - abs(e)):
+            yield (e,) + rest
+
+
+@dataclass
+class RhoSampler:
+    """Sweep configuration for estimate_rho_de.
+
+    band: candidate base points n run over [rho, rho+band]^d.
+    pair_cap: above this many (n, m) pairs the n's are subsampled
+    deterministically.  rho_limit: give up past this candidate.
+    """
+
+    band: int = 16
+    pair_cap: int = 500000
+    seed: int = 0
+    rho_limit: int = 2**20
+
+
+def estimate_rho_de(S, D, eps, sampler=None):
+    """Least rho in {2, 4, 8, ...} such that every tested pair (n, m)
+    with min_j n(j) >= rho and |n - m|_1 <= D has q1 < eps and
+    q2^2, q3^2 < eps^2.
+
+    The sweep is restricted to the positive orthant: every |sigma_gamma|
+    is even in each coordinate, so the quantities only depend on the
+    coordinate magnitudes.  The answer is empirical (a sweep over a
+    finite band), not a proof: it is the oracle that
+    sequence.certified_rho bounds from above.
+    """
+    if not isinstance(S, Smoothness):
+        S = Smoothness.from_indices(S)
+    if D < 0 or not 0 < eps < 1:
+        raise ValueError("need D >= 0 and eps in (0, 1)")
+    sampler = sampler or RhoSampler()
+    d = S.dim
+    eps2 = eps * eps
+    rho = 2
+    tested = 0
+    per_n = ball_count(d, D)
+    while rho <= sampler.rho_limit:
+        ok = True
+        for n in _band_points(d, rho, sampler, per_n):
+            for off in _offsets(d, D):
+                m = tuple(a + b for a, b in zip(n, off))
+                if any(c <= 0 for c in m):
+                    continue
+                q1, q2, q3 = techprop_quantities(S, m, n)
+                tested += 1
+                if q1 >= eps or q2 * q2 >= eps2 or q3 * q3 >= eps2:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return {
+                "rho": rho,
+                "pairs_tested": tested,
+                "band": sampler.band,
+                "note": "empirical, not a proof",
+            }
+        rho *= 2
+    raise ConstructionError(
+        "no rho <= %d passed the (D=%d, eps=%g) sweep" % (sampler.rho_limit, D, eps)
+    )
+
+
+def _band_points(d, rho, sampler, per_n):
+    axis = range(rho, rho + sampler.band + 1)
+    total = (sampler.band + 1) ** d
+    pts = itertools.product(*([axis] * d))
+    if total * per_n <= sampler.pair_cap:
+        yield from pts
+        return
+    keep = max(1, sampler.pair_cap // per_n)
+    rng = np.random.default_rng(sampler.seed + rho)
+    idx = set(rng.choice(total, size=min(keep, total), replace=False).tolist())
+    for i, p in enumerate(pts):
+        if i in idx:
+            yield p

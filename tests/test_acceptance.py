@@ -24,10 +24,10 @@ from paleykit.operators import (
 from paleykit.orchestrator import OrchestratorConfig, replay, run_construction
 from paleykit.property_o import find_witness, verify_witness
 from paleykit.riesz import riesz_coeffs
-from paleykit.sequence import build_sequence, estimate_rho_de, techprop_quantities
+from paleykit.sequence import build_sequence, techprop_quantities
 from paleykit.trigpoly import TrigPoly, lp_norm, random_trigpoly, trace_norm
 
-from helpers import cos_factor_poly
+from helpers import cos_factor_poly, estimate_rho_de
 
 S_REF = Smoothness.from_indices(saturate({(2, 0), (0, 1)}))
 WITNESS = find_witness(S_REF)

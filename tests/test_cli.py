@@ -100,6 +100,7 @@ BASE_ARGV = {
     "project": ["--plan", "plan.json", "--poly", "poly.json"],
     "estimate-paley": ["--plan", "plan.json"],
     "cr-norm": ["--input", "matrices.json"],
+    "techprop": ["--indices", REF],
 }
 REMOVED_FLAGS = [
     ("check-smoothness", "--seed", "3"),
@@ -114,6 +115,7 @@ REMOVED_FLAGS = [
     ("estimate-paley", "--indices", REF),
     ("estimate-paley", "--input", "set.json"),
     ("cr-norm", "--indices", REF),
+    ("techprop", "--seed", "3"),
 ]
 
 
@@ -140,7 +142,6 @@ def test_missing_or_bad_flag_exits_2(capsys, argv, message):
 @pytest.mark.parametrize("argv", [
     ["estimate-paley", "--plan", "plan.json"],
     ["cr-norm", "--input", "matrices.json"],
-    ["techprop", "--indices", REF],
     ["run-all", "--indices", REF],
 ], ids=lambda argv: argv[0])
 def test_negative_seed_exits_2(capsys, argv):
@@ -440,8 +441,8 @@ def test_techprop_rho_search_replays(capsys):
                        "--D", "2", "--eps", "0.1")
     assert code1 == code2 == 0
     assert p1 == p2
-    assert p1["rho"] == 32
-    assert p1["note"] == "empirical, not a proof"
+    # certified by the closeness lemma: (32/31)^2 - 1 and 33/31 - 1
+    assert p1 == {"rho": 64, "q1_bound": "63/961", "q2_bound": "2/31"}
 
 
 def test_techprop_validates_eps(capsys):

@@ -46,6 +46,15 @@ def test_retry_squares_the_schedule():
     assert rep.plan.report.bound_iv_met
 
 
+def test_order_four_member_constructs_without_retry():
+    # an order-4 member: the first schedule meets condition (iv), so no
+    # retry squares the schedule towards Q_S overflow
+    s = Smoothness.from_indices(saturate({(4, 0), (0, 1)}))
+    rep = run_construction(s, OrchestratorConfig(matrix_dims=()))
+    assert rep.retries_used == 0
+    assert rep.plan.report.bound_iv_met
+
+
 def test_one_sign_pattern_walk_per_construction(monkeypatch):
     calls = count_sign_patterns(monkeypatch)
     rep = run_construction(S, OrchestratorConfig(K=2, matrix_dims=(),

@@ -10,18 +10,20 @@ from paleykit.multiindex import Smoothness, q_s_eval, saturate, symbol_eval
 from paleykit.property_o import find_witness
 from paleykit.riesz import riesz_spectrum
 from paleykit.sequence import (
-    RhoSampler,
     ball_count,
     bk_radius,
     build_sequence,
+    certified_rho,
     check_conditions,
+    closeness_bounds,
     compute_tau,
     estimate_ell,
-    estimate_rho_de,
     integer_nth_root,
     round_rational_power,
     techprop_quantities,
 )
+
+from helpers import _offsets, estimate_rho_de
 
 
 def ref_smoothness():
@@ -257,6 +259,7 @@ def test_techprop_accepts_numpy_integers():
 
 
 def test_estimate_rho_de_anchors():
+    # the sweep of tests/helpers.py, the oracle of certified_rho
     S = Smoothness.from_indices(saturate({(1, 0), (0, 1)}))
     assert estimate_rho_de(S, 0, 0.5)["rho"] == 2
     assert estimate_rho_de(S, 1, 1 - 1e-9)["rho"] == 2
@@ -272,5 +275,59 @@ def test_estimate_rho_de_validation():
         estimate_rho_de(S, -1, 0.5)
     with pytest.raises(ValueError):
         estimate_rho_de(S, 1, 1.5)
-    with pytest.raises(ConstructionError):
-        estimate_rho_de(S, 2, 0.1, RhoSampler(rho_limit=4))
+
+
+def test_certified_rho_anchors():
+    S = Smoothness.from_indices(saturate({(1, 0), (0, 1)}))
+    assert certified_rho(S, 0, 0.5) == 2
+    assert certified_rho(S, 1, 1 - 1e-9) == 4  # bounds 7/9 and 2/3 at rho = 4
+    assert certified_rho(S, 2, 0.1) == 64
+    assert closeness_bounds(S, 2, 64) == (Fraction(63, 961), Fraction(2, 31))
+    # at rho = 32 the q1 bound is (16/15)^2 - 1 = 31/225 > 0.1
+    assert closeness_bounds(S, 2, 32)[0] == Fraction(31, 225)
+
+
+@pytest.mark.parametrize("D, eps", [(-1, 0.5), (1, 0.0), (1, 1.0), (1, 1.5)])
+def test_certified_rho_validation(D, eps):
+    S = Smoothness.from_indices(saturate({(1, 0), (0, 1)}))
+    with pytest.raises(ValueError):
+        certified_rho(S, D, eps)
+
+
+def test_closeness_bounds_need_rho_above_d():
+    S = Smoothness.from_indices(saturate({(1, 0), (0, 1)}))
+    for D, rho in ((2, 2), (3, 2), (-1, 4)):
+        with pytest.raises(ValueError):
+            closeness_bounds(S, D, rho)
+
+
+# (set, D, eps, certified rho, sweep rho)
+LEMMA_SETS = [
+    (saturate({(2, 0), (0, 1)}), 2, 0.1, 128, 128),
+    (saturate({(2, 0), (0, 3)}), 3, 0.05, 512, 512),
+    ({(0, 0), (1, 0), (0, 1)}, 2, 0.1, 64, 32),
+    (saturate({(2, 0, 0), (0, 1, 0), (0, 0, 1)}), 2, 0.1, 128, 128),
+]
+LEMMA_IDS = ["ref", "(2,0),(0,3)", "(1,0),(0,1)", "d3"]
+
+
+@pytest.mark.parametrize("members, D, eps, rho_cert, _", LEMMA_SETS, ids=LEMMA_IDS)
+def test_closeness_bounds_hold_on_every_swept_pair(members, D, eps, rho_cert, _):
+    # every pair with n in a band of 5 per axis above rho and |m - n|_1 <= D
+    S = Smoothness.from_indices(members)
+    assert certified_rho(S, D, eps) == rho_cert
+    for rho in (4, 8, 16, rho_cert):
+        b1, b2 = (float(b) * (1 + 1e-12) for b in closeness_bounds(S, D, rho))
+        for n in product(range(rho, rho + 5), repeat=S.dim):
+            for off in _offsets(S.dim, D):
+                m = tuple(a + b for a, b in zip(n, off))
+                q1, q2, q3 = techprop_quantities(S, m, n)
+                assert q1 <= b1 and q2 <= b2, (rho, m, n)
+                assert abs(q3 - q2) <= 1e-12 * q2, (rho, m, n)
+
+
+@pytest.mark.parametrize("members, D, eps, rho_cert, rho_sweep", LEMMA_SETS,
+                         ids=LEMMA_IDS)
+def test_sweep_never_exceeds_certified_rho(members, D, eps, rho_cert, rho_sweep):
+    S = Smoothness.from_indices(members)
+    assert estimate_rho_de(S, D, eps)["rho"] == rho_sweep <= certified_rho(S, D, eps)

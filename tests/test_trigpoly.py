@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from paleykit.multiindex import Smoothness, saturate
+from paleykit.multiindex import Smoothness, derivative_multiplier, saturate
 from paleykit.trigpoly import (
+    CHOP,
     TrigPoly,
     lp_norm,
     paley_l2_norm,
@@ -135,6 +136,27 @@ def test_derivative_multiplies_coefficients():
     # derivative of a constant along any axis vanishes
     z = TrigPoly({(0, 0): 1.0}).derivative((1, 0))
     assert len(z) == 0
+
+
+@pytest.mark.parametrize("mdim", [None, 2])
+def test_derivative_equals_build_then_chop(mdim):
+    # along (1, 0) the first four terms land below CHOP, at CHOP, at zero
+    # and above CHOP; (1, 1) holds a coefficient chop would remove
+    coeffs = {(1, 0): 0.5 * CHOP, (2, 0): 0.5 * CHOP, (0, 3): 1.0,
+              (5, 1): 0.4 * CHOP, (1, 1): 1e-20, (-3, 2): 0.25}
+    if mdim:
+        coeffs = {n: v * np.eye(mdim) for n, v in coeffs.items()}
+    f = TrigPoly(coeffs)
+    for gamma in ((1, 0), (0, 1), (2, 1), (0, 0)):
+        two_step = TrigPoly({n: derivative_multiplier(gamma, n) * v
+                             for n, v in f.coeffs.items()},
+                            dim=2, mdim=mdim).chop()
+        once = f.derivative(gamma)
+        assert once.mdim == two_step.mdim == mdim
+        assert once.coeffs.keys() == two_step.coeffs.keys()
+        for n, v in two_step.coeffs.items():
+            assert np.array_equal(once.coeffs[n], v)
+    assert set(f.derivative((1, 0)).coeffs) == {(5, 1), (-3, 2)}
 
 
 def naive_values(f, n):
