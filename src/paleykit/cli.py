@@ -207,12 +207,11 @@ def _cmd_estimate_paley(args):
 
 
 def _cmd_cr_norm(args):
-    r = cr_norm(_load(args.input, "matrix sequence", matrixseq_from_json),
-                seed=args.seed)
-    payload = {"value": r.value, "converged": r.converged,
-               "restarts_used": r.restarts_used}
-    return 0, payload, "C+R norm %.9g (%d restarts%s)" % (
-        r.value, r.restarts_used, "" if r.converged else ", not converged")
+    r = cr_norm(_load(args.input, "matrix sequence", matrixseq_from_json))
+    payload = {"value": r.value, "lower": r.lower, "gap": r.gap,
+               "converged": r.converged, "iterations": r.iterations}
+    return 0, payload, "C+R norm in [%.9g, %.9g] after %d steps%s" % (
+        r.lower, r.value, r.iterations, "" if r.converged else ", not converged")
 
 
 def _cmd_techprop(args):
@@ -258,7 +257,7 @@ _COMMANDS = (
     ("estimate-paley", _cmd_estimate_paley, "empirical Paley constants for a plan",
      ("--plan",) + _PROBE, {}),
     ("cr-norm", _cmd_cr_norm, "C+R norm of a matrix sequence",
-     ("--input", "--seed"), {"--input": {"required": True}}),
+     ("--input",), {"--input": {"required": True}}),
     ("techprop", _cmd_techprop, "pair quantities or the certified rho(D, eps)",
      _SMOOTHNESS + ("--pair", "--eps", "--D"), {}),
     ("run-all", _cmd_run_all, "full construction with every verification stage",

@@ -2,11 +2,13 @@
 paleykit uses them."""
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from paleykit import riesz
+from paleykit.crnorm import MatrixSequence
 from paleykit.errors import ConstructionError
 from paleykit.multiindex import Smoothness
 from paleykit.operators import paley_ratio
@@ -147,3 +149,75 @@ def _band_points(d, rho, sampler, per_n):
     for i, p in enumerate(pts):
         if i in idx:
             yield p
+
+
+def _smoothed_objective(ys, zs, eps):
+    c = np.einsum("kij,kil->jl", ys.conj(), ys)
+    r = np.einsum("kij,klj->il", zs, zs.conj())
+    wc = np.clip(np.linalg.eigvalsh((c + c.conj().T) / 2.0) + eps, 0.0, None)
+    wr = np.clip(np.linalg.eigvalsh((r + r.conj().T) / 2.0) + eps, 0.0, None)
+    return float(np.sqrt(wc).sum() + np.sqrt(wr).sum())
+
+
+def _inv_sqrt(h, eps):
+    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+    w = np.clip(w + eps, eps, None)
+    return (v / np.sqrt(w)) @ v.conj().T
+
+
+def _descend(x, ys, iterations, tolerance, eps):
+    """Backtracking gradient descent in y (z is eliminated as x - y)."""
+    zs = x - ys
+    f = _smoothed_objective(ys, zs, eps)
+    step = 1.0
+    for _ in range(iterations):
+        cinv = _inv_sqrt(np.einsum("kij,kil->jl", ys.conj(), ys), eps)
+        rinv = _inv_sqrt(np.einsum("kij,klj->il", zs, zs.conj()), eps)
+        grad = ys @ cinv - np.einsum("ij,kjl->kil", rinv, zs)
+        gnorm2 = float(np.sum(np.abs(grad) ** 2))
+        if gnorm2 <= tolerance**2:
+            return ys
+        t = step
+        while t > 1e-14:
+            cand = ys - t * grad
+            fc = _smoothed_objective(cand, x - cand, eps)
+            if fc < f - 1e-4 * t * gnorm2:
+                break
+            t /= 2.0
+        else:
+            return ys
+        drop = f - fc
+        ys, zs, f = cand, x - cand, fc
+        step = min(1.0, 2.0 * t)
+        if drop <= tolerance * max(abs(f), 1.0):
+            return ys
+    return ys
+
+
+def cr_norm_descent(xs):
+    """The C+R upper bound by smoothed descent from six starts (z = 0,
+    y = 0, the even split, three seeded perturbations of it): the best
+    unsmoothed value.  It is the oracle that crnorm.cr_norm's bracket
+    must never lose to."""
+    x = MatrixSequence.coerce(xs).matrices
+    scale = math.sqrt(float(np.mean(np.abs(x) ** 2))) or 1.0
+    starts = [x.copy(), np.zeros_like(x), x / 2.0]
+    for r in range(3):
+        rng = np.random.default_rng([0, r])
+        noise = rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+        starts.append(x / 2.0 + 0.25 * scale * noise)
+    finals = (_descend(x, ys0, 300, 1e-10, 1e-9) for ys0 in starts)
+    return min(_smoothed_objective(ys, x - ys, 0.0) for ys in finals)
+
+
+# every (m, L) with m <= 4 and L <= 8
+KHINTCHINE_CELLS = [(m, length) for m in range(1, 5) for length in range(1, 9)]
+
+
+def khintchine_cell_sample(seed, i):
+    """Sample i of the benchmark's Khintchine workload: the (i mod 32)-th
+    (m, L) cell, Gaussian entries from rng [seed, i]."""
+    m, length = KHINTCHINE_CELLS[i % len(KHINTCHINE_CELLS)]
+    rng = np.random.default_rng([seed, i])
+    return [(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+            / math.sqrt(2) for _ in range(length)]

@@ -1,7 +1,8 @@
 """End-to-end acceptance checks, one per shipped guarantee.
 
-Every test prints exactly one PASS/FAIL line (bypassing capture, so the
-lines survive a piped pytest run) and then asserts.  Tolerances are
+Every acceptance check prints exactly one PASS/FAIL line (bypassing
+capture, so the lines survive a piped pytest run) and then asserts; the
+one plain test shows that check 08's gates can fail.  Tolerances are
 pinned here and nowhere else; the slow probes (500-sample Paley sweep,
 full construction replay) dominate the runtime.
 """
@@ -302,6 +303,20 @@ def test_paley_matrix_dimensions(capsys):
 # 8. Khintchine ratio window
 
 
+def khintchine_gates(env):
+    """The sound gates on an envelope, or None when it passes them.  For
+    an orthonormal system the L1(S1) numerator is at most the C+R norm,
+    which is at most the bracket's upper end, so every ratio is at most 1;
+    and every C+R bracket must be ordered."""
+    for r in env["ratios"]:
+        if r > 1 + 1e-9:
+            return "ratio %.17g above 1 + 1e-9" % r
+    for lower, value in env["brackets"]:
+        if lower > value:
+            return "C+R bracket [%.17g, %.17g] out of order" % (lower, value)
+    return None
+
+
 def test_khintchine_window(capsys):
     def body():
         base = khintchine_envelope(count=100, seed=0, max_mdim=4, max_length=8)
@@ -314,10 +329,23 @@ def test_khintchine_window(capsys):
         drift = abs(double["k_hat"] / k_hat - 1.0)
         if drift > 0.2:
             return False, "K-hat moved by %.3f on doubling" % drift
+        problem = khintchine_gates(double)
+        if problem:
+            return False, problem
         return True, "100 ratios inside [1/K, K], K = %.6f, " \
-            "doubling drift %.1e <= 0.2" % (k_hat, drift)
+            "doubling drift %.1e <= 0.2; 200 ratios, max %.17g <= 1 + 1e-9, " \
+            "200 brackets ordered" % (k_hat, drift, double["max_ratio"])
 
     _run(capsys, "08", "Khintchine ratio window", body)
+
+
+def test_khintchine_gate_can_fail():
+    env = khintchine_envelope(count=5, seed=0)
+    assert khintchine_gates(env) is None
+    doubled = dict(env, ratios=[2.0 * r for r in env["ratios"]])
+    assert "above 1" in khintchine_gates(doubled)
+    swapped = dict(env, brackets=[[v, lo] for lo, v in env["brackets"]])
+    assert "out of order" in khintchine_gates(swapped)
 
 
 # ----------------------------------------------------------------------

@@ -78,6 +78,7 @@ def test_unknown_flag_exits_2(capsys):
                  ["run-all", "--indices", REF, "--cap", "100"],
                  ["build-sequence", "--indices", REF, "--t0", "x"],
                  ["run-all", "--indices", REF, "--matrix-dim", "a"],
+                 ["cr-norm", "--input", "matrices.json", "--seed", "0"],
                  ["no-such-command"],
                  []):
         code = main(argv)
@@ -141,7 +142,6 @@ def test_missing_or_bad_flag_exits_2(capsys, argv, message):
 
 @pytest.mark.parametrize("argv", [
     ["estimate-paley", "--plan", "plan.json"],
-    ["cr-norm", "--input", "matrices.json"],
     ["run-all", "--indices", REF],
 ], ids=lambda argv: argv[0])
 def test_negative_seed_exits_2(capsys, argv):
@@ -401,8 +401,11 @@ def test_cr_norm_subcommand(capsys, tmp_path):
     ms.write_text(canonical_dumps(matrixseq_to_json(MatrixSequence([3.0, 4.0]))))
     code, payload, _ = run(capsys, "cr-norm", "--input", str(ms))
     assert code == 0
-    assert set(payload) == {"value", "converged", "restarts_used"}
-    assert payload["value"] == pytest.approx(5.0, abs=1e-6)
+    assert set(payload) == {"value", "lower", "gap", "converged", "iterations"}
+    assert payload["value"] == pytest.approx(5.0, rel=1e-12)
+    assert payload["lower"] == pytest.approx(5.0, rel=1e-12)
+    assert payload["lower"] <= payload["value"]
+    assert payload["gap"] <= 1e-10
     assert payload["converged"] is True
 
 
