@@ -31,17 +31,13 @@ from .riesz import riesz_coeffs
 from .sequence import build_sequence, certified_rho, closeness_bounds, techprop_quantities
 from .serialization import (
     canonical_dumps,
+    from_jsonable,
     matrixseq_from_json,
-    paley_to_json,
     plan_digest,
     plan_from_json,
-    plan_to_json,
     poly_from_json,
     poly_to_json,
-    smoothness_from_json,
-    smoothness_to_json,
     to_jsonable,
-    witness_to_json,
 )
 
 
@@ -71,7 +67,8 @@ def _load_smoothness(args):
     if args.indices:
         return Smoothness.from_indices(args.indices)
     if args.input:
-        return _load(args.input, "smoothness", smoothness_from_json)
+        return _load(args.input, "smoothness",
+                     lambda d: from_jsonable(Smoothness, d))
     raise _ValidationError("need --indices or --input")
 
 
@@ -157,7 +154,7 @@ def _cmd_check_smoothness(args):
     except InvalidSmoothnessError as exc:
         return 3, {"failure": "not_smoothness", "error": str(exc)}, \
             "not a smoothness set: %s" % exc
-    payload = smoothness_to_json(s)
+    payload = to_jsonable(s)
     payload["size"] = len(s.indices)
     return 0, payload, "smoothness set: dimension %d, %d indices" % (
         s.dim, len(s.indices))
@@ -165,14 +162,14 @@ def _cmd_check_smoothness(args):
 
 def _cmd_check_property_o(args):
     w = find_witness_or_fail(_load_smoothness(args))
-    return 0, witness_to_json(w), \
+    return 0, to_jsonable(w), \
         "witness: alpha=%s beta=%s t*=%s" % (w.alpha, w.beta, w.t_star)
 
 
 def _cmd_build_sequence(args):
     s, c = _load_smoothness(args), _config(args)
     plan = build_sequence(s, find_witness_or_fail(s), c.K, c.t0, c.q)
-    return 0, plan_to_json(plan), \
+    return 0, to_jsonable(plan), \
         "plan: K=%d first=%s digest=%s" % (
             plan.K, plan.sequence[0], plan_digest(plan)[:12])
 
@@ -199,7 +196,7 @@ def _cmd_estimate_paley(args):
     plan = _load(args.plan, "plan", plan_from_json)
     config = _config(args, matrix_dims=(1,))
     result = paley_probe(plan, config)
-    payload = paley_to_json(result)
+    payload = to_jsonable(result)
     payload["m"] = payload.pop("mdim")
     payload["plan_digest"] = plan_digest(plan)
     return 0, payload, "empirical sup ratio %.6g over %d samples (m=%s)" % (

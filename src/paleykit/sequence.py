@@ -368,14 +368,15 @@ def check_conditions(S, plan):
 # closeness of the fundamental-polynomial ratio
 
 
-def _int_frequency(S, v):
+def int_frequency(dim, v):
+    """v as a tuple of dim ints; a float or a bool is not an int."""
     v = tuple(v)
-    if len(v) == S.dim and not any(isinstance(c, bool) for c in v):
+    if len(v) == dim and not any(isinstance(c, bool) for c in v):
         try:
             return tuple(map(operator.index, v))
         except TypeError:
             pass
-    raise ValueError("need %d integer coordinates, got %r" % (S.dim, v))
+    raise ValueError("need %d integer coordinates, got %r" % (dim, v))
 
 
 def techprop_quantities(S, m, n):
@@ -388,7 +389,7 @@ def techprop_quantities(S, m, n):
     """
     if not isinstance(S, Smoothness):
         S = Smoothness.from_indices(S)
-    m, n = _int_frequency(S, m), _int_frequency(S, n)
+    m, n = int_frequency(S.dim, m), int_frequency(S.dim, n)
     qm = q_s_eval(S, m)
     qn = q_s_eval(S, n)
     if qm == 0 or qn == 0:

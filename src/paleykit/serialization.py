@@ -1,16 +1,16 @@
 """Canonical JSON for every artifact the toolkit reads or writes.
 
-One float, one spelling: floats are printed with 17 significant digits
-(enough to round-trip a double exactly), keys are emitted sorted, and
-exact rationals travel as "p/q" strings so nothing is lost to binary
-conversion.  Two equal objects therefore serialize to byte-identical
-text, which is what makes digests and replay comparisons meaningful.
+One float, one spelling: floats are written by repr, the shortest text
+that reads back as the same double; keys are emitted sorted, int keys
+as decimal strings; and exact rationals travel as "p/q" strings so
+nothing is lost to binary conversion.  Two equal objects therefore
+serialize to byte-identical text, which is what makes digests and
+replay comparisons meaningful.
 """
 
 import dataclasses
 import hashlib
 import json
-import math
 import typing
 from fractions import Fraction
 
@@ -18,66 +18,21 @@ import numpy as np
 
 from .crnorm import MatrixSequence
 from .multiindex import Smoothness
-from .property_o import PropertyOWitness
-from .sequence import LacunaryPlan, bk_radius
+from .sequence import LacunaryPlan, bk_radius, int_frequency
 from .trigpoly import TrigPoly
 
 
-def _float_repr(x):
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError("non-finite float has no canonical JSON form")
-    s = "%.17g" % x
-    if not any(c in s for c in ".eE"):
-        s += ".0"
-    return s
-
-
-def _emit(o, out):
-    if o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, (int, np.integer)):
-        out.append(str(int(o)))
-    elif isinstance(o, (float, np.floating)):
-        out.append(_float_repr(float(o)))
-    elif isinstance(o, str):
-        out.append(json.dumps(o))
-    elif isinstance(o, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(o):
-            if i:
-                out.append(",")
-            _emit(v, out)
-        out.append("]")
-    elif isinstance(o, dict):
-        out.append("{")
-        for i, k in enumerate(sorted(o)):
-            if not isinstance(k, str):
-                raise TypeError("canonical JSON keys must be strings")
-            if i:
-                out.append(",")
-            out.append(json.dumps(k))
-            out.append(":")
-            _emit(o[k], out)
-        out.append("}")
-    else:
-        raise TypeError("no canonical JSON form for %r" % type(o))
-
-
 def canonical_dumps(obj):
-    """Serialize to canonical JSON text (sorted keys, %.17g floats)."""
-    out = []
-    _emit(to_jsonable(obj), out)
-    return "".join(out)
+    """Serialize to canonical JSON text (sorted keys, repr floats)."""
+    return json.dumps(to_jsonable(obj), sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
 
 
 def to_jsonable(obj):
     """Recursively rewrite into plain JSON-compatible values: dataclasses
     to {field name: value}, Fractions to "p/q" strings, complex to
-    {re, im}, arrays to nested lists, sets to sorted lists."""
+    {re, im}, arrays to nested lists, sets to sorted lists, int dict
+    keys to decimal strings.  Any other non-str key is a TypeError."""
     if obj is None or isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, (int, np.integer)):
@@ -96,11 +51,19 @@ def to_jsonable(obj):
             vals = sorted(vals)
         return [to_jsonable(v) for v in vals]
     if isinstance(obj, dict):
-        return {k: to_jsonable(v) for k, v in obj.items()}
+        return {_key(k): to_jsonable(v) for k, v in obj.items()}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
     raise TypeError("no JSON form for %r" % type(obj))
+
+
+def _key(k):
+    if isinstance(k, str):
+        return k
+    if isinstance(k, (int, np.integer)) and not isinstance(k, bool):
+        return str(int(k))
+    raise TypeError("a JSON key must be a str or an int, got %r" % (k,))
 
 
 def _fraction(text):
@@ -144,23 +107,9 @@ def from_jsonable(cls, data):
         return _fraction(data)
     if cls is complex:
         return _cplx(data)
-    if cls in (bool, int, float, str) and isinstance(data, cls):
+    if cls in (bool, int, float, str) and type(data) is cls:  # no bool for int
         return data
     raise TypeError("expected %s, got %r" % (getattr(cls, "__name__", cls), data))
-
-
-# ----------------------------------------------------------------------
-# typed names for the generic pair
-
-smoothness_to_json = witness_to_json = plan_to_json = to_jsonable
-
-
-def smoothness_from_json(d):
-    return from_jsonable(Smoothness, d)
-
-
-def witness_from_json(d):
-    return from_jsonable(PropertyOWitness, d)
 
 
 def plan_from_json(d):
@@ -172,15 +121,6 @@ def plan_from_json(d):
     if plan.radii != [bk_radius(plan.sequence, k) for k in range(1, plan.K + 1)]:
         raise ValueError("plan radii are not the ball radii of its sequence")
     return plan
-
-
-def paley_to_json(result):
-    """An estimate_paley_constant result.  Its per_dim table is keyed by
-    the int matrix dimension m in memory and by str(m) in JSON."""
-    out = to_jsonable(result)
-    if "per_dim" in out:
-        out["per_dim"] = {str(m): v for m, v in out["per_dim"].items()}
-    return out
 
 
 def poly_to_json(f):
@@ -200,7 +140,8 @@ def poly_from_json(d):
     if not isinstance(d, dict):
         raise TypeError("a polynomial is a JSON object, got %r" % (d,))
     decode = _matrix if d.get("mdim") else _cplx
-    coeffs = {tuple(e["n"]): decode(e["value"]) for e in d["coeffs"]}
+    coeffs = {int_frequency(d["dim"], e["n"]): decode(e["value"])
+              for e in d["coeffs"]}
     return TrigPoly(coeffs, dim=d["dim"], mdim=d.get("mdim"))
 
 
@@ -209,7 +150,11 @@ def matrixseq_to_json(ms):
 
 
 def matrixseq_from_json(d):
-    return MatrixSequence([_matrix(m) for m in d["matrices"]])
+    ms = MatrixSequence([_matrix(m) for m in d["matrices"]])
+    if from_jsonable(int, d["mdim"]) != ms.mdim:
+        raise ValueError("mdim %r, but the matrices are %d x %d"
+                         % (d["mdim"], ms.mdim, ms.mdim))
+    return ms
 
 
 def plan_digest(plan):

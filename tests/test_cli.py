@@ -4,6 +4,7 @@ import shlex
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from paleykit.cli import _COMMANDS, _build_parser, main
@@ -20,9 +21,7 @@ from paleykit.sequence import build_sequence
 from paleykit.serialization import (
     canonical_dumps,
     matrixseq_to_json,
-    plan_to_json,
     poly_to_json,
-    witness_to_json,
 )
 from paleykit.trigpoly import random_trigpoly
 
@@ -43,7 +42,7 @@ def run(capsys, *argv):
 def plan_file(tmp_path_factory):
     plan = build_sequence(S, find_witness(S), 2, 100, 10)
     path = tmp_path_factory.mktemp("cli") / "plan.json"
-    path.write_text(canonical_dumps(plan_to_json(plan)))
+    path.write_text(canonical_dumps(plan))
     return str(path)
 
 
@@ -193,7 +192,7 @@ def test_readme_shows_every_command():
 def test_check_property_o_matches_module(capsys):
     code, payload, _ = run(capsys, "check-property-o", "--indices", REF)
     assert code == 0
-    assert payload == json.loads(canonical_dumps(witness_to_json(find_witness(S))))
+    assert payload == json.loads(canonical_dumps(find_witness(S)))
 
 
 def _no_witness_payload(members):
@@ -239,14 +238,14 @@ def test_check_property_o_three_dim_matches_module(capsys):
     code, payload, _ = run(capsys, "check-property-o",
                            "--indices", _indices_arg(members))
     assert code == 0
-    want = witness_to_json(find_witness(Smoothness.from_indices(members)))
+    want = find_witness(Smoothness.from_indices(members))
     assert payload == json.loads(canonical_dumps(want))
 
 
 def test_build_sequence_is_thin_wrapper(capsys):
     code, payload, _ = run(capsys, "build-sequence", "--indices", REF, "--K", "2")
     assert code == 0
-    want = plan_to_json(build_sequence(S, find_witness(S), 2, 100, 10))
+    want = build_sequence(S, find_witness(S), 2, 100, 10)
     assert payload == json.loads(canonical_dumps(want))
 
 
@@ -317,6 +316,23 @@ def test_inconsistent_plan_exits_2(capsys, plan_file, tmp_path, command,
     assert "bad plan file" in payload["error"]
 
 
+@pytest.mark.parametrize("command", ["riesz-spectrum", "project", "estimate-paley"])
+@pytest.mark.parametrize("K, first", [(True, [10, 100]), (1, [True, 100])],
+                         ids=["K", "coordinate"])
+def test_bool_for_int_in_plan_exits_2(capsys, plan_file, tmp_path, command, K,
+                                      first):
+    # a 1-term plan, where a bool read as 1 passes every cross-field check
+    path = _edited_plan(plan_file, tmp_path, K=K, sequence=[first], radii=[0],
+                        ts=["100"])
+    poly = tmp_path / "poly.json"
+    poly.write_text(canonical_dumps(poly_to_json(random_trigpoly([(1, 100)]))))
+    extra = {"project": ["--poly", str(poly)],
+             "estimate-paley": ["--count", "1", "--grid-n", "21"]}
+    code, payload, _ = run(capsys, command, "--plan", path, *extra.get(command, []))
+    assert code == 2
+    assert "bad plan file" in payload["error"]
+
+
 def test_riesz_spectrum_reports_claim_b_collision(capsys, plan_file, tmp_path):
     # consistent radii, but 1 + 2 = 3 in the first coordinate
     path = _edited_plan(plan_file, tmp_path, K=3,
@@ -358,6 +374,18 @@ def test_project_rejects_bad_poly(capsys, plan_file, tmp_path):
     code, payload, _ = run(capsys, "project", "--plan", plan_file,
                            "--poly", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize("n", [[10.7, 100], [True, 100]], ids=["float", "bool"])
+def test_project_rejects_non_integer_frequency(capsys, plan_file, tmp_path, n):
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"dim": 2, "mdim": None, "coeffs": [
+        {"n": n, "value": {"re": 1.0, "im": 0.0}},
+        {"n": [3, 4], "value": {"re": 1.0, "im": 0.0}}]}))
+    code, payload, _ = run(capsys, "project", "--plan", plan_file,
+                           "--poly", str(poly))
+    assert code == 2
+    assert payload["error"].startswith("bad polynomial file: ")
 
 
 def test_estimate_paley_is_thin_wrapper(capsys, plan_file):
@@ -414,6 +442,15 @@ def test_cr_norm_rejects_wrong_schema(capsys, tmp_path):
     bad.write_text("{\"dim\": 2}")
     code, payload, _ = run(capsys, "cr-norm", "--input", str(bad))
     assert code == 2
+
+
+def test_cr_norm_rejects_mdim_mismatch(capsys, tmp_path):
+    ms = tmp_path / "ms.json"
+    ms.write_text(json.dumps(dict(
+        matrixseq_to_json(MatrixSequence([np.eye(2)])), mdim=3)))
+    code, payload, _ = run(capsys, "cr-norm", "--input", str(ms))
+    assert code == 2
+    assert payload["error"].startswith("bad matrix sequence file: ")
 
 
 def test_techprop_pair_quantities(capsys, tmp_path):
