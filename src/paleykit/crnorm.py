@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .multiindex import int_tuple
 from .trigpoly import TrigPoly, s1_l1_norm
 
 # relative gap (value - lower) / value that counts as converged
@@ -192,11 +193,11 @@ def cr_norm(xs):
 
 
 def _lacunary_poly(xs, freqs):
-    return TrigPoly({(int(n),): xs.matrices[k] for k, n in enumerate(freqs)})
+    return TrigPoly({(n,): xs.matrices[k] for k, n in enumerate(freqs)})
 
 
 def _validate_freqs(xs, freqs):
-    freqs = [int(n) for n in freqs]
+    freqs = list(int_tuple(freqs))
     if len(freqs) != xs.length:
         raise ValueError("need one frequency per matrix")
     if any(n < 1 for n in freqs) or any(

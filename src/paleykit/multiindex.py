@@ -15,6 +15,7 @@ multiplier uses the opposite convention 0^0 = 1, so the two agree only on
 frequencies with all coordinates nonzero.
 """
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -27,6 +28,26 @@ PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 def order(gamma):
     """Total order |gamma| = gamma_1 + ... + gamma_d."""
     return sum(gamma)
+
+
+def int_tuple(values):
+    """``values`` as a tuple of Python ints, for frequencies.
+
+    Python and numpy integers pass; a float, a bool or any other value
+    raises ValueError, where int() would truncate it silently.
+    """
+    key = tuple(values)
+    for v in key:
+        if type(v) is not int:
+            break
+    else:
+        return key
+    if not any(isinstance(v, bool) for v in key):
+        try:
+            return tuple(operator.index(v) for v in key)
+        except TypeError:
+            pass
+    raise ValueError("expected integers, got %r" % (key,))
 
 
 def multi_le(gamma, delta):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiindex import derivative_multiplier, q_s_eval, symbol_eval
+from .multiindex import derivative_multiplier, int_tuple, q_s_eval, symbol_eval
 from .riesz import riesz_coeffs
 from .trigpoly import (
     TrigPoly,
@@ -76,7 +76,7 @@ def build_pipeline(plan):
 
 def paley_project(f, frequencies):
     """Restrict the coefficient map to the given frequencies."""
-    keep = {tuple(int(c) for c in n) for n in frequencies}
+    keep = {int_tuple(n) for n in frequencies}
     out = {n: v for n, v in f.coeffs.items() if n in keep}
     return TrigPoly(out, dim=f.dim, mdim=f.mdim)
 
@@ -278,7 +278,7 @@ def estimate_paley_constant(smoothness, frequencies, sampler):
     if not mdims or len(set(mdims)) != len(mdims) or min(mdims) < 1:
         raise ValueError("need distinct matrix dimensions, each at least 1, "
                          "got %r" % (mdims,))
-    lam = [tuple(int(c) for c in n) for n in frequencies]
+    lam = [int_tuple(n) for n in frequencies]
     per_dim = {}
     for m in mdims:
         best = index = None

@@ -16,6 +16,7 @@ walk over the sign patterns that writes the coefficients.
 from dataclasses import dataclass
 
 from .errors import StageFailure
+from .multiindex import int_tuple
 from .sequence import bk_radius, pattern_frequency, sign_patterns
 
 
@@ -33,7 +34,7 @@ class RieszMeasure:
 
     def multiplier(self, n):
         """Fourier coefficient at n (0 off the spectrum)."""
-        return self.coeffs.get(tuple(int(c) for c in n), 0.0)
+        return self.coeffs.get(int_tuple(n), 0.0)
 
 
 def riesz_coeffs(sequence, K):
@@ -48,7 +49,7 @@ def riesz_coeffs(sequence, K):
     m}) with the first escaping m, so a collision anywhere takes
     precedence.
     """
-    sequence = tuple(tuple(int(c) for c in n) for n in sequence)
+    sequence = tuple(int_tuple(n) for n in sequence)
     if K < 0 or K > len(sequence):
         raise ValueError("K must be between 0 and len(sequence)")
     dim = len(sequence[0]) if sequence else 1

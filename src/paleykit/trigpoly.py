@@ -40,7 +40,7 @@ import math
 
 import numpy as np
 
-from .multiindex import derivative_multiplier, q_s_eval
+from .multiindex import derivative_multiplier, int_tuple, q_s_eval
 
 CHOP = 1e-15
 # trace_norms at m >= 3: matrices per Gram block, the eigenvalue-ratio
@@ -91,7 +91,7 @@ class TrigPoly:
         clean = {}
         seen_scalar = False
         for n, v in coeffs.items():
-            key = tuple(int(c) for c in n)
+            key = int_tuple(n)
             if dim is None:
                 dim = len(key)
             elif len(key) != dim:
@@ -120,7 +120,7 @@ class TrigPoly:
 
     def coeff(self, n):
         """Coefficient at frequency n (zero scalar/matrix if absent)."""
-        key = tuple(int(c) for c in n)
+        key = int_tuple(n)
         if key in self.coeffs:
             return self.coeffs[key]
         if self.mdim is None:
@@ -384,7 +384,7 @@ def paley_l2_norm(f, smoothness, frequencies):
     the given frequencies; matrix coefficients enter by Frobenius norm."""
     total = 0.0
     for n in frequencies:
-        key = tuple(int(c) for c in n)
+        key = int_tuple(n)
         if key not in f.coeffs:
             continue
         v = f.coeffs[key]
@@ -397,7 +397,7 @@ def random_trigpoly(frequencies, mdim=None, seed=0):
     """Independent standard complex Gaussian coefficients on the given
     frequencies (matrix entries i.i.d. when mdim is set)."""
     rng = np.random.default_rng(seed)
-    freqs = [tuple(int(c) for c in n) for n in frequencies]
+    freqs = [int_tuple(n) for n in frequencies]
     out = {}
     for n in freqs:
         if mdim is None:

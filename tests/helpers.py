@@ -4,15 +4,17 @@ paleykit uses them."""
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from paleykit import riesz
 from paleykit.crnorm import MatrixSequence
-from paleykit.errors import ConstructionError
-from paleykit.multiindex import Smoothness
+from paleykit.errors import ConstructionError, InfeasibleError, UnboundedError
+from paleykit.multiindex import Smoothness, saturate
 from paleykit.operators import paley_ratio
 from paleykit.sequence import ball_count, techprop_quantities
+from paleykit.simplex import LPResult
 from paleykit.trigpoly import TrigPoly
 
 
@@ -221,3 +223,161 @@ def khintchine_cell_sample(seed, i):
     rng = np.random.default_rng([seed, i])
     return [(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
             / math.sqrt(2) for _ in range(length)]
+
+
+def random_sets(seed, count, max_size=20):
+    """Downward closures of 2-3 sparse random points in d = 2..4, of at
+    most ``max_size`` members.  The full pair scan solves one exact LP
+    per member pair, about 1 ms each at 20 members."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        d = int(rng.integers(2, 5))
+        tops = {tuple(int(v) * int(rng.random() < 0.4)
+                      for v in rng.integers(1, 4, size=d))
+                for _ in range(int(rng.integers(2, 4)))}
+        idx = saturate(tops)
+        if len(idx) <= max_size:
+            out.append(Smoothness.from_indices(idx))
+    return out
+
+
+# witness and no-witness sets in d = 1..4, S_ref first
+FIXED_SETS = [
+    Smoothness.from_indices(saturate({(2, 0), (0, 1)})),
+    Smoothness.from_indices(saturate({(2, 0, 0), (0, 1, 0), (0, 0, 2)})),
+    Smoothness.from_indices(saturate({(2, 0), (0, 3)})),
+    Smoothness.from_indices(saturate({(3, 0), (1, 1), (0, 2)})),
+    Smoothness.from_indices(saturate({(1, 1)})),
+    Smoothness.from_indices(saturate({(3,)})),
+    Smoothness.from_indices(saturate({(1, 0, 0, 0), (0, 2, 0, 0),
+                                      (0, 0, 1, 1)})),
+]
+
+def _frac_matrix(rows, width):
+    out = []
+    for row in rows:
+        r = [Fraction(v) for v in row]
+        if len(r) != width:
+            raise ValueError("row of length %d, expected %d" % (len(r), width))
+        out.append(r)
+    return out
+
+
+def _frac_pivot(rows, cost, basis, r, c):
+    piv = rows[r][c]
+    rows[r] = [v / piv for v in rows[r]]
+    for i in range(len(rows)):
+        if i != r and rows[i][c] != 0:
+            f = rows[i][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+    if cost[c] != 0:
+        f = cost[c]
+        for j in range(len(cost)):
+            cost[j] -= f * rows[r][j]
+    basis[r] = c
+
+
+def _frac_simplex(rows, cost, basis, ncols):
+    while True:
+        enter = -1
+        for j in range(ncols):
+            if cost[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            return
+        leave = -1
+        best = None
+        for i, row in enumerate(rows):
+            if row[enter] > 0:
+                ratio = row[-1] / row[enter]
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise UnboundedError("objective unbounded along column %d" % enter)
+        _frac_pivot(rows, cost, basis, leave, enter)
+
+
+def lp_solve_fractions(objective, a_ub=(), b_ub=(), a_eq=(), b_eq=(),
+                       maximize=False):
+    """simplex.lp_solve on a tableau of Fractions, with the artificial
+    columns stored and every pivot dividing through: the same two phases
+    and the same Bland pivot order, one gcd per entry and pivot.  It is
+    the oracle that the integer tableau must match in value, solution and
+    exception."""
+    nvar = len(objective)
+    c_obj = [Fraction(v) for v in objective]
+    if maximize:
+        c_obj = [-v for v in c_obj]
+    a_ub = _frac_matrix(a_ub, nvar)
+    a_eq = _frac_matrix(a_eq, nvar)
+    b_ub = [Fraction(v) for v in b_ub]
+    b_eq = [Fraction(v) for v in b_eq]
+    if len(b_ub) != len(a_ub) or len(b_eq) != len(a_eq):
+        raise ValueError("constraint matrix / rhs length mismatch")
+
+    nslack = len(a_ub)
+    m = len(a_ub) + len(a_eq)
+    nstruct = 2 * nvar + nslack
+    ncols = nstruct + m
+    rows = []
+    for k, (arow, rhs) in enumerate(
+        list(zip(a_ub, b_ub)) + list(zip(a_eq, b_eq))
+    ):
+        row = []
+        for v in arow:
+            row.extend((v, -v))
+        for s in range(nslack):
+            row.append(Fraction(1 if (k < nslack and s == k) else 0))
+        row.extend([Fraction(0)] * m)
+        row.append(rhs)
+        if rhs < 0:
+            row = [-v for v in row]
+        row[nstruct + k] = Fraction(1)
+        rows.append(row)
+    basis = [nstruct + k for k in range(m)]
+
+    cost = [Fraction(0)] * (ncols + 1)
+    for j in range(nstruct):
+        cost[j] = -sum(row[j] for row in rows)
+    cost[-1] = -sum(row[-1] for row in rows)
+    _frac_simplex(rows, cost, basis, nstruct)
+    if -cost[-1] != 0:
+        raise InfeasibleError("phase-1 optimum %s > 0" % (-cost[-1],))
+    for i in reversed(range(len(rows))):
+        if basis[i] >= nstruct:
+            pivot_col = next(
+                (j for j in range(nstruct) if rows[i][j] != 0), None
+            )
+            if pivot_col is None:
+                del rows[i]
+                del basis[i]
+            else:
+                _frac_pivot(rows, cost, basis, i, pivot_col)
+
+    full = [Fraction(0)] * (ncols + 1)
+    for i in range(nvar):
+        full[2 * i] = c_obj[i]
+        full[2 * i + 1] = -c_obj[i]
+    cost = list(full)
+    for i, row in enumerate(rows):
+        cb = full[basis[i]]
+        if cb != 0:
+            for j in range(ncols + 1):
+                cost[j] -= cb * row[j]
+    for k in range(nstruct, ncols):
+        cost[k] = Fraction(0)
+    _frac_simplex(rows, cost, basis, nstruct)
+
+    assign = [Fraction(0)] * ncols
+    for i, b in enumerate(basis):
+        assign[b] = rows[i][-1]
+    x = [assign[2 * i] - assign[2 * i + 1] for i in range(nvar)]
+    value = -cost[-1]
+    if maximize:
+        value = -value
+    return LPResult(value=value, x=x)

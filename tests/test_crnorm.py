@@ -179,6 +179,12 @@ def test_khintchine_validation():
         khintchine_ratio([1.0], [0])
     with pytest.raises(ValueError):
         khintchine_ratio([0.0, 0.0], [1, 3])
+    # int() would read these as [1, 3] and return that ratio
+    for freqs in ([1.5, 3], [True, 3]):
+        with pytest.raises(ValueError):
+            khintchine_ratio(MatrixSequence([np.eye(2), np.eye(2)]), freqs)
+    assert khintchine_ratio([np.eye(2), np.eye(2)], np.array([1, 3])) == \
+        khintchine_ratio([np.eye(2), np.eye(2)], [1, 3])
 
 
 def test_unconditionality_identity_and_scaling():

@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 
 from paleykit.errors import InvalidSmoothnessError
 from paleykit.multiindex import (
     Smoothness,
     derivative_multiplier,
+    int_tuple,
     is_smoothness,
     multi_le,
     order,
@@ -13,6 +15,17 @@ from paleykit.multiindex import (
     symbol_eval,
     symbol_phase,
 )
+
+
+def test_int_tuple_accepts_integers_only():
+    assert int_tuple([3, -2]) == (3, -2)
+    got = int_tuple(np.array([4, 10**3], dtype=np.int64))
+    assert got == (4, 1000) and all(type(v) is int for v in got)
+    assert int_tuple(()) == ()
+    for bad in ([10.7, 100], [True, 3], [np.float64(2.0)], [np.True_],
+                ["1"], [1, None]):
+        with pytest.raises(ValueError):
+            int_tuple(bad)
 
 
 def test_saturate_two_generators():

@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from paleykit import property_o
@@ -13,6 +12,8 @@ from paleykit.property_o import (
     verify_witness,
 )
 from paleykit.simplex import lp_solve
+
+from helpers import FIXED_SETS, random_sets
 
 
 def anisotropic_example():
@@ -102,34 +103,6 @@ def full_scan(S):
     return None
 
 
-def random_sets(seed, count, max_size=10):
-    # downward closures of 2-3 sparse random points in d = 2..4, kept
-    # small because the full scan solves one exact LP per member pair
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < count:
-        d = int(rng.integers(2, 5))
-        tops = {tuple(int(v) * int(rng.random() < 0.4)
-                      for v in rng.integers(1, 4, size=d))
-                for _ in range(int(rng.integers(2, 4)))}
-        idx = saturate(tops)
-        if len(idx) <= max_size:
-            out.append(Smoothness.from_indices(idx))
-    return out
-
-
-FIXED_SETS = [
-    anisotropic_example(),
-    Smoothness.from_indices(saturate({(2, 0, 0), (0, 1, 0), (0, 0, 2)})),
-    Smoothness.from_indices(saturate({(2, 0), (0, 3)})),
-    Smoothness.from_indices(saturate({(3, 0), (1, 1), (0, 2)})),
-    Smoothness.from_indices(saturate({(1, 1)})),
-    Smoothness.from_indices(saturate({(3,)})),
-    Smoothness.from_indices(saturate({(1, 0, 0, 0), (0, 2, 0, 0),
-                                      (0, 0, 1, 1)})),
-]
-
-
 def pair_verdicts(S):
     # exact verdict of every opposite-parity pair of maximal members:
     # None when infeasible, else the optimum t
@@ -148,7 +121,7 @@ def pair_verdicts(S):
 
 
 def test_maximal_search_matches_full_scan():
-    sets = FIXED_SETS + random_sets(0, 30)
+    sets = FIXED_SETS + random_sets(0, 60)
     found = 0
     for S in sets:
         got = find_witness(S)
@@ -159,6 +132,7 @@ def test_maximal_search_matches_full_scan():
     # both outcomes occur, in every dimension the sample covers
     assert 8 <= found <= len(sets) - 8
     assert {S.dim for S in sets} == {1, 2, 3, 4}
+    assert sum(10 < len(S.indices) <= 20 for S in sets) >= 10
 
 
 def test_pair_verdicts_match_linprog():

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from paleykit.errors import InfeasibleError, UnboundedError
+from paleykit.multiindex import order
+from paleykit.property_o import _pair_lp
 from paleykit.simplex import lp_solve
+
+from helpers import FIXED_SETS, lp_solve_fractions, random_sets
 
 
 def test_basic_max():
@@ -110,3 +114,76 @@ def test_random_cross_check_against_scipy():
             continue
         assert ref.status == 0, "scipy failed on a feasible instance"
         assert abs(float(res.value) - ref.fun) < 1e-7, (trial, res.value, ref.fun)
+
+
+# ----------------------------------------------------------------------
+# the integer tableau against the Fraction tableau
+
+
+def outcome(solve, *args, **kwargs):
+    try:
+        res = solve(*args, **kwargs)
+    except (InfeasibleError, UnboundedError) as exc:
+        return type(exc), str(exc)
+    return res.value, res.x
+
+
+def random_lp(rng):
+    # fractional data, some float objectives, up to three equality rows,
+    # either sense; some instances have a zero rhs (degenerate vertices,
+    # artificials left basic after phase 1) or a last equality row that
+    # doubles the first (a redundant row dropped after phase 1)
+    def q():
+        return Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
+
+    nv = int(rng.integers(1, 5))
+    nu = int(rng.integers(0, 6))
+    ne = int(rng.integers(0, 4))
+    c = [q() for _ in range(nv)]
+    if rng.random() < 0.3:
+        c = [float(v) for v in c]
+    a_ub = [[q() for _ in range(nv)] for _ in range(nu)]
+    a_eq = [[q() for _ in range(nv)] for _ in range(ne)]
+    b_ub = [q() for _ in range(nu)]
+    b_eq = [q() for _ in range(ne)]
+    if rng.random() < 0.3:
+        b_ub = [max(v, 0) for v in b_ub]
+        b_eq = [0] * ne
+    if ne >= 2 and rng.random() < 0.5:
+        a_eq[-1] = [2 * v for v in a_eq[0]]
+        b_eq[-1] = 2 * b_eq[0]
+    return (c, a_ub, b_ub, a_eq, b_eq), {"maximize": bool(rng.random() < 0.5)}
+
+
+def test_random_lps_match_fraction_tableau():
+    rng = np.random.default_rng(2024)
+    kinds = set()
+    for trial in range(400):
+        args, kwargs = random_lp(rng)
+        got = outcome(lp_solve, *args, **kwargs)
+        assert got == outcome(lp_solve_fractions, *args, **kwargs), trial
+        kinds.add(got[0] if isinstance(got[0], type) else kwargs["maximize"])
+    assert kinds == {InfeasibleError, UnboundedError, False, True}
+
+
+def test_pair_lps_match_fraction_tableau(monkeypatch):
+    # every opposite-parity member pair of the fixed sets, and every pair
+    # of maximal members (the LPs find_witness solves) of random sets of
+    # up to 20 members
+    def pairs(tops):
+        return [(a, b) for a in tops for b in tops
+                if (order(a) - order(b)) % 2]
+
+    jobs = [(S, pairs(S.sorted_indices())) for S in FIXED_SETS]
+    jobs += [(S, pairs(S.maximal())) for S in random_sets(0, 60)]
+    solved = 0
+    for S, todo in jobs:
+        members = S.sorted_indices()
+        for alpha, beta in todo:
+            got = outcome(_pair_lp, S.dim, members, alpha, beta)
+            with monkeypatch.context() as m:
+                m.setattr("paleykit.property_o.lp_solve", lp_solve_fractions)
+                want = outcome(_pair_lp, S.dim, members, alpha, beta)
+            assert got == want, (sorted(S.indices), alpha, beta)
+            solved += not isinstance(got[0], type)
+    assert solved > 0

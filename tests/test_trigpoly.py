@@ -38,6 +38,17 @@ def test_construction_errors():
     for bad in (0, -1, True, 2.0):
         with pytest.raises(ValueError):
             TrigPoly({}, dim=2, mdim=bad)
+
+
+def test_frequencies_are_never_truncated():
+    # int() would turn these keys into (10, 100) and (1, 3)
+    for key in ((10.7, 100), (True, 3), (np.float64(2.0), 0)):
+        with pytest.raises(ValueError):
+            TrigPoly({key: 1.0})
+    f = TrigPoly({(np.int64(10), 100): 1.0})
+    assert f.spectrum() == {(10, 100)}
+    with pytest.raises(ValueError):
+        f.coeff((10.7, 100))
     with pytest.raises(ValueError):
         TrigPoly({(1, 0): 1.0}, mdim=2)
     with pytest.raises(ValueError):
