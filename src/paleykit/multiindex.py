@@ -30,24 +30,28 @@ def order(gamma):
     return sum(gamma)
 
 
-def int_tuple(values):
-    """``values`` as a tuple of Python ints, for frequencies.
+def int_tuple(values, dim=None):
+    """``values`` as a tuple of Python ints, for frequencies; given
+    ``dim``, exactly dim of them.
 
-    Python and numpy integers pass; a float, a bool or any other value
-    raises ValueError, where int() would truncate it silently.
+    Python and numpy integers pass; a float, a bool, any other value or
+    a wrong length raises ValueError, where int() would truncate a float
+    silently.
     """
     key = tuple(values)
-    for v in key:
-        if type(v) is not int:
-            break
-    else:
-        return key
-    if not any(isinstance(v, bool) for v in key):
-        try:
-            return tuple(operator.index(v) for v in key)
-        except TypeError:
-            pass
-    raise ValueError("expected integers, got %r" % (key,))
+    if dim is None or len(key) == dim:
+        for v in key:
+            if type(v) is not int:
+                break
+        else:
+            return key
+        if not any(isinstance(v, bool) for v in key):
+            try:
+                return tuple(operator.index(v) for v in key)
+            except TypeError:
+                pass
+    want = "integers" if dim is None else "%d integer coordinates" % dim
+    raise ValueError("need %s, got %r" % (want, key))
 
 
 def multi_le(gamma, delta):
@@ -122,6 +126,11 @@ class Smoothness:
                 "not downward closed or missing the zero index: %s" % sorted(idx)
             )
         return cls(dim=d, indices=frozenset(idx))
+
+    @classmethod
+    def coerce(cls, indices):
+        """indices itself if a Smoothness, else from_indices(indices)."""
+        return indices if isinstance(indices, cls) else cls.from_indices(indices)
 
     def __iter__(self):
         return iter(sorted(self.indices, reverse=True))

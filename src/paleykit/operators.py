@@ -46,8 +46,10 @@ class OperatorPipeline:
 
 
 def ball_multiplicity(plan, m):
-    """Number of indices k with m in B_k (balls may overlap in
-    principle; the correction in M counts each containment once)."""
+    """Number of indices k with m in B_k; the correction in M counts
+    each containment once.  Balls overlap only in plans that break
+    condition (i), never in one build_sequence returns (see
+    check_conditions, point (5))."""
     mult = 0
     for k in range(1, plan.K + 1):
         center = plan.sequence[k - 1]

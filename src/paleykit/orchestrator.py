@@ -26,7 +26,7 @@ from .sequence import build_sequence
 from .serialization import plan_digest, to_jsonable
 from .trigpoly import random_trigpoly
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 @dataclass

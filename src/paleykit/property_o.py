@@ -38,12 +38,6 @@ class PropertyOWitness:
     t_star: Fraction
 
 
-def _coerce(smoothness):
-    if isinstance(smoothness, Smoothness):
-        return smoothness
-    return Smoothness.from_indices(smoothness)
-
-
 def verify_witness(smoothness, alpha, beta, c):
     """Exact check of the witness conditions.
 
@@ -51,7 +45,7 @@ def verify_witness(smoothness, alpha, beta, c):
     c_j a strictly positive rational, both pairings equal to 1, and every
     member of S paired with c at most 1.
     """
-    S = _coerce(smoothness)
+    S = Smoothness.coerce(smoothness)
     alpha = tuple(alpha)
     beta = tuple(beta)
     if alpha not in S or beta not in S:
@@ -105,7 +99,7 @@ def find_witness(smoothness):
     one that scan would solve: the result equals the full scan's bit for
     bit, and repeated runs agree.
     """
-    S = _coerce(smoothness)
+    S = Smoothness.coerce(smoothness)
     members = S.sorted_indices()
     tops = S.maximal()
     for alpha in tops:
@@ -132,7 +126,7 @@ def find_witness(smoothness):
 def find_witness_or_fail(smoothness):
     """find_witness, raising StageFailure("property_o", "no_witness") with
     the smoothness set in its details when there is no witness."""
-    S = _coerce(smoothness)
+    S = Smoothness.coerce(smoothness)
     w = find_witness(S)
     if w is None:
         raise StageFailure("property_o", "no_witness", {"smoothness": S})

@@ -24,14 +24,14 @@ rho(D, eps) (see closeness_bounds).
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Optional
 
 from .errors import ConstructionError, SingularFrequencyError, StageFailure
-from .multiindex import PHASES, Smoothness, order, q_s_eval, symbol_abs_int, symbol_eval
+from .multiindex import (PHASES, Smoothness, int_tuple, order, q_s_eval, symbol_abs_int,
+                         symbol_phase)
 from .property_o import PropertyOWitness, verify_witness
 
 
@@ -185,8 +185,7 @@ def build_sequence(S, witness, K, t0, q, max_doublings=10000):
     each t_k is then doubled until the plan invariants hold at index k.
     The attached ConditionReport comes from check_conditions.
     """
-    if not isinstance(S, Smoothness):
-        S = Smoothness.from_indices(S)
+    S = Smoothness.coerce(S)
     if isinstance(witness, (tuple, list)):
         witness = PropertyOWitness(
             alpha=tuple(witness[0]),
@@ -260,35 +259,36 @@ def _admissible(n, points, d_running):
     return True
 
 
+def _normalized_symbol(gamma, n, qn):
+    """a_gamma(n) = |sigma_gamma(n)| / Q_S(n)^{1/2} for qn = Q_S(n) > 0,
+    squared by one correctly rounded int division, so nothing overflows."""
+    return math.sqrt(symbol_abs_int(gamma, n) ** 2 / qn)
+
+
 def _rho_hat(S, witness, points):
-    # min over k and gamma in {alpha, beta} of |sigma_gamma| / Q_S^{1/2}
-    worst = None
-    for n in points:
-        qn = q_s_eval(S, n)
-        for gamma in (witness.alpha, witness.beta):
-            r = Fraction(symbol_abs_int(gamma, n) ** 2, qn)
-            if worst is None or r < worst:
-                worst = r
-    return math.sqrt(float(worst))
-
-
-def _q_s_overflow(k):
-    return StageFailure("sequence", "q_s_overflow", {"k": k})
+    # min over k and gamma in {alpha, beta} of a_gamma(n_k)
+    return min(_normalized_symbol(gamma, n, q_s_eval(S, n))
+               for n in points for gamma in (witness.alpha, witness.beta))
 
 
 def check_conditions(S, plan):
     """Evaluate conditions (i)-(iv) for the plan at its truncation.
 
     Condition (i) is exact integer work; the sums of (iii) and (iv) are
-    reported as floats against the thresholds 1/2 and 1.  A plan whose
-    Q_S(n_k), or Q_S at a point summed for (iv), leaves double range
-    raises StageFailure("sequence", "q_s_overflow") naming k.
+    reported as floats against the thresholds 1/2 and 1.
 
-    (iii) sums |n_k^alpha - ell n_k^beta| / Q_S(n_k)^{1/2} over k.  (iv)
-    sums |sigma_alpha(-m) + tau*ell*sigma_beta(-m)| / Q_S(m)^{1/2} over
-    m = n_k + sum_{j<k} d_j n_j, d in {-1,0,1}^{k-1}, d != 0: the
-    3^{k-1} - 1 Riesz spectrum points of B_k other than the centre n_k.
-    No other point of B_k reaches the projection:
+    Both sums come from one pass over the balls.  For k = 1..K and d in
+    {-1,0,1}^{k-1}, in sign_patterns order, the point m = n_k +
+    sum_{j<k} d_j n_j of B_k contributes
+      term(m) = |m^alpha - ell m^beta| / Q_S(m)^{1/2},
+    to (iii) when d = 0, where m is the centre n_k, and to (iv)
+    otherwise: the 3^{k-1} - 1 Riesz spectrum points of B_k other than
+    n_k.  The numerator is the exact integer |m^alpha den(ell) -
+    num(ell) m^beta| over den(ell), and int true division rounds it
+    correctly.  A plan with a point whose Q_S leaves double range
+    raises StageFailure("sequence", "q_s_overflow") naming its ball k.
+
+    Why (iv) sums term(m), and over these points only:
     (1) The correction part of operator_m lives on -B_k: at -m, m in
         B_k, it is -(sigma_alpha(-m) + tau*ell*sigma_beta(-m)) f_hat(-m).
     (2) convolve_riesz zeroes it off spec(R_K) and multiplies it by
@@ -301,11 +301,12 @@ def check_conditions(S, plan):
         so at most ||d^gamma f||_1, and the l2 sum over S is at most the
         l1 sum.  So the convolved correction has L1 norm at most 1/2
         times the sum over spec(R_K) ∩ B_k, times ||f||_{W^{S,1}}.
-    (4) The centre terms m = n_k are exactly condition (iii)'s terms:
-        with tau = i^{|alpha|-|beta|}, sigma_alpha(-n) +
-        tau*ell*sigma_beta(-n) = i^{|alpha|} ((-1)^{|alpha|} n^alpha +
-        (-1)^{|beta|} ell n^beta), and alpha, beta have opposite parity,
-        so its modulus is |n^alpha - ell n^beta|.
+    (4) Each modulus is term(m), the term (iii) sums at the centre, so
+        one expression serves both sums: with tau = i^{|alpha|-|beta|},
+        sigma_alpha(-m) + tau*ell*sigma_beta(-m) = i^{|alpha|}
+        ((-1)^{|alpha|} m^alpha + (-1)^{|beta|} ell m^beta), and alpha,
+        beta have opposite parity, so on the open positive orthant its
+        modulus is |m^alpha - ell m^beta|.
     (5) These points are exactly spec(R_K) ∩ B_k minus n_k.  By claim A
         a spectrum point with last nonzero sign d_j lies in B_j (d_j =
         1) or -B_j (d_j = -1).  Condition (i) puts every ball in the
@@ -326,32 +327,24 @@ def check_conditions(S, plan):
         plan.radii[k - 1] < min(seq[k - 1]) for k in range(2, plan.K + 1)
     )
 
-    ell = plan.ell_exact
-    sum_iii = 0.0
-    for k, n in enumerate(seq, 1):
-        try:
-            root = math.sqrt(float(q_s_eval(S, n)))
-        except OverflowError:
-            raise _q_s_overflow(k) from None
-        num = abs(Fraction(symbol_abs_int(alpha, n)) - ell * symbol_abs_int(beta, n))
-        sum_iii += float(num) / root
-
-    tau_ell = plan.tau * float(ell)
-    sum_iv = 0.0
-    for k in range(2, plan.K + 1):
+    num_ell, den_ell = plan.ell_exact.numerator, plan.ell_exact.denominator
+    sum_iii = sum_iv = 0.0
+    for k in range(1, plan.K + 1):
         try:
             for d in sign_patterns(k - 1):
-                if not any(d):
-                    continue
                 m = pattern_frequency(seq, d + (1,), dim)
                 # condition (i) keeps every point of B_k in the open
                 # positive orthant
                 assert all(c > 0 for c in m), (k, m)
-                neg = tuple(-c for c in m)
-                num = abs(symbol_eval(alpha, neg) + tau_ell * symbol_eval(beta, neg))
-                sum_iv += num / math.sqrt(float(q_s_eval(S, m)))
+                num = abs(symbol_abs_int(alpha, m) * den_ell
+                          - num_ell * symbol_abs_int(beta, m))
+                term = num / den_ell / math.sqrt(float(q_s_eval(S, m)))
+                if any(d):
+                    sum_iv += term
+                else:
+                    sum_iii += term
         except OverflowError:
-            raise _q_s_overflow(k) from None
+            raise StageFailure("sequence", "q_s_overflow", {"k": k}) from None
 
     return ConditionReport(
         cond_i=cond_i,
@@ -368,28 +361,18 @@ def check_conditions(S, plan):
 # closeness of the fundamental-polynomial ratio
 
 
-def int_frequency(dim, v):
-    """v as a tuple of dim ints; a float or a bool is not an int."""
-    v = tuple(v)
-    if len(v) == dim and not any(isinstance(c, bool) for c in v):
-        try:
-            return tuple(map(operator.index, v))
-        except TypeError:
-            pass
-    raise ValueError("need %d integer coordinates, got %r" % (dim, v))
-
-
 def techprop_quantities(S, m, n):
     """The three closeness quantities between frequencies m and n.
 
     q1 = |1 - Q_S(n)/Q_S(m)|; q2 and q3 are the l2 sizes of the
-    normalized symbol differences, unsigned and signed respectively.
-    m and n must each hold S.dim integers (a bool is not one); anything
-    else raises ValueError.
+    differences of the normalized symbols a_gamma = |sigma_gamma| /
+    Q_S^{1/2}, unsigned and with the phases of sigma_gamma.  None of
+    them floats Q_S, so frequencies past double range are fine.  m and
+    n must each hold S.dim integers (a bool is not one); anything else
+    raises ValueError.
     """
-    if not isinstance(S, Smoothness):
-        S = Smoothness.from_indices(S)
-    m, n = int_frequency(S.dim, m), int_frequency(S.dim, n)
+    S = Smoothness.coerce(S)
+    m, n = int_tuple(m, S.dim), int_tuple(n, S.dim)
     qm = q_s_eval(S, m)
     qn = q_s_eval(S, n)
     if qm == 0 or qn == 0:
@@ -397,15 +380,13 @@ def techprop_quantities(S, m, n):
             "Q_S vanishes at a frequency with a zero coordinate"
         )
     q1 = abs(1.0 - float(Fraction(qn, qm)))
-    sqm = math.sqrt(float(qm))
-    sqn = math.sqrt(float(qn))
     q2sq = 0.0
     q3sq = 0.0
     for gamma in S:
-        am = symbol_abs_int(gamma, m) / sqm
-        an = symbol_abs_int(gamma, n) / sqn
+        am = _normalized_symbol(gamma, m, qm)
+        an = _normalized_symbol(gamma, n, qn)
         q2sq += (am - an) ** 2
-        q3sq += abs(symbol_eval(gamma, m) / sqm - symbol_eval(gamma, n) / sqn) ** 2
+        q3sq += abs(symbol_phase(gamma, m) * am - symbol_phase(gamma, n) * an) ** 2
     return q1, math.sqrt(q2sq), math.sqrt(q3sq)
 
 
@@ -440,8 +421,7 @@ def closeness_bounds(S, D, rho):
     Both bounds fall to 0 as rho grows, and q1_bound >= q2_bound since
     1/(1 - delta) >= 1 + delta.  Needs 0 <= D < rho, else ValueError.
     """
-    if not isinstance(S, Smoothness):
-        S = Smoothness.from_indices(S)
+    S = Smoothness.coerce(S)
     if not 0 <= D < rho:
         raise ValueError("need 0 <= D < rho")
     delta = Fraction(D) / rho

@@ -17,8 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .crnorm import MatrixSequence
-from .multiindex import Smoothness
-from .sequence import LacunaryPlan, bk_radius, int_frequency
+from .multiindex import Smoothness, int_tuple
+from .sequence import LacunaryPlan, bk_radius
 from .trigpoly import TrigPoly
 
 
@@ -140,7 +140,7 @@ def poly_from_json(d):
     if not isinstance(d, dict):
         raise TypeError("a polynomial is a JSON object, got %r" % (d,))
     decode = _matrix if d.get("mdim") else _cplx
-    coeffs = {int_frequency(d["dim"], e["n"]): decode(e["value"])
+    coeffs = {int_tuple(e["n"], d["dim"]): decode(e["value"])
               for e in d["coeffs"]}
     return TrigPoly(coeffs, dim=d["dim"], mdim=d.get("mdim"))
 

@@ -101,8 +101,7 @@ def estimate_rho_de(S, D, eps, sampler=None):
     finite band), not a proof: it is the oracle that
     sequence.certified_rho bounds from above.
     """
-    if not isinstance(S, Smoothness):
-        S = Smoothness.from_indices(S)
+    S = Smoothness.coerce(S)
     if D < 0 or not 0 < eps < 1:
         raise ValueError("need D >= 0 and eps in (0, 1)")
     sampler = sampler or RhoSampler()

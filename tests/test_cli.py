@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import shlex
 import time
@@ -460,6 +461,16 @@ def test_techprop_pair_quantities(capsys, tmp_path):
                            "--pair", str(pair))
     assert code == 0
     assert payload["q1"] == pytest.approx(float(Fraction(67, 6734)), rel=1e-12)
+
+
+def test_techprop_pair_past_double_range(capsys, tmp_path):
+    # Q_S(m) is about 1e720; the normalized symbols never float it
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"m": [10**180, 5], "n": [10**180 + 1, 5]}))
+    code, payload, _ = run(capsys, "techprop", "--indices", "2,0;1,0;0,0;0,1",
+                           "--pair", str(pair))
+    assert code == 0
+    assert all(math.isfinite(payload[k]) for k in ("q1", "q2", "q3"))
 
 
 @pytest.mark.parametrize("m", [[101.7, 100], [1, 2, 3], ["x", 100],

@@ -28,6 +28,21 @@ def test_int_tuple_accepts_integers_only():
             int_tuple(bad)
 
 
+def test_int_tuple_checks_the_length_given():
+    assert int_tuple(np.array([4, 10]), 2) == (4, 10)
+    for bad in ([4], [4, 10, 1], [4.0, 10]):
+        with pytest.raises(ValueError, match="need 2 integer coordinates"):
+            int_tuple(bad, 2)
+
+
+def test_smoothness_coerce():
+    S = Smoothness.from_indices([(0, 0), (1, 0)])
+    assert Smoothness.coerce(S) is S
+    assert Smoothness.coerce([(1, 0), (0, 0)]) == S
+    with pytest.raises(InvalidSmoothnessError):
+        Smoothness.coerce([(1, 0)])
+
+
 def test_saturate_two_generators():
     got = saturate({(2, 0), (0, 1)})
     assert got == {(0, 0), (1, 0), (2, 0), (0, 1)}

@@ -1,14 +1,19 @@
+import hashlib
+
 import pytest
 
 from paleykit.errors import StageFailure
 from paleykit.multiindex import Smoothness, saturate
 from paleykit.orchestrator import (
+    SCHEMA_VERSION,
     OrchestratorConfig,
     ReplayResult,
     replay,
     report_to_json,
     run_construction,
 )
+
+from paleykit.serialization import canonical_dumps
 
 from helpers import count_sign_patterns
 
@@ -33,6 +38,19 @@ def test_full_run_succeeds(tiny_report):
     assert rep.paley["sup_ratio"] > 0.0
     assert rep.digest == (
         "15e13866f5270df7753a8c4c52f474c51d8ce28000246466f998ad63ccd1c236")
+
+
+def test_report_bytes_pinned_with_the_schema_version():
+    # replay forgives 1e-12 relative, so a report field that moves in its
+    # last bits needs a new SCHEMA_VERSION and a new pin here; the Paley
+    # block stays out, as its eigenvalue bits depend on the BLAS
+    rep = run_construction(S, OrchestratorConfig(K=2, matrix_dims=(),
+                                                 composite_count=3))
+    d = report_to_json(rep)
+    d.pop("timings")
+    digest = hashlib.sha256(canonical_dumps(d).encode()).hexdigest()
+    assert (SCHEMA_VERSION, digest) == (
+        3, "88e162d20b20d0a90ba7e303bdfbbc7d06454343237161c8b7c0b237b0eab78a")
 
 
 def test_retry_squares_the_schedule():
@@ -143,7 +161,7 @@ def test_conditions_unmet_failure():
 
 def test_report_json_shape(tiny_report):
     d = report_to_json(tiny_report)
-    assert d["schema_version"] == 2
+    assert d["schema_version"] == 3
     assert d["paley"]["per_dim"]["1"]["sup_ratio"] > 0.0
     assert set(d["timings"]) == {"property_o", "sequence", "riesz",
                                  "composite", "paley"}

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from paleykit.errors import ConstructionError, SingularFrequencyError, StageFailure
-from paleykit.multiindex import Smoothness, q_s_eval, saturate, symbol_eval
+from paleykit.multiindex import Smoothness, q_s_eval, saturate, symbol_abs_int, symbol_eval
 from paleykit.property_o import find_witness
 from paleykit.riesz import riesz_spectrum
 from paleykit.sequence import (
@@ -203,6 +204,38 @@ def test_check_conditions_sums_the_spectrum_in_each_ball(maximal, K):
         full_sum += sum(_iv_term(p, m) for m in ball)
     assert p.report.sum_iv == pytest.approx(spec_sum, rel=1e-12)
     assert p.report.sum_iv <= full_sum
+
+
+def _decimal_sums(plan):
+    # (iii) and (iv) in 60-digit decimal arithmetic from the exact
+    # integers: |m^alpha - ell m^beta| / Q_S(m)^{1/2} per point
+    a, b = plan.witness.alpha, plan.witness.beta
+    ell = plan.ell_exact
+    sums = [Decimal(0), Decimal(0)]
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for k in range(1, plan.K + 1):
+            for d in product((-1, 0, 1), repeat=k - 1):
+                m = tuple(sum(dj * n[i] for dj, n in zip(d + (1,), plan.sequence))
+                          for i in range(len(plan.sequence[0])))
+                num = abs(symbol_abs_int(a, m) * ell.denominator
+                          - ell.numerator * symbol_abs_int(b, m))
+                term = (Decimal(num) / Decimal(ell.denominator)
+                        / Decimal(q_s_eval(plan.smoothness, m)).sqrt())
+                sums[any(d)] += term
+    return sums
+
+
+@pytest.mark.parametrize("t0, q", [(100, 10), (10**4, 100), (10**8, 10**4)])
+def test_condition_sums_match_a_decimal_reference(t0, q):
+    # every term is one correctly rounded division over a square root,
+    # so both sums agree with 60-digit arithmetic to a few ulps; the
+    # float witness symbol missed (iv) by 4.9e-12 at (10^8, 10^4)
+    p = ref_plan(t0=t0, q=q)
+    r = p.report
+    ref_iii, ref_iv = _decimal_sums(p)
+    assert abs(Decimal(r.sum_iii) - ref_iii) <= Decimal("1e-15") * ref_iii
+    assert abs(Decimal(r.sum_iv) - ref_iv) <= Decimal("1e-15") * ref_iv
 
 
 def test_check_conditions_q_s_overflow_names_k():

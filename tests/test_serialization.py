@@ -116,7 +116,7 @@ def test_plan_encoding_bytes_pinned():
     # every field of the plan, its condition report included
     text = canonical_dumps(PLAN)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "f01e48b7593002c187995f993351b64b7954cd3fc1c749a343b8befaefcc20d9")
+        "20d2914bb59ee500bb2d9297b4393f0a12d4546180c1c338f5a8e0e6134fb749")
 
 
 def test_condition_report_round_trip():
