@@ -13,6 +13,15 @@ with rho_k = (sigma_alpha(n_k) + tau*ell_hat*sigma_beta(n_k)) /
 (2 Q_S(n_k)^{1/2}); the module computes both sides independently so the
 identity is testable.
 
+All three stages are Fourier multipliers: each maps the coefficient at
+nu to a number times that coefficient, with no mixing of frequencies.
+So composite_apply projects first and runs M and the Riesz multiplier
+on the K frequencies of Lambda only; whatever operator_m and
+convolve_riesz would compute off Lambda, P throws away.  The factors at
+each n_k are computed once, by build_pipeline, from the same expressions
+operator_m uses, and applied in the same order, so the result is the
+stage-by-stage composite bit for bit.
+
 The correction part of M is evaluated by membership tests against the
 balls B_k (never by enumerating them), and its terms are built from the
 same floating-point expressions as the derivative part, so the
@@ -27,7 +36,9 @@ import numpy as np
 from .multiindex import derivative_multiplier, int_tuple, q_s_eval, symbol_eval
 from .riesz import riesz_coeffs
 from .trigpoly import (
+    CHOP,
     TrigPoly,
+    _above,
     paley_l2_norm,
     random_trigpoly,
     s1_l1_lower_bound,
@@ -37,12 +48,17 @@ from .trigpoly import (
 
 @dataclass
 class OperatorPipeline:
-    """A plan together with its Riesz measure and the constants rho_k."""
+    """A plan together with its Riesz measure and the constants rho_k.
+
+    on_lambda maps each n_k to (M factor, Riesz coefficient) at n_k, the
+    two multipliers composite_apply needs there.
+    """
 
     plan: object
     riesz: object
     rho_k: list
     sqrt_q: list
+    on_lambda: dict
 
 
 def ball_multiplicity(plan, m):
@@ -53,13 +69,33 @@ def ball_multiplicity(plan, m):
     mult = 0
     for k in range(1, plan.K + 1):
         center = plan.sequence[k - 1]
-        if sum(abs(a - b) for a, b in zip(m, center)) <= plan.radii[k - 1]:
+        radius = plan.radii[k - 1]
+        # the first coordinate alone already bounds the l1 distance
+        if abs(m[0] - center[0]) > radius:
+            continue
+        if sum(abs(a - b) for a, b in zip(m, center)) <= radius:
             mult += 1
     return mult
 
 
+def _m_factor(nu, plan):
+    """The multiplier of M at nu: d^alpha + tau*ell_hat*d^beta, minus,
+    when -nu lies in some B_k, the matching symbol factor once per
+    containment.  Both parts are computed through identical
+    floating-point expressions, so at -n_k they cancel to exactly zero.
+    """
+    a, b = plan.witness.alpha, plan.witness.beta
+    tau_ell = plan.tau * plan.ell_hat
+    factor = derivative_multiplier(a, nu) + tau_ell * derivative_multiplier(b, nu)
+    mult = ball_multiplicity(plan, tuple(-c for c in nu))
+    if mult:
+        factor = factor - mult * (symbol_eval(a, nu) + tau_ell * symbol_eval(b, nu))
+    return factor
+
+
 def build_pipeline(plan):
-    """Assemble the Riesz measure and the per-index constants rho_k.
+    """Assemble the Riesz measure, the per-index constants rho_k and the
+    multipliers of M and of the Riesz measure on Lambda.
 
     riesz_coeffs raises StageFailure at stage "riesz" when claim A or
     claim B fails on the plan's sequence."""
@@ -68,12 +104,15 @@ def build_pipeline(plan):
     tau_ell = plan.tau * plan.ell_hat
     rho = []
     roots = []
+    on_lambda = {}
     for n in plan.sequence:
         root = math.sqrt(float(q_s_eval(plan.smoothness, n)))
         val = (symbol_eval(a, n) + tau_ell * symbol_eval(b, n)) / (2.0 * root)
         rho.append(val)
         roots.append(root)
-    return OperatorPipeline(plan=plan, riesz=riesz, rho_k=rho, sqrt_q=roots)
+        on_lambda[n] = (_m_factor(n, plan), riesz.multiplier(n))
+    return OperatorPipeline(plan=plan, riesz=riesz, rho_k=rho, sqrt_q=roots,
+                            on_lambda=on_lambda)
 
 
 def paley_project(f, frequencies):
@@ -84,25 +123,12 @@ def paley_project(f, frequencies):
 
 
 def operator_m(f, pipeline):
-    """Apply M in one pass over the spectrum of f.
-
-    Each coefficient is multiplied by the derivative factor
-    d^alpha + tau*ell_hat*d^beta, minus, when the negated frequency lies
-    in some B_k, the matching symbol factor once per containment.  Both
-    factors are computed through identical floating-point expressions,
-    so at -n_k they cancel to exactly zero.
-    """
-    plan = pipeline.plan
-    a, b = plan.witness.alpha, plan.witness.beta
-    tau_ell = plan.tau * plan.ell_hat
+    """Apply M in one pass over the spectrum of f: each coefficient times
+    _m_factor at its frequency, dropped where the factor is zero, and
+    chopped at CHOP."""
     out = {}
     for nu, coeff in f.coeffs.items():
-        factor = derivative_multiplier(a, nu) + tau_ell * derivative_multiplier(b, nu)
-        mult = ball_multiplicity(plan, tuple(-c for c in nu))
-        if mult:
-            factor = factor - mult * (
-                symbol_eval(a, nu) + tau_ell * symbol_eval(b, nu)
-            )
+        factor = _m_factor(nu, pipeline.plan)
         if factor != 0:
             out[nu] = factor * coeff
     return TrigPoly(out, dim=f.dim, mdim=f.mdim).chop()
@@ -125,10 +151,24 @@ def coordinate_projection(f, pipeline):
 
 
 def composite_apply(f, pipeline):
-    """coordinate_projection(convolve_riesz(operator_m(f)))."""
-    return coordinate_projection(
-        convolve_riesz(operator_m(f, pipeline), pipeline.riesz), pipeline
-    )
+    """coordinate_projection(convolve_riesz(operator_m(f))), bit for bit.
+
+    The three stages are Fourier multipliers, so they commute with the
+    projection, and only the coefficients of f on Lambda can survive.
+    Those are taken in the order of f and sent through the same steps as
+    the stage-by-stage composite, with the factors build_pipeline
+    computed: v = factor * c, dropped if the factor is zero or v is at
+    most CHOP (operator_m's chop), then w * v, dropped if the Riesz
+    coefficient w is zero.
+    """
+    out = {}
+    for n, c in f.coeffs.items():
+        factor, w = pipeline.on_lambda.get(n, (0, 0))
+        if factor != 0 and w:
+            v = factor * c
+            if _above(v, CHOP):
+                out[n] = w * v
+    return TrigPoly(out, dim=f.dim, mdim=f.mdim)
 
 
 def composite_closed_form(f, pipeline):
@@ -143,24 +183,39 @@ def composite_closed_form(f, pipeline):
 
 def composite_relative_error(f, pipeline):
     """L2-coefficient distance between pipeline and closed form,
-    relative to the closed form (or to f when the closed form is 0)."""
-    got = composite_apply(f, pipeline)
+    relative to the closed form (or to f when the closed form is 0).
+
+    The distance is _coeff_l2(got - want) summed in one pass: the keys
+    of got, then those of want alone, as TrigPoly subtraction orders
+    them, with its chop at CHOP of want's coefficients and of each
+    difference.
+    """
+    got = composite_apply(f, pipeline).coeffs
     want = composite_closed_form(f, pipeline)
-    num = _coeff_l2(got - want)
+    total = 0.0
+    for n, g in got.items():
+        if n in want.coeffs and _above(want.coeffs[n], CHOP):
+            g = g - want.coeffs[n]
+        if _above(g, CHOP):
+            total += _square(g)
+    for n, v in want.coeffs.items():
+        if n not in got and _above(v, CHOP):
+            total += _square(v)
+    num = math.sqrt(total)
     den = _coeff_l2(want)
     if den == 0.0:
         den = _coeff_l2(f)
     return num / den if den else num
 
 
+def _square(v):
+    if isinstance(v, np.ndarray):
+        return float(np.sum(np.abs(v) ** 2))
+    return abs(v) ** 2
+
+
 def _coeff_l2(f):
-    total = 0.0
-    for v in f.coeffs.values():
-        if isinstance(v, np.ndarray):
-            total += float(np.sum(np.abs(v) ** 2))
-        else:
-            total += abs(v) ** 2
-    return math.sqrt(total)
+    return math.sqrt(sum(_square(v) for v in f.coeffs.values()))
 
 
 # ----------------------------------------------------------------------

@@ -93,7 +93,7 @@ def _composite_check(plan, pipeline, config):
         rng = np.random.default_rng([config.seed, 7, i])
         freqs = list(plan.sequence)
         draw = rng.integers(1, box + 1, size=(config.composite_terms, plan.smoothness.dim))
-        freqs.extend(tuple(int(c) for c in row) for row in draw)
+        freqs.extend(tuple(row) for row in draw.tolist())
         f = random_trigpoly(freqs, seed=int(rng.integers(0, 2**31)))
         worst = max(worst, composite_relative_error(f, pipeline))
     return worst

@@ -7,7 +7,8 @@ grow like t, while <gamma, c> <= 1 caps every other symbol, so the
 normalized symbol sizes rho_hat stay bounded away from zero along the
 whole sequence.
 
-The builder walks t_k = t0 * q^{k-1} and doubles t_k greedily until
+The builder walks t_k = t0 * q^{k-1} and doubles t_k the least number
+of times such that
   * the ball radius D_k = sum of all coordinates of n_1..n_{k-1} is
     strictly below min_j n_k(j)   (condition (i)),
   * the first coordinates grow by a factor >= 3 (Hadamard lacunarity),
@@ -182,8 +183,19 @@ def build_sequence(S, witness, K, t0, q, max_doublings=10000):
     """Construct a K-term plan on the witness power curve.
 
     t0 and q (both > 1) set the nominal schedule t_k = t0 * q^{k-1};
-    each t_k is then doubled until the plan invariants hold at index k.
-    The attached ConditionReport comes from check_conditions.
+    each t_k is then doubled until the plan invariants hold at index k:
+    t_k * 2^j for the least j in [0, max_doublings] at which n_k is
+    admissible, else ConstructionError.  The attached ConditionReport
+    comes from check_conditions.
+
+    The least j is found by galloping and bisection (_least_doubling),
+    not by trying j = 0, 1, 2, ... in turn, and both give the same j,
+    because admissibility is monotone in t: each coordinate max(1,
+    round(t^{c_i})) of n is nondecreasing in t, as c_i >= 0, and each
+    test of _admissible (min n > D_k, n(1) >= 3 n_{k-1}(1), min n >
+    min n_{k-1}) asks a coordinate or the minimum of n to exceed a
+    bound fixed by n_1 .. n_{k-1}, so once it holds it holds at every
+    larger t.
     """
     S = Smoothness.coerce(S)
     if isinstance(witness, (tuple, list)):
@@ -209,18 +221,12 @@ def build_sequence(S, witness, K, t0, q, max_doublings=10000):
     d_running = 0
     for k in range(1, K + 1):
         t = t0 * q ** (k - 1)
-        doubles = 0
-        while True:
-            n = tuple(max(1, round_rational_power(t, cj)) for cj in c)
-            if _admissible(n, points, d_running):
-                break
-            t *= 2
-            doubles += 1
-            if doubles > max_doublings:
-                raise ConstructionError(
-                    "doubling did not reach an admissible n_%d" % k
-                )
-        ts.append(t)
+        j, n = _least_doubling(t, c, points, d_running, max_doublings)
+        if n is None:
+            raise ConstructionError(
+                "doubling did not reach an admissible n_%d" % k
+            )
+        ts.append(t * 2**j)
         radii.append(d_running)
         points.append(n)
         d_running += sum(n)
@@ -244,6 +250,40 @@ def build_sequence(S, witness, K, t0, q, max_doublings=10000):
     )
     plan.report = check_conditions(S, plan)
     return plan
+
+
+def _least_doubling(t, c, points, d_running, max_doublings):
+    """(j, n) for the least j in [0, max_doublings] at which n = n(t 2^j)
+    is admissible, or (None, None) if there is none.
+
+    Probes j = 0, then gallops j = 1, 2, 4, ... (capped at max_doublings)
+    to the first admissible probe and bisects the gap behind it.
+    Admissibility is monotone in j (see build_sequence), so this finds
+    the j the plain loop j = 0, 1, 2, ... stops at.
+    """
+    def point(j):
+        return tuple(max(1, round_rational_power(t * 2**j, cj)) for cj in c)
+
+    n = point(0)
+    if _admissible(n, points, d_running):
+        return 0, n
+    lo, hi = 0, 1  # n(t 2^lo) is inadmissible
+    while True:
+        hi = min(hi, max_doublings)
+        if hi <= lo:
+            return None, None
+        n = point(hi)
+        if _admissible(n, points, d_running):
+            break
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:  # lo inadmissible, hi admissible with point n
+        mid = (lo + hi) // 2
+        m = point(mid)
+        if _admissible(m, points, d_running):
+            hi, n = mid, m
+        else:
+            lo = mid
+    return hi, n
 
 
 def _admissible(n, points, d_running):
@@ -364,8 +404,10 @@ def check_conditions(S, plan):
 def techprop_quantities(S, m, n):
     """The three closeness quantities between frequencies m and n.
 
-    q1 = |1 - Q_S(n)/Q_S(m)|; q2 and q3 are the l2 sizes of the
-    differences of the normalized symbols a_gamma = |sigma_gamma| /
+    q1 = |1 - Q_S(n)/Q_S(m)|, rounded once from the exact rational
+    |Q_S(n) - Q_S(m)| / Q_S(m), so it keeps its digits when the two
+    agree to more than double precision; q2 and q3 are the l2 sizes of
+    the differences of the normalized symbols a_gamma = |sigma_gamma| /
     Q_S^{1/2}, unsigned and with the phases of sigma_gamma.  None of
     them floats Q_S, so frequencies past double range are fine.  m and
     n must each hold S.dim integers (a bool is not one); anything else
@@ -379,7 +421,7 @@ def techprop_quantities(S, m, n):
         raise SingularFrequencyError(
             "Q_S vanishes at a frequency with a zero coordinate"
         )
-    q1 = abs(1.0 - float(Fraction(qn, qm)))
+    q1 = float(Fraction(abs(qn - qm), qm))
     q2sq = 0.0
     q3sq = 0.0
     for gamma in S:

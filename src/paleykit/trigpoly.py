@@ -395,17 +395,22 @@ def paley_l2_norm(f, smoothness, frequencies):
 
 def random_trigpoly(frequencies, mdim=None, seed=0):
     """Independent standard complex Gaussian coefficients on the given
-    frequencies (matrix entries i.i.d. when mdim is set)."""
-    rng = np.random.default_rng(seed)
+    frequencies (matrix entries i.i.d. when mdim is set).
+
+    One draw of shape (T, 2) or (T, 2, m, m) for T frequencies: the same
+    stream, in the same order, as a real and an imaginary part drawn per
+    frequency in turn.
+    """
     freqs = [int_tuple(n) for n in frequencies]
-    out = {}
-    for n in freqs:
-        if mdim is None:
-            out[n] = complex(rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2)
-        else:
-            re = rng.standard_normal((mdim, mdim))
-            im = rng.standard_normal((mdim, mdim))
-            out[n] = (re + 1j * im) / math.sqrt(2)
     if not freqs:
         raise ValueError("need at least one frequency")
+    rng = np.random.default_rng(seed)
+    out = {}
+    if mdim is None:
+        for n, (re, im) in zip(freqs, rng.standard_normal((len(freqs), 2)).tolist()):
+            out[n] = complex(re + 1j * im) / math.sqrt(2)
+    else:
+        draw = rng.standard_normal((len(freqs), 2, mdim, mdim))
+        for n, (re, im) in zip(freqs, draw):
+            out[n] = (re + 1j * im) / math.sqrt(2)
     return TrigPoly(out)

@@ -11,9 +11,21 @@ import numpy as np
 from paleykit import riesz
 from paleykit.crnorm import MatrixSequence
 from paleykit.errors import ConstructionError, InfeasibleError, UnboundedError
-from paleykit.multiindex import Smoothness, saturate
-from paleykit.operators import paley_ratio
-from paleykit.sequence import ball_count, techprop_quantities
+from paleykit.multiindex import Smoothness, int_tuple, saturate
+from paleykit.operators import (
+    _coeff_l2,
+    composite_closed_form,
+    convolve_riesz,
+    coordinate_projection,
+    operator_m,
+    paley_ratio,
+)
+from paleykit.sequence import (
+    _admissible,
+    ball_count,
+    round_rational_power,
+    techprop_quantities,
+)
 from paleykit.simplex import LPResult
 from paleykit.trigpoly import TrigPoly
 
@@ -48,6 +60,77 @@ def count_sign_patterns(monkeypatch):
 
     monkeypatch.setattr(riesz, "sign_patterns", counted)
     return calls
+
+
+def stepwise_doubling(c, K, t0, q, max_doublings=10000):
+    """The doubling of build_sequence one step at a time: for each k,
+    t = t0 q^{k-1} doubled until n(t) is admissible.  Returns (ts,
+    sequence, radii), or raises the ConstructionError build_sequence
+    raises.  It is the oracle that the galloping search must match."""
+    ts, points, radii = [], [], []
+    d_running = 0
+    for k in range(1, K + 1):
+        t = Fraction(t0) * Fraction(q) ** (k - 1)
+        doubles = 0
+        while True:
+            n = tuple(max(1, round_rational_power(t, cj)) for cj in c)
+            if _admissible(n, points, d_running):
+                break
+            t *= 2
+            doubles += 1
+            if doubles > max_doublings:
+                raise ConstructionError(
+                    "doubling did not reach an admissible n_%d" % k
+                )
+        ts.append(t)
+        radii.append(d_running)
+        points.append(n)
+        d_running += sum(n)
+    return ts, points, radii
+
+
+def composite_stagewise(f, pipeline):
+    """P(mu_R * M f) one stage after the other, over the whole spectrum
+    of f: the oracle that composite_apply must match bit for bit."""
+    return coordinate_projection(
+        convolve_riesz(operator_m(f, pipeline), pipeline.riesz), pipeline)
+
+
+def composite_relative_error_stagewise(f, pipeline):
+    """composite_relative_error through TrigPoly subtraction of the
+    stage-by-stage composite and the closed form."""
+    got = composite_stagewise(f, pipeline)
+    want = composite_closed_form(f, pipeline)
+    num = _coeff_l2(got - want)
+    den = _coeff_l2(want) or _coeff_l2(f)
+    return num / den if den else num
+
+
+def random_trigpoly_scalar_draws(frequencies, mdim=None, seed=0):
+    """random_trigpoly drawing the real and the imaginary part of each
+    coefficient in turn, one call each."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for n in frequencies:
+        n = int_tuple(n)
+        if mdim is None:
+            out[n] = complex(rng.standard_normal() + 1j * rng.standard_normal()) / math.sqrt(2)
+        else:
+            re = rng.standard_normal((mdim, mdim))
+            im = rng.standard_normal((mdim, mdim))
+            out[n] = (re + 1j * im) / math.sqrt(2)
+    return TrigPoly(out)
+
+
+def coeff_bits(f):
+    """The coefficients of f in order, each as its exact bits."""
+    out = []
+    for n, v in f.coeffs.items():
+        if isinstance(v, np.ndarray):
+            out.append((n, v.shape, v.tobytes()))
+        else:
+            out.append((n, v.real.hex(), v.imag.hex()))
+    return out
 
 
 def paley_oracle(smoothness, frequencies, sampler):

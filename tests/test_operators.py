@@ -20,10 +20,11 @@ from paleykit.operators import (
     paley_project,
     paley_ratio,
 )
-from paleykit.orchestrator import OrchestratorConfig, paley_probe
+from paleykit.orchestrator import OrchestratorConfig, paley_probe, run_construction
 from paleykit.property_o import find_witness
 from paleykit.sequence import build_sequence
 from paleykit.trigpoly import (
+    CHOP,
     TrigPoly,
     paley_l2_norm,
     random_trigpoly,
@@ -31,7 +32,12 @@ from paleykit.trigpoly import (
     sobolev_norm,
 )
 
-from helpers import paley_oracle
+from helpers import (
+    coeff_bits,
+    composite_relative_error_stagewise,
+    composite_stagewise,
+    paley_oracle,
+)
 
 S = Smoothness.from_indices(saturate({(2, 0), (0, 1)}))
 WITNESS = find_witness(S)
@@ -53,6 +59,16 @@ def test_ball_multiplicity_counts_every_containment():
     assert ball_multiplicity(fake, (11, 11)) == 2
     assert ball_multiplicity(fake, (10, 10)) == 2
     assert ball_multiplicity(fake, (20, 20)) == 0
+
+
+def test_ball_multiplicity_matches_the_l1_count():
+    rng = np.random.default_rng(5)
+    for n in PLAN.sequence[1:]:
+        for off in rng.integers(-200, 201, size=(200, 2)):
+            m = (n[0] + int(off[0]), n[1] + int(off[1]))
+            want = sum(sum(abs(a - b) for a, b in zip(m, c)) <= r
+                       for c, r in zip(PLAN.sequence, PLAN.radii))
+            assert ball_multiplicity(PLAN, m) == want
 
 
 def test_m_on_first_center():
@@ -169,6 +185,79 @@ def test_composite_matches_closed_form_on_mixed_input():
     assert composite_relative_error(f, PIPE) < 1e-12
     fm = random_trigpoly(freqs, mdim=3, seed=12)
     assert composite_relative_error(fm, PIPE) < 1e-12
+
+
+def _composite_inputs():
+    """Polynomials on Lambda, on -B_k (where M's correction is nonzero),
+    off Lambda and on the box, scalar and matrix valued, with
+    coefficients scaled from 1 down through CHOP."""
+    rng = np.random.default_rng(13)
+    lam = list(PLAN.sequence)
+    minus_balls = []
+    for n, r in zip(PLAN.sequence[1:], PLAN.radii[1:]):
+        minus_balls += [(-n[0] + int(a), -n[1] + int(b))
+                        for a, b in rng.integers(-r // 2, r // 2 + 1, size=(4, 2))]
+    minus_balls.append((-116, -15900))  # -(n_2 - n_1), a Riesz pattern
+    box = [(int(a), int(b)) for a, b in rng.integers(1, 50, size=(6, 2))]
+    off = [(127, 16000), (-10, -100), (0, 0), (10, -100)]
+    assert any(ball_multiplicity(PLAN, tuple(-c for c in m)) for m in minus_balls)
+    out = []
+    for i, freqs in enumerate([lam, minus_balls, off, box,
+                               lam + minus_balls + off + box,
+                               lam[::-1] + box + lam[:2]]):
+        for mdim in (None, 1, 3):
+            f = random_trigpoly(freqs, mdim=mdim, seed=i)
+            # TrigPoly * scalar would chop, so scale the map itself
+            out += [TrigPoly({n: v * 10.0 ** -e for n, v in f.coeffs.items()},
+                             mdim=mdim) for e in range(0, 36, 2)]
+    # on each n_k, |M factor * coefficient| around CHOP, where the
+    # stages' chop rules decide what survives
+    for s in (0.999999, 1.0, 1.000001, 1.5, 2.0, 2.000001, 3.0):
+        out.append(TrigPoly({n: s * CHOP / abs(PIPE.on_lambda[n][0]) * (0.6 + 0.8j)
+                             for n in lam}))
+    return out
+
+
+def test_composite_apply_is_the_stagewise_composite_bitwise():
+    for f in _composite_inputs():
+        got = composite_apply(f, PIPE)
+        want = composite_stagewise(f, PIPE)
+        assert (got.dim, got.mdim) == (want.dim, want.mdim)
+        assert coeff_bits(got) == coeff_bits(want)
+
+
+def test_composite_relative_error_is_the_stagewise_error_bitwise():
+    for f in _composite_inputs():
+        got = composite_relative_error(f, PIPE)
+        assert got.hex() == composite_relative_error_stagewise(f, PIPE).hex()
+
+
+@pytest.mark.parametrize("maximal, err", [
+    ({(2, 0), (0, 1)}, 2.4086619977865677e-16),
+    ({(3, 0), (2, 1), (0, 2)}, 0.0),
+    ({(2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)},
+     2.3151642850303917e-16),
+])
+def test_composite_max_rel_error_pinned(maximal, err):
+    s = Smoothness.from_indices(saturate(maximal))
+    rep = run_construction(s, OrchestratorConfig(matrix_dims=()))
+    assert rep.composite_max_rel_error.hex() == err.hex()
+
+
+def test_m_factor_evaluated_once_per_lambda_point(monkeypatch):
+    # a work count, not a timing: K factors per pipeline, none per
+    # composite sample
+    calls = []
+    original = operators._m_factor
+
+    def counted(nu, plan):
+        calls.append(nu)
+        return original(nu, plan)
+
+    monkeypatch.setattr(operators, "_m_factor", counted)
+    rep = run_construction(S, OrchestratorConfig(matrix_dims=()))
+    assert rep.config.composite_count == 25
+    assert calls == list(rep.plan.sequence)
 
 
 def test_closed_form_skips_missing_frequencies():

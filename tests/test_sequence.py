@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from paleykit import sequence
 from paleykit.errors import ConstructionError, SingularFrequencyError, StageFailure
 from paleykit.multiindex import Smoothness, q_s_eval, saturate, symbol_abs_int, symbol_eval
 from paleykit.property_o import find_witness
@@ -24,7 +25,7 @@ from paleykit.sequence import (
     techprop_quantities,
 )
 
-from helpers import _offsets, estimate_rho_de
+from helpers import _offsets, estimate_rho_de, stepwise_doubling
 
 
 def ref_smoothness():
@@ -117,6 +118,71 @@ def test_build_sequence_errors():
     bad = ((2, 0), (0, 1), (Fraction(1, 3), 1))
     with pytest.raises(ConstructionError):
         build_sequence(S, bad, 2, 100, 10)
+
+
+# (maximal members, t0, q): the exact_scan witness sets, two d = 3 sets,
+# one of them doubling t about 170 times per index, and the squared
+# schedules of a retry
+DOUBLING_CASES = [
+    ({(2, 0), (0, 1)}, 100, 10),
+    ({(3, 0), (2, 1), (0, 2)}, 100, 10),
+    ({(2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)}, 100, 10),
+    ({(2, 0, 0), (0, 1, 0), (0, 0, 2)}, 100, 10),
+    ({(1, 0, 0), (0, 2, 0), (0, 0, 3)}, 100, 10),
+    ({(2, 0), (0, 3)}, 100**2, 10**2),
+    ({(2, 0), (0, 3)}, 100**4, 10**4),
+]
+
+
+def _doublings(p):
+    return [(t / (p.t0 * p.q ** k)).numerator.bit_length() - 1
+            for k, t in enumerate(p.ts)]
+
+
+@pytest.mark.parametrize("maximal, t0, q", DOUBLING_CASES)
+def test_galloping_doubling_matches_one_step_loop(maximal, t0, q):
+    S = Smoothness.from_indices(saturate(maximal))
+    w = find_witness(S)
+    p = build_sequence(S, w, 4, t0, q)
+    assert (p.ts, p.sequence, p.radii) == stepwise_doubling(w.c, 4, t0, q)
+    # the plan needs exactly max(j_k) doublings: one fewer raises, at
+    # the same index k as the one-step loop
+    j_max = max(_doublings(p))
+    assert j_max > 0
+    with pytest.raises(ConstructionError) as exc:
+        build_sequence(S, w, 4, t0, q, max_doublings=j_max - 1)
+    with pytest.raises(ConstructionError) as oracle:
+        stepwise_doubling(w.c, 4, t0, q, max_doublings=j_max - 1)
+    assert str(exc.value) == str(oracle.value)
+    tight = build_sequence(S, w, 4, t0, q, max_doublings=j_max)
+    assert (tight.ts, tight.sequence) == (p.ts, p.sequence)
+
+
+def test_doubling_without_room_raises_at_the_first_index_that_needs_it():
+    S = ref_smoothness()
+    w = find_witness(S)
+    assert _doublings(ref_plan()) == [0, 4, 15, 40]
+    for max_doublings in (-1, 0, 3):
+        with pytest.raises(ConstructionError, match="n_2"):
+            build_sequence(S, w, 4, 100, 10, max_doublings=max_doublings)
+    with pytest.raises(ConstructionError, match="n_4"):
+        build_sequence(S, w, 4, 100, 10, max_doublings=39)
+
+
+def test_reference_build_round_rational_power_calls(monkeypatch):
+    # a work count, not a timing: j_k = 0, 4, 15, 40 doublings take
+    # 1 + 5 + 9 + 13 probes of 2 coordinates by galloping and bisection,
+    # against 63 probes (126 calls) one doubling at a time
+    calls = []
+    original = sequence.round_rational_power
+
+    def counted(t, c):
+        calls.append(t)
+        return original(t, c)
+
+    monkeypatch.setattr(sequence, "round_rational_power", counted)
+    ref_plan()
+    assert len(calls) == 56
 
 
 def test_estimate_ell():
@@ -256,6 +322,19 @@ def test_techprop_exact_values():
     assert q_s_eval(S, (101, 100)) == 20202
     assert q2 > 0 and abs(q2 - q3) < 1e-15
     assert techprop_quantities(S, (7, 9), (7, 9)) == (0.0, 0.0, 0.0)
+
+
+def test_techprop_q1_does_not_cancel():
+    # Q_S(n)/Q_S(m) = 1 + 4.000000006e-09 + O(1e-18): the exact rational
+    # rounded once, where 1 - float(ratio) kept only its first 8 digits
+    S = Smoothness.from_indices({(2, 0), (1, 0), (0, 0), (0, 1)})
+    q1, _, _ = techprop_quantities(S, (10**9, 5), (10**9 + 1, 5))
+    qm, qn = q_s_eval(S, (10**9, 5)), q_s_eval(S, (10**9 + 1, 5))
+    assert q1 == float(Fraction(qn - qm, qm)) == 4.000000006e-09
+    # past double precision, 1 - float(ratio) would be exactly 0.0
+    q1, _, _ = techprop_quantities(S, (10**180, 5), (10**180 + 1, 5))
+    assert q1 != 0.0
+    assert q1 == pytest.approx(4e-180, rel=1e-12)
 
 
 def test_techprop_decay():

@@ -17,7 +17,7 @@ from paleykit.trigpoly import (
     trace_norms,
 )
 
-from helpers import cos_factor_poly, grid_points
+from helpers import coeff_bits, cos_factor_poly, grid_points, random_trigpoly_scalar_draws
 
 
 def test_construction_and_cleanup():
@@ -435,3 +435,21 @@ def test_random_trigpoly_deterministic():
     f = random_trigpoly([(1, 2)], seed=9)
     g = random_trigpoly([(1, 2)], seed=9)
     assert f.coeffs == g.coeffs
+
+
+@pytest.mark.parametrize("mdim", [None, 1, 3])
+def test_random_trigpoly_matches_scalar_draws(mdim):
+    # one draw per polynomial is the stream of one draw per part, so the
+    # Paley probe's and the composite check's samples stay bit-identical;
+    # a repeated frequency keeps its first place and its last value
+    freqs = [(1, 2), (-3, 0), (7, 7), (1, 2), (0, 5)]
+    for seed in (0, 9, 2**31 - 1):
+        got = random_trigpoly(freqs, mdim=mdim, seed=seed)
+        want = random_trigpoly_scalar_draws(freqs, mdim=mdim, seed=seed)
+        assert (got.dim, got.mdim) == (want.dim, want.mdim)
+        assert coeff_bits(got) == coeff_bits(want)
+
+
+def test_random_trigpoly_needs_a_frequency():
+    with pytest.raises(ValueError, match="at least one frequency"):
+        random_trigpoly([])
