@@ -13,7 +13,6 @@ from .crnorm import (
     cr_norm,
     khintchine_envelope,
     khintchine_ratio,
-    unconditionality_ratio,
 )
 from .errors import (
     ConstructionError,
@@ -30,7 +29,6 @@ from .multiindex import (
     is_smoothness,
     q_s_eval,
     saturate,
-    symbol_eval,
 )
 from .operators import (
     OperatorPipeline,
@@ -53,7 +51,7 @@ from .orchestrator import (
     run_construction,
 )
 from .property_o import PropertyOWitness, find_witness, verify_witness
-from .riesz import RieszMeasure, riesz_coeffs, riesz_spectrum
+from .riesz import RieszMeasure, riesz_coeffs
 from .sequence import (
     ConditionReport,
     LacunaryPlan,

@@ -11,8 +11,8 @@ reported gap is proved, not estimated.  For scalar sequences the norm is
 the plain l2 norm and for L = 1 the trace norm; both ends of the bracket
 meet there.
 
-Also here: empirical Khintchine-type and unconditionality ratios for
-lacunary one-variable series with these matrix coefficients.
+Also here: empirical Khintchine ratios for lacunary one-variable series
+with these matrix coefficients.
 """
 
 import math
@@ -93,14 +93,6 @@ def _objective(ys, zs, out):
     # Gram sums are PSD up to rounding; clamp before the square roots
     w = np.linalg.eigvalsh(_gram_pair(ys, zs, out))
     return float(np.sqrt(np.clip(w, 0.0, None)).sum())
-
-
-def column_row_value(dec):
-    """Value of one decomposition: trace norms of the square roots of
-    the two Gram sums, i.e. the sums of the square roots of their
-    eigenvalues."""
-    m = dec.ys.shape[1]
-    return _objective(dec.ys, dec.zs, np.empty((2, m, m), complex))
 
 
 @dataclass
@@ -225,21 +217,6 @@ def khintchine_ratio(xs, freqs):
     so the ratio is at most 1 up to rounding."""
     num, cr = _khintchine(xs, freqs)
     return num / cr.value
-
-
-def unconditionality_ratio(a, xs, freqs):
-    """How much multiplying the coefficients by (a_k) can move the
-    L1(S1) norm of the lacunary series."""
-    xs = MatrixSequence.coerce(xs)
-    freqs = _validate_freqs(xs, freqs)
-    if len(a) != xs.length:
-        raise ValueError("need one scalar per matrix")
-    den = s1_l1_norm(_lacunary_poly(xs, freqs))
-    if den == 0.0:
-        raise ValueError("unconditionality ratio undefined for the zero series")
-    scaled = MatrixSequence([complex(c) * m for c, m in zip(a, xs.matrices)])
-    num = s1_l1_norm(_lacunary_poly(scaled, freqs))
-    return num / den
 
 
 def khintchine_envelope(count=100, seed=0, max_mdim=4, max_length=8):

@@ -180,17 +180,6 @@ def symbol_phase(gamma, x):
     return s * p
 
 
-def symbol_eval(gamma, x):
-    """sigma_gamma(x) = i^{|gamma|} x^gamma as a complex number.
-
-    Returns 0 when any coordinate of x is zero (including gamma = 0).
-    """
-    a = symbol_abs_int(gamma, x)
-    if a == 0:
-        return 0j
-    return symbol_phase(gamma, x) * float(a)
-
-
 def q_s_eval(smoothness, x):
     """Fundamental polynomial Q_S(x) = sum_{gamma in S} |sigma_gamma(x)|^2.
 

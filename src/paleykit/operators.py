@@ -2,30 +2,37 @@
 coordinate projection, composed into a closed-form Paley-type map.
 
 On a plan with sequence (n_k), witness (alpha, beta), and constants tau,
-ell_hat, the three stages act on a trigonometric polynomial f as
+ell, the three stages act on a trigonometric polynomial f as
 
-    M f      = d^alpha f + tau*ell_hat*d^beta f - corrections on -B_k,
+    M f      = d^alpha f + tau*ell*d^beta f - corrections on -B_k,
     M_R f    = f * mu_R            (Fourier multiplier by Riesz coeffs),
     P        = restriction of the spectrum to Lambda = {n_k}.
 
 Their composite collapses to   sum_k rho_k Q_S(n_k)^{1/2} f_hat(n_k) e_k
-with rho_k = (sigma_alpha(n_k) + tau*ell_hat*sigma_beta(n_k)) /
-(2 Q_S(n_k)^{1/2}); the module computes both sides independently so the
-identity is testable.
+with rho_k = (sigma_alpha(n_k) + tau*ell*sigma_beta(n_k)) /
+(2 Q_S(n_k)^{1/2}).
+
+The witness symbol, the multiplier of d^alpha + tau*ell*d^beta, is
+i^{|alpha|} W(nu) / den(ell) with W the exact integer of
+sequence.witness_numerator (its docstring has the derivation), the one
+formula check_conditions sums too.  M's correction removes the symbol
+once per ball B_k holding -nu (a membership test, never an enumeration
+of the ball), so M's multiplier is i^{|alpha|} W(nu) (1 - mult) /
+den(ell), one correctly rounded int division, and it vanishes on -B_k
+by integer arithmetic.  build_pipeline takes rho_k from M's multiplier
+at n_k, so comparing the composite with its closed form checks what the
+other two stages add, the Riesz coefficient 1/2 on each n_k and the
+projection; the rho_k bounds, which keep |rho_k| away from 0, check that
+no correction of M reaches Lambda.
 
 All three stages are Fourier multipliers: each maps the coefficient at
 nu to a number times that coefficient, with no mixing of frequencies.
 So composite_apply projects first and runs M and the Riesz multiplier
 on the K frequencies of Lambda only; whatever operator_m and
 convolve_riesz would compute off Lambda, P throws away.  The factors at
-each n_k are computed once, by build_pipeline, from the same expressions
+each n_k are computed once, by build_pipeline, with the _m_factor
 operator_m uses, and applied in the same order, so the result is the
 stage-by-stage composite bit for bit.
-
-The correction part of M is evaluated by membership tests against the
-balls B_k (never by enumerating them), and its terms are built from the
-same floating-point expressions as the derivative part, so the
-cancellation at frequencies -n_k is exact, not approximate.
 """
 
 import math
@@ -33,8 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiindex import derivative_multiplier, int_tuple, q_s_eval, symbol_eval
+from .multiindex import PHASES, int_tuple, order, q_s_eval
 from .riesz import riesz_coeffs
+from .sequence import witness_numerator
 from .trigpoly import (
     CHOP,
     TrigPoly,
@@ -79,38 +87,31 @@ def ball_multiplicity(plan, m):
 
 
 def _m_factor(nu, plan):
-    """The multiplier of M at nu: d^alpha + tau*ell_hat*d^beta, minus,
-    when -nu lies in some B_k, the matching symbol factor once per
-    containment.  Both parts are computed through identical
-    floating-point expressions, so at -n_k they cancel to exactly zero.
-    """
-    a, b = plan.witness.alpha, plan.witness.beta
-    tau_ell = plan.tau * plan.ell_hat
-    factor = derivative_multiplier(a, nu) + tau_ell * derivative_multiplier(b, nu)
+    """The multiplier of M at nu: the witness symbol i^{|alpha|} W(nu) /
+    den(ell) of witness_numerator, times 1 - mult for the number mult of
+    balls B_k that hold -nu, rounded once from the exact rational."""
     mult = ball_multiplicity(plan, tuple(-c for c in nu))
-    if mult:
-        factor = factor - mult * (symbol_eval(a, nu) + tau_ell * symbol_eval(b, nu))
-    return factor
+    w = witness_numerator(plan, nu) * (1 - mult)
+    return PHASES[order(plan.witness.alpha) % 4] * (w / plan.ell_exact.denominator)
 
 
 def build_pipeline(plan):
-    """Assemble the Riesz measure, the per-index constants rho_k and the
-    multipliers of M and of the Riesz measure on Lambda.
+    """Assemble the Riesz measure, the multipliers of M and of the Riesz
+    measure on Lambda, and the per-index constants rho_k = M factor at
+    n_k / (2 Q_S(n_k)^{1/2}).
 
     riesz_coeffs raises StageFailure at stage "riesz" when claim A or
     claim B fails on the plan's sequence."""
     riesz = riesz_coeffs(plan.sequence, plan.K)
-    a, b = plan.witness.alpha, plan.witness.beta
-    tau_ell = plan.tau * plan.ell_hat
     rho = []
     roots = []
     on_lambda = {}
     for n in plan.sequence:
         root = math.sqrt(float(q_s_eval(plan.smoothness, n)))
-        val = (symbol_eval(a, n) + tau_ell * symbol_eval(b, n)) / (2.0 * root)
-        rho.append(val)
+        factor = _m_factor(n, plan)
+        rho.append(factor / (2.0 * root))
         roots.append(root)
-        on_lambda[n] = (_m_factor(n, plan), riesz.multiplier(n))
+        on_lambda[n] = (factor, riesz.multiplier(n))
     return OperatorPipeline(plan=plan, riesz=riesz, rho_k=rho, sqrt_q=roots,
                             on_lambda=on_lambda)
 

@@ -123,9 +123,16 @@ def run_construction(s, config=None):
     """Execute every stage on the smoothness set and report.
 
     Raises StageFailure naming the first failing stage; in particular a
-    set without the required witness fails at stage property_o.
+    set without the required witness fails at stage property_o.  A
+    config with composite_count < 1 or retries < 0 raises ValueError,
+    since the composite check or the sequence stage would then report
+    on nothing.
     """
     config = config or OrchestratorConfig()
+    if config.composite_count < 1:
+        raise ValueError("need at least one composite sample")
+    if config.retries < 0:
+        raise ValueError("need retries >= 0")
     timings = {}
 
     t = time.perf_counter()

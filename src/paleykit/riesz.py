@@ -76,7 +76,3 @@ def riesz_coeffs(sequence, K):
         raise StageFailure("riesz", "claim_a_escape", {"frequency": escape})
     return RieszMeasure(sequence=sequence, K=K, coeffs=coeffs)
 
-
-def riesz_spectrum(sequence, K):
-    """The 3^K frequencies of the truncated product."""
-    return frozenset(riesz_coeffs(sequence, K).coeffs)

@@ -18,7 +18,9 @@ appear only in reported sums.
 
 The module also carries the finite-truncation checks of the four
 sequence conditions (condition (iv) summed over the Riesz spectrum
-points of each ball B_k, all of them, see check_conditions), and the
+points of each ball B_k, all of them, see check_conditions), the
+exact witness symbol those checks share with the operator M
+(witness_numerator), and the
 closeness quantities q1, q2, q3 of the fundamental-polynomial ratio
 together with their closed-form bounds, which certify the threshold
 rho(D, eps) (see closeness_bounds).
@@ -299,6 +301,32 @@ def _admissible(n, points, d_running):
     return True
 
 
+def witness_numerator(plan, nu):
+    """W(nu) = nu^alpha den(ell) + num(ell) nu^beta, an exact integer,
+    for the plan's witness (alpha, beta) and ell = plan.ell_exact, so
+    that the witness symbol is
+
+        sigma_alpha(nu) + tau*ell*sigma_beta(nu) = i^{|alpha|} W(nu) / den(ell).
+
+    The monomials are signed and take 0^0 = 1, the convention of the
+    derivative multipliers: W(nu) i^{|alpha|} / den(ell) is the
+    multiplier of d^alpha + tau*ell*d^beta at nu, which is the symbol
+    sum wherever nu has no zero coordinate.  Derivation: d^gamma
+    multiplies e_nu by prod_j (i nu_j)^{gamma_j} = i^{|gamma|} nu^gamma,
+    and tau = i^{|alpha|-|beta|} gives tau i^{|beta|} = i^{|alpha|}, so
+    the multiplier is i^{|alpha|} (nu^alpha + ell nu^beta).
+
+    At nu = -m with m in the open positive orthant, (-m)^gamma =
+    (-1)^{|gamma|} m^gamma, and alpha, beta have opposite parity, so
+    W(-m) = +-(m^alpha den(ell) - num(ell) m^beta): the witness symbol
+    at -m has modulus |m^alpha - ell m^beta|.
+    """
+    ell = plan.ell_exact
+    a, b = plan.witness.alpha, plan.witness.beta
+    return (math.prod(c**g for g, c in zip(a, nu)) * ell.denominator
+            + ell.numerator * math.prod(c**g for g, c in zip(b, nu)))
+
+
 def _normalized_symbol(gamma, n, qn):
     """a_gamma(n) = |sigma_gamma(n)| / Q_S(n)^{1/2} for qn = Q_S(n) > 0,
     squared by one correctly rounded int division, so nothing overflows."""
@@ -323,10 +351,11 @@ def check_conditions(S, plan):
       term(m) = |m^alpha - ell m^beta| / Q_S(m)^{1/2},
     to (iii) when d = 0, where m is the centre n_k, and to (iv)
     otherwise: the 3^{k-1} - 1 Riesz spectrum points of B_k other than
-    n_k.  The numerator is the exact integer |m^alpha den(ell) -
-    num(ell) m^beta| over den(ell), and int true division rounds it
-    correctly.  A plan with a point whose Q_S leaves double range
-    raises StageFailure("sequence", "q_s_overflow") naming its ball k.
+    n_k.  The numerator is the exact integer |W(-m)| = |m^alpha den(ell)
+    - num(ell) m^beta| of witness_numerator over den(ell), and int true
+    division rounds it correctly.  A plan with a point whose Q_S leaves
+    double range raises StageFailure("sequence", "q_s_overflow") naming
+    its ball k.
 
     Why (iv) sums term(m), and over these points only:
     (1) The correction part of operator_m lives on -B_k: at -m, m in
@@ -342,11 +371,9 @@ def check_conditions(S, plan):
         l1 sum.  So the convolved correction has L1 norm at most 1/2
         times the sum over spec(R_K) ∩ B_k, times ||f||_{W^{S,1}}.
     (4) Each modulus is term(m), the term (iii) sums at the centre, so
-        one expression serves both sums: with tau = i^{|alpha|-|beta|},
-        sigma_alpha(-m) + tau*ell*sigma_beta(-m) = i^{|alpha|}
-        ((-1)^{|alpha|} m^alpha + (-1)^{|beta|} ell m^beta), and alpha,
-        beta have opposite parity, so on the open positive orthant its
-        modulus is |m^alpha - ell m^beta|.
+        one expression serves both sums: the witness symbol at -m is
+        i^{|alpha|} W(-m) / den(ell), of modulus |m^alpha - ell m^beta|
+        on the open positive orthant (see witness_numerator).
     (5) These points are exactly spec(R_K) ∩ B_k minus n_k.  By claim A
         a spectrum point with last nonzero sign d_j lies in B_j (d_j =
         1) or -B_j (d_j = -1).  Condition (i) puts every ball in the
@@ -360,14 +387,13 @@ def check_conditions(S, plan):
         Riesz stage requires, makes them distinct.
     The gate sum_iv < 1 leaves the factor 1/2 of (2) as slack.
     """
-    alpha, beta = plan.witness.alpha, plan.witness.beta
     seq = plan.sequence
     dim = len(seq[0])
     cond_i = all(
         plan.radii[k - 1] < min(seq[k - 1]) for k in range(2, plan.K + 1)
     )
 
-    num_ell, den_ell = plan.ell_exact.numerator, plan.ell_exact.denominator
+    den_ell = plan.ell_exact.denominator
     sum_iii = sum_iv = 0.0
     for k in range(1, plan.K + 1):
         try:
@@ -376,8 +402,7 @@ def check_conditions(S, plan):
                 # condition (i) keeps every point of B_k in the open
                 # positive orthant
                 assert all(c > 0 for c in m), (k, m)
-                num = abs(symbol_abs_int(alpha, m) * den_ell
-                          - num_ell * symbol_abs_int(beta, m))
+                num = abs(witness_numerator(plan, tuple(-c for c in m)))
                 term = num / den_ell / math.sqrt(float(q_s_eval(S, m)))
                 if any(d):
                     sum_iv += term

@@ -145,10 +145,6 @@ def poly_from_json(d):
     return TrigPoly(coeffs, dim=d["dim"], mdim=d.get("mdim"))
 
 
-def matrixseq_to_json(ms):
-    return {"mdim": ms.mdim, "matrices": to_jsonable(ms.matrices)}
-
-
 def matrixseq_from_json(d):
     ms = MatrixSequence([_matrix(m) for m in d["matrices"]])
     if from_jsonable(int, d["mdim"]) != ms.mdim:

@@ -11,7 +11,7 @@ import numpy as np
 from paleykit import riesz
 from paleykit.crnorm import MatrixSequence
 from paleykit.errors import ConstructionError, InfeasibleError, UnboundedError
-from paleykit.multiindex import Smoothness, int_tuple, saturate
+from paleykit.multiindex import Smoothness, int_tuple, saturate, symbol_abs_int, symbol_phase
 from paleykit.operators import (
     _coeff_l2,
     composite_closed_form,
@@ -26,6 +26,7 @@ from paleykit.sequence import (
     round_rational_power,
     techprop_quantities,
 )
+from paleykit.serialization import to_jsonable
 from paleykit.simplex import LPResult
 from paleykit.trigpoly import TrigPoly
 
@@ -60,6 +61,31 @@ def count_sign_patterns(monkeypatch):
 
     monkeypatch.setattr(riesz, "sign_patterns", counted)
     return calls
+
+
+def symbol_eval(gamma, x):
+    """sigma_gamma(x) = i^{|gamma|} x^gamma as a float complex, 0 when
+    any coordinate of x is zero (including gamma = 0): the float witness
+    symbol's building block, an oracle that shares no formula with
+    sequence.witness_numerator."""
+    a = symbol_abs_int(gamma, x)
+    if a == 0:
+        return 0j
+    return symbol_phase(gamma, x) * float(a)
+
+
+def column_row_value(dec):
+    """Value of one decomposition y + z: the trace norms of (sum y^* y)^{1/2}
+    and (sum z z^*)^{1/2}, from the eigenvalues of the two Gram sums."""
+    col = np.einsum("kji,kjl->il", dec.ys.conj(), dec.ys)
+    row = np.einsum("kij,klj->il", dec.zs, dec.zs.conj())
+    return sum(float(np.sqrt(np.clip(np.linalg.eigvalsh(g), 0.0, None)).sum())
+               for g in (col, row))
+
+
+def matrixseq_to_json(ms):
+    """The JSON form of a MatrixSequence that matrixseq_from_json reads."""
+    return {"mdim": ms.mdim, "matrices": to_jsonable(ms.matrices)}
 
 
 def stepwise_doubling(c, K, t0, q, max_doublings=10000):

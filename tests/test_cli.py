@@ -21,12 +21,11 @@ from paleykit.property_o import find_witness
 from paleykit.sequence import build_sequence
 from paleykit.serialization import (
     canonical_dumps,
-    matrixseq_to_json,
     poly_to_json,
 )
 from paleykit.trigpoly import random_trigpoly
 
-from helpers import count_sign_patterns
+from helpers import count_sign_patterns, matrixseq_to_json
 
 REF = "0,0;1,0;0,1;2,0"
 S = Smoothness.from_indices(saturate({(2, 0), (0, 1)}))

@@ -9,15 +9,18 @@ from paleykit.crnorm import (
     CrNormResult,
     Decomposition,
     MatrixSequence,
-    column_row_value,
     cr_norm,
     khintchine_envelope,
     khintchine_ratio,
-    unconditionality_ratio,
 )
 from paleykit.trigpoly import trace_norm
 
-from helpers import KHINTCHINE_CELLS, cr_norm_descent, khintchine_cell_sample
+from helpers import (
+    KHINTCHINE_CELLS,
+    column_row_value,
+    cr_norm_descent,
+    khintchine_cell_sample,
+)
 
 
 def test_matrix_sequence_validation():
@@ -185,29 +188,6 @@ def test_khintchine_validation():
             khintchine_ratio(MatrixSequence([np.eye(2), np.eye(2)]), freqs)
     assert khintchine_ratio([np.eye(2), np.eye(2)], np.array([1, 3])) == \
         khintchine_ratio([np.eye(2), np.eye(2)], [1, 3])
-
-
-def test_unconditionality_identity_and_scaling():
-    xs = [1.0, 2.0, 3.0]
-    assert unconditionality_ratio([1, 1, 1], xs, [1, 3, 9]) == pytest.approx(
-        1.0, rel=1e-12)
-    assert unconditionality_ratio([2j, 2j, 2j], xs, [1, 3, 9]) == pytest.approx(
-        2.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        unconditionality_ratio([1, 1], xs, [1, 3, 9])
-    with pytest.raises(ValueError):
-        unconditionality_ratio([1, 1, 1], [0.0, 0.0, 0.0], [1, 3, 9])
-
-
-def test_unconditionality_signs_bounded():
-    rng = np.random.default_rng(7)
-    xs = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-          for _ in range(4)]
-    freqs = [1, 3, 9, 27]
-    for _ in range(5):
-        signs = rng.choice([-1.0, 1.0], size=4)
-        r = unconditionality_ratio(list(signs), xs, freqs)
-        assert 0.0 < r < 10.0
 
 
 def test_khintchine_envelope_anchor():

@@ -12,9 +12,10 @@ from paleykit.multiindex import (
     q_s_eval,
     saturate,
     symbol_abs_int,
-    symbol_eval,
     symbol_phase,
 )
+
+from helpers import symbol_eval
 
 
 def test_int_tuple_accepts_integers_only():

@@ -1,11 +1,12 @@
 import math
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from paleykit import operators
-from paleykit.multiindex import Smoothness, derivative_multiplier, saturate
+from paleykit.multiindex import PHASES, Smoothness, saturate
 from paleykit.operators import (
     PaleySampler,
     ball_multiplicity,
@@ -106,18 +107,70 @@ def test_m_linearity():
         assert abs(v) < 1e-9
 
 
+def _exact_m_factor(plan, nu):
+    """i^{|alpha|} (nu^alpha + ell nu^beta) (1 - mult), rounded once from
+    the exact rational: signed monomials of Python ints with 0^0 = 1, and
+    mult the number of balls B_k that hold -nu, counted in l1."""
+    a, b = plan.witness.alpha, plan.witness.beta
+    ell = plan.ell_exact
+    w = (math.prod(c**g for g, c in zip(a, nu)) * ell.denominator
+         + ell.numerator * math.prod(c**g for g, c in zip(b, nu)))
+    mult = sum(sum(abs(x + c) for x, c in zip(nu, center)) <= r
+               for center, r in zip(plan.sequence, plan.radii))
+    return PHASES[sum(a) % 4] * float(Fraction(w * (1 - mult), ell.denominator))
+
+
 def test_m_overlapping_balls_subtract_twice():
     fake_plan = types.SimpleNamespace(
         K=2, sequence=[(10, 10), (12, 12)], radii=[5, 5],
-        witness=WITNESS, tau=PLAN.tau, ell_hat=PLAN.ell_hat,
+        witness=WITNESS, ell_exact=PLAN.ell_exact,
     )
     fake = types.SimpleNamespace(plan=fake_plan)
     nu = (-11, -11)
     got = operator_m(TrigPoly({nu: 1.0}), fake).coeffs[nu]
-    tl = PLAN.tau * PLAN.ell_hat
-    want = -(derivative_multiplier(WITNESS.alpha, nu)
-             + tl * derivative_multiplier(WITNESS.beta, nu))
-    assert got == want
+    assert ball_multiplicity(fake_plan, (11, 11)) == 2
+    assert got == _exact_m_factor(fake_plan, nu)
+    assert got != 0
+
+
+def _m_factor_points(plan, count, seed):
+    """Seeded frequencies for the M factor: a box with zero and negative
+    coordinates, points of -B_k for every k, and +-n_k."""
+    rng = np.random.default_rng(seed)
+    dim = len(plan.sequence[0])
+    out = [tuple(-c for c in n) for n in plan.sequence] + list(plan.sequence)
+    box = rng.integers(-300, 301, size=(count, dim))
+    box[rng.random((count, dim)) < 0.2] = 0
+    out += [tuple(row) for row in box.tolist()]
+    for n, r in zip(plan.sequence, plan.radii):
+        for _ in range(count // plan.K):
+            off = rng.integers(-(r // dim), r // dim + 1, size=dim)
+            out.append(tuple(-(c + int(o)) for c, o in zip(n, off)))
+    return out
+
+
+M_FACTOR_PLANS = {
+    "S_ref": saturate({(2, 0), (0, 1)}),
+    "S3021": saturate({(3, 0), (2, 1), (0, 2)}),
+    "d4": saturate({(2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(M_FACTOR_PLANS))
+def test_m_factor_is_the_exact_multiplier_rounded_once(name):
+    s = Smoothness.from_indices(M_FACTOR_PLANS[name])
+    plan = run_construction(s, OrchestratorConfig(matrix_dims=())).plan
+    points = _m_factor_points(plan, 1500, seed=17)
+    if name == "d4":
+        # the float symbol rounded ell before it subtracted: 2e-7 off here
+        points.append((-12, -144, 208, -52))
+    on_balls = 0
+    for nu in points:
+        got = operators._m_factor(nu, plan)
+        assert got == _exact_m_factor(plan, nu), nu
+        on_balls += got == 0 and any(nu)
+    # most points lie on some -B_k, where the factor is exactly 0
+    assert on_balls >= 1000
 
 
 def test_convolve_riesz_multipliers():

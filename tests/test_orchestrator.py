@@ -40,17 +40,39 @@ def test_full_run_succeeds(tiny_report):
         "15e13866f5270df7753a8c4c52f474c51d8ce28000246466f998ad63ccd1c236")
 
 
-def test_report_bytes_pinned_with_the_schema_version():
+D4 = {(2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)}
+
+
+@pytest.mark.parametrize("maximal, config, pin", [
+    ({(2, 0), (0, 1)}, dict(K=2, composite_count=3),
+     "88e162d20b20d0a90ba7e303bdfbbc7d06454343237161c8b7c0b237b0eab78a"),
+    ({(2, 0), (0, 1)}, {},
+     "135006ed676391a2b8df6362e6791c91e19f25e8d88835091f01e056d4a46a63"),
+    ({(3, 0), (2, 1), (0, 2)}, {},
+     "17c90b257078592e1e1f09a8337ba88331cd089dcb7f3ad62b0997fddfd71296"),
+    (D4, {},
+     "850dc8195c6791a0ca5bd5edd999b8a67263eda394533fbdc4bd9b97b6c079f3"),
+    ({(2, 0), (0, 3)}, {},
+     "615ecfcdfaedaa70190fe7ec2db3e21a958d5a0ffe14c6ce966e8704dbe387fb"),
+], ids=["S_ref_K2", "S_ref", "S3021", "d4", "S_retry"])
+def test_report_bytes_pinned_with_the_schema_version(maximal, config, pin):
     # replay forgives 1e-12 relative, so a report field that moves in its
     # last bits needs a new SCHEMA_VERSION and a new pin here; the Paley
     # block stays out, as its eigenvalue bits depend on the BLAS
-    rep = run_construction(S, OrchestratorConfig(K=2, matrix_dims=(),
-                                                 composite_count=3))
+    s = Smoothness.from_indices(saturate(maximal))
+    rep = run_construction(s, OrchestratorConfig(matrix_dims=(), **config))
     d = report_to_json(rep)
     d.pop("timings")
     digest = hashlib.sha256(canonical_dumps(d).encode()).hexdigest()
-    assert (SCHEMA_VERSION, digest) == (
-        3, "88e162d20b20d0a90ba7e303bdfbbc7d06454343237161c8b7c0b237b0eab78a")
+    assert (SCHEMA_VERSION, digest) == (3, pin)
+
+
+@pytest.mark.parametrize("field, value", [("composite_count", 0), ("retries", -1)])
+def test_config_that_empties_a_gate_is_rejected(field, value):
+    # zero composite samples would report an error of 0.0, and retries
+    # -1 would fail the sequence stage without building a plan
+    with pytest.raises(ValueError, match="need"):
+        run_construction(S, OrchestratorConfig(matrix_dims=(), **{field: value}))
 
 
 def test_retry_squares_the_schedule():

@@ -4,7 +4,7 @@ import pytest
 from paleykit.errors import StageFailure
 from paleykit.multiindex import Smoothness, saturate
 from paleykit.property_o import find_witness
-from paleykit.riesz import riesz_coeffs, riesz_spectrum
+from paleykit.riesz import riesz_coeffs
 from paleykit.sequence import build_sequence
 
 from helpers import cos_factor_poly, grid_points, riesz_poly
@@ -38,8 +38,8 @@ def test_k2_cross_coefficient():
 
 def test_spectrum_sizes():
     p = ref_plan(3)
-    assert len(riesz_spectrum(p.sequence, 3)) == 27
-    assert (0, 0) in riesz_spectrum(p.sequence, 2)
+    assert len(riesz_coeffs(p.sequence, 3).coeffs) == 27
+    assert (0, 0) in riesz_coeffs(p.sequence, 2).coeffs
 
 
 def _failure(sequence, K):

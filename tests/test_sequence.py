@@ -8,9 +8,9 @@ import pytest
 
 from paleykit import sequence
 from paleykit.errors import ConstructionError, SingularFrequencyError, StageFailure
-from paleykit.multiindex import Smoothness, q_s_eval, saturate, symbol_abs_int, symbol_eval
+from paleykit.multiindex import Smoothness, q_s_eval, saturate, symbol_abs_int
 from paleykit.property_o import find_witness
-from paleykit.riesz import riesz_spectrum
+from paleykit.riesz import riesz_coeffs
 from paleykit.sequence import (
     ball_count,
     bk_radius,
@@ -25,7 +25,7 @@ from paleykit.sequence import (
     techprop_quantities,
 )
 
-from helpers import _offsets, estimate_rho_de, stepwise_doubling
+from helpers import _offsets, estimate_rho_de, stepwise_doubling, symbol_eval
 
 
 def ref_smoothness():
@@ -258,7 +258,7 @@ def test_check_conditions_sums_the_spectrum_in_each_ball(maximal, K):
     # is at most the full lattice-ball sum
     S = Smoothness.from_indices(saturate(maximal))
     p = build_sequence(S, find_witness(S), K, 2, 2)
-    spectrum = riesz_spectrum(p.sequence, K)
+    spectrum = set(riesz_coeffs(p.sequence, K).coeffs)
     spec_sum = full_sum = 0.0
     for k in range(1, K + 1):
         center = p.sequence[k - 1]

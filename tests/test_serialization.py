@@ -14,7 +14,6 @@ from paleykit.serialization import (
     canonical_dumps,
     from_jsonable,
     matrixseq_from_json,
-    matrixseq_to_json,
     plan_digest,
     plan_from_json,
     poly_from_json,
@@ -22,6 +21,8 @@ from paleykit.serialization import (
     to_jsonable,
 )
 from paleykit.trigpoly import random_trigpoly
+
+from helpers import matrixseq_to_json
 
 S = Smoothness.from_indices(saturate({(2, 0), (0, 1)}))
 WITNESS = find_witness(S)
