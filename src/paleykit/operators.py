@@ -50,7 +50,7 @@ from .trigpoly import (
     paley_l2_norm,
     random_trigpoly,
     s1_l1_lower_bound,
-    s1_l1_norm,
+    s1_l1_norm_unless,
 )
 
 
@@ -245,9 +245,17 @@ def paley_ratio(f, smoothness, frequencies, n_points=None, best=None):
     if best is not None:
         terms = [s1_l1_lower_bound(p, n_points) for p in parts]
     for j in sorted(range(len(parts)), key=lambda j: -terms[j]):
-        if best is not None and num <= best * sum(terms) * (1.0 - PALEY_MARGIN):
+        stop = None
+        if best is not None:
+            def stop(bound, j=j):
+                # bound, like every entry of terms, is at most its E_gamma
+                lows = terms[:j] + [bound] + terms[j + 1:]
+                return num <= best * sum(lows) * (1.0 - PALEY_MARGIN)
+            if stop(terms[j]):
+                return None
+        terms[j] = s1_l1_norm_unless(parts[j], stop, n_points)
+        if terms[j] is None:
             return None
-        terms[j] = s1_l1_norm(parts[j], n_points)
     return num / sum(terms)
 
 
@@ -273,9 +281,15 @@ class PaleySampler:
     grid_n: int = None
 
     def mdims(self):
-        if isinstance(self.mdim, int):
-            return (self.mdim,)
-        return tuple(int(m) for m in self.mdim)
+        """The matrix dimensions as a tuple of distinct Python ints, each
+        at least 1.  mdim is one integer or a sequence of them; numpy
+        integers pass, while a bool, a float, a repeat or a dimension
+        below 1 raises ValueError."""
+        dims = int_tuple((self.mdim,) if np.ndim(self.mdim) == 0 else self.mdim)
+        if not dims or len(set(dims)) != len(dims) or min(dims) < 1:
+            raise ValueError("need distinct matrix dimensions, each at least 1, "
+                             "got %r" % (dims,))
+        return dims
 
     def draw(self, m, i):
         """Sample i of matrix dimension m, from the stream (seed, m, i)
@@ -310,10 +324,17 @@ def estimate_paley_constant(smoothness, frequencies, sampler):
         num <= best * sum_gamma (E_gamma if computed, else L_gamma)
                     * (1 - PALEY_MARGIN),
 
-    since then num / sum E_gamma < best.  A sample that finishes sums its
-    E_gamma in the order of S, exactly as sobolev_norm does, so every
-    per-m sup and argmax is the one of the plain loop over paley_ratio,
-    bit for bit; a tie never replaces an earlier index.
+    since then num / sum E_gamma < best.  An exact term at m >= 3 also
+    checks part-way: s1_l1_norm_unless computes the grid trace norms in
+    blocks of GRAM_BLOCK, and before each block it puts in place of its
+    E_gamma the bound (norms computed so far + ell over the nodes not yet
+    normed) / N^d, where ell = polar_minorant(d^gamma f) <= the trace norm
+    at every node and has grid mean L_gamma; the bound rises from
+    L_gamma to E_gamma, and the sample stops as soon as the rule above
+    holds with it.  A sample that finishes sums its E_gamma in the order
+    of S, exactly as sobolev_norm does, so every per-m sup and argmax is
+    the one of the plain loop over paley_ratio, bit for bit; a tie never
+    replaces an earlier index.
 
     The margin covers rounding, which can push a computed L_gamma above
     the computed E_gamma although L_gamma <= E_gamma exactly.  Both
@@ -325,17 +346,24 @@ def estimate_paley_constant(smoothness, frequencies, sampler):
     relative (E_gamma >= sum_r ||B_r||_F^2 / sum_k ||c_k||_F by discrete
     Parseval); trace_norms adds its stated c m^2 u / (2 sqrt(GRAM_TAU)),
     about c * 3.6e-13 at m = 8, and the sums and the quotient a few u
-    more.  At T = 9, m = 8 that is below 1e-12 relative, and PALEY_MARGIN
-    = 1e-6 holds for kappa up to about 10^8: it fails only if every bin
-    cancels to about 1e-3 of its coefficients' size, where the grid
-    values are themselves mostly rounding.
+    more.  The part-way bound adds the rounding of ell: the polar factor
+    from the SVD is unitary to a few m u, the coefficients tr(U^H c_k)
+    are off by about 2 m sqrt(m) u ||c_k||_F, and the scalar evaluation
+    sums T terms with phases accurate to a few u, so each ell(x_t) is off
+    by at most about (T + 2m + d + 4) sqrt(m) u sum_k ||c_k||_F, that is
+    (T + 2m + d + 4) sqrt(m) kappa u relative to E_gamma, the same order
+    as the grid values; the norms it adds are the computed ones E_gamma
+    is the mean of.  At T = 9, m = 8 all of this is below 1e-12
+    relative, and PALEY_MARGIN = 1e-6 holds for kappa up to about 10^8:
+    it fails only if every bin cancels to about 1e-3 of its
+    coefficients' size, where the grid values are themselves mostly
+    rounding.
     """
     if sampler.count < 1:
         raise ValueError("need at least one sample")
+    if sampler.terms < 0:
+        raise ValueError("need terms >= 0")
     mdims = sampler.mdims()
-    if not mdims or len(set(mdims)) != len(mdims) or min(mdims) < 1:
-        raise ValueError("need distinct matrix dimensions, each at least 1, "
-                         "got %r" % (mdims,))
     lam = [int_tuple(n) for n in frequencies]
     per_dim = {}
     for m in mdims:

@@ -9,12 +9,14 @@ from the report's own inputs and compares field by field, which is the
 artifact's reproducibility guarantee.
 """
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import StageFailure
+from .multiindex import int_tuple
 from .operators import (
     PaleySampler,
     build_pipeline,
@@ -106,6 +108,22 @@ def _rho_bounds_ok(plan, pipeline):
     return all(lo - slack <= abs(r) <= hi + slack for r in pipeline.rho_k)
 
 
+def _check_paley_config(config):
+    """Raise ValueError unless the Paley probe can run on config: matrix
+    dimensions as PaleySampler.mdims() takes them, after int_tuple, and
+    integers paley_count >= 1, paley_terms >= 0, paley_box >= 0 and
+    grid_n >= 1 (or None, each derivative on its default grid)."""
+    PaleySampler(mdim=int_tuple(config.matrix_dims)).mdims()
+    for name, low in (("paley_count", 1), ("paley_terms", 0),
+                      ("paley_box", 0), ("grid_n", 1)):
+        value = getattr(config, name)
+        if value is None and name == "grid_n":
+            continue
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+                or value < low:
+            raise ValueError("need an integer %s >= %d, got %r" % (name, low, value))
+
+
 def paley_probe(plan, config):
     """The plan's empirical Paley probe: config.paley_terms draws from
     the box [1, paley_box]^2 (no support off d = 2) plus n_1 in every
@@ -114,7 +132,7 @@ def paley_probe(plan, config):
     support = [(i, j) for i in box for j in box] if plan.smoothness.dim == 2 else []
     sampler = PaleySampler(count=config.paley_count, support=tuple(support),
                            always=(plan.sequence[0],), terms=config.paley_terms,
-                           mdim=tuple(config.matrix_dims), seed=config.seed,
+                           mdim=int_tuple(config.matrix_dims), seed=config.seed,
                            grid_n=config.grid_n)
     return estimate_paley_constant(plan.smoothness, plan.sequence, sampler)
 
@@ -126,13 +144,16 @@ def run_construction(s, config=None):
     set without the required witness fails at stage property_o.  A
     config with composite_count < 1 or retries < 0 raises ValueError,
     since the composite check or the sequence stage would then report
-    on nothing.
+    on nothing, and so does one the Paley probe cannot run on (see
+    _check_paley_config), before any stage runs.
     """
     config = config or OrchestratorConfig()
     if config.composite_count < 1:
         raise ValueError("need at least one composite sample")
     if config.retries < 0:
         raise ValueError("need retries >= 0")
+    if config.matrix_dims:
+        _check_paley_config(config)
     timings = {}
 
     t = time.perf_counter()

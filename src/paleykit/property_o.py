@@ -98,14 +98,23 @@ def find_witness(smoothness):
     its tableau, and hence the returned optimizer c and t_star, is the
     one that scan would solve: the result equals the full scan's bit for
     bit, and repeated runs agree.
+
+    The pair LP is symmetric in alpha and beta (the same constraints in
+    another order), so (alpha, beta) and (beta, alpha) have one verdict.
+    The scan returns at the first pair that qualifies, so the mirror of
+    any pair solved before can only fail, and it is skipped: each
+    unordered pair is solved at most once, and the first qualifying
+    pair is the same.
     """
     S = Smoothness.coerce(smoothness)
     members = S.sorted_indices()
     tops = S.maximal()
+    solved = set()
     for alpha in tops:
         for beta in tops:
-            if (order(alpha) - order(beta)) % 2 == 0:
+            if (order(alpha) - order(beta)) % 2 == 0 or (beta, alpha) in solved:
                 continue
+            solved.add((alpha, beta))
             try:
                 res = _pair_lp(S.dim, members, alpha, beta)
             except (InfeasibleError, UnboundedError):

@@ -31,9 +31,13 @@ ill-conditioned (see ``trace_norms`` for the guards and the error bound).
 the coefficients binned by residue mod N and signed by (-1)^{|n|} are the
 grid's discrete Fourier coefficients, and by the triangle inequality the
 largest trace norm among them is at most the mean, in any d and under
-aliasing.  The Paley probe uses it to skip samples that cannot raise its
-sup (see ``operators.estimate_paley_constant`` for the skip rule and the
-rounding margin).
+aliasing.  ``polar_minorant`` turns the largest bin into a real function
+below the pointwise trace norm with that bound as its grid mean, so the
+exact norms of the nodes done plus the minorant over the rest bound the
+mean at every step of ``s1_l1_norm_unless``.  The Paley probe uses both
+to skip samples that cannot raise its sup (see
+``operators.estimate_paley_constant`` for the skip rule and the rounding
+margin).
 """
 
 import math
@@ -342,9 +346,18 @@ def s1_l1_norm(f, n_points=None):
     Scalar polynomials are treated as 1 x 1 matrices, so this coincides
     with the plain L^1 norm there.
     """
-    if not f.is_matrix_valued():
-        return lp_norm(f, 1, n_points)
-    return float(trace_norms(f.evaluate(n_points)).mean())
+    return s1_l1_norm_unless(f, None, n_points)
+
+
+def _bins(f, n):
+    """B_r = sum_{n_k = r mod N} (-1)^{|n_k|} c_k, keyed by the residue
+    r in [0, N)^d, in the order the residues first occur in f."""
+    bins = {}
+    for k, v in f.coeffs.items():
+        r = tuple(c % n for c in k)
+        v = _grid_signed(k, v)
+        bins[r] = bins[r] + v if r in bins else v
+    return bins
 
 
 def s1_l1_lower_bound(f, n_points=None):
@@ -359,18 +372,85 @@ def s1_l1_lower_bound(f, n_points=None):
     computes.  This holds in any d and whatever the aliasing; the bound
     is max_r ||B_r||_1, at a cost of O(T m^2) plus one trace norm per bin.
     """
-    n = f._grid_n(n_points)
-    bins = {}
-    for k, v in f.coeffs.items():
-        r = tuple(c % n for c in k)
-        v = _grid_signed(k, v)
-        bins[r] = bins[r] + v if r in bins else v
+    bins = _bins(f, f._grid_n(n_points))
     if not bins:
         return 0.0
     vals = np.array(list(bins.values()), dtype=complex)
     if not f.is_matrix_valued():
         return float(np.abs(vals).max())
     return float(trace_norms(vals).max())
+
+
+def polar_minorant(f, n_points=None):
+    """Grid values, flattened in ``evaluate``'s order, of a real function
+    ell with ell(x_t) <= ||f(x_t)||_1 at every node and grid mean
+    s1_l1_lower_bound(f, n_points); f is matrix valued.
+
+    Take the bin B = B_{r*} of largest trace norm (see
+    ``s1_l1_lower_bound``) and the unitary polar factor U = W V^H of its
+    SVD B = W Sigma V^H, so that tr(U^H B) = ||B||_1.  Then
+
+        ell(x_t) = Re tr(U^H w^{-<r*,t>} f(x_t))
+                 = Re sum_r tr(U^H B_r) w^{<r - r*,t>}.
+
+    Since |tr(V a)| <= ||a||_1 for every unitary V, ell <= ||f||_1
+    pointwise, and the grid mean of ell keeps only the term r = r*,
+    Re tr(U^H B) = ||B||_1.  On the grid w^{<n,t>} = (-1)^{|n|}
+    e^{i<n,x_t>}, so ell is (-1)^{|r*|} times the real part of the
+    scalar polynomial with coefficient tr(U^H c_k) at n_k - r*: one SVD
+    of an m x m matrix and one scalar evaluation, O(T m^2 + T N^d).
+    """
+    n = f._grid_n(n_points)
+    bins = _bins(f, n)
+    if not bins:
+        return np.zeros(n ** f.dim)
+    keys = list(bins)
+    r_star = keys[int(np.argmax(trace_norms(np.array([bins[r] for r in keys]))))]
+    w, _, vh = np.linalg.svd(bins[r_star])
+    u_adj = (w @ vh).conj().T
+    g = TrigPoly({tuple(a - b for a, b in zip(k, r_star)): np.trace(u_adj @ c)
+                  for k, c in f.coeffs.items()}, dim=f.dim)
+    vals = g.evaluate(n).real.reshape(-1)
+    return -vals if sum(r_star) % 2 else vals
+
+
+def s1_l1_norm_unless(f, stop, n_points=None):
+    """s1_l1_norm(f, n_points), or None as soon as a certified lower
+    bound b on it makes stop(b) true.
+
+    At m >= 3 the trace norms of the N^d grid values are computed in
+    blocks of GRAM_BLOCK, in ``evaluate``'s order.  Before each block
+    after the first, with the norms of the nodes t < lo known and
+    ell = polar_minorant(f, n_points) <= ||f(x_t)||_1,
+
+        b = (sum_{t < lo} ||f(x_t)||_1 + sum_{t >= lo} ell(x_t)) / N^d
+
+    is at most the grid mean: it would read s1_l1_lower_bound(f) at
+    lo = 0 and reads the mean itself once every node is normed.  ell is
+    computed at the first such check, so never when stop is None.  At
+    m <= 2 the trace norms are closed forms, cheap next to the
+    evaluation, and are taken in one call with no check.
+
+    A call that does not stop hands trace_norms the blocks it cuts
+    itself, whose norms do not depend on the stack around them, and
+    takes the mean of all N^d norms: the same value, bit for bit, as one
+    trace_norms call on the whole grid.
+    """
+    if not f.is_matrix_valued():
+        return lp_norm(f, 1, n_points)
+    m = f.mdim
+    vals = f.evaluate(n_points).reshape(-1, m, m)
+    norms = np.empty(len(vals))
+    step = GRAM_BLOCK if m >= 3 else len(vals)
+    ell = None
+    for lo in range(0, len(vals), step):
+        if lo and stop is not None:
+            if ell is None:
+                ell = polar_minorant(f, n_points)
+            if stop((norms[:lo].sum() + ell[lo:].sum()) / len(vals)):
+                return None
+        norms[lo:lo + step] = trace_norms(vals[lo:lo + step])
+    return float(norms.mean())
 
 
 def sobolev_norm(f, smoothness, n_points=None):

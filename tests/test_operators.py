@@ -1,11 +1,12 @@
 import math
+import sys
 import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from paleykit import operators
+from paleykit import operators, trigpoly
 from paleykit.multiindex import PHASES, Smoothness, saturate
 from paleykit.operators import (
     PaleySampler,
@@ -359,6 +360,21 @@ def test_estimate_paley_constant_rejects_bad_mdim(mdim):
             count=1, always=[(4, 16)], mdim=mdim))
 
 
+def test_sampler_dimensions_go_through_int_tuple():
+    assert PaleySampler(mdim=np.int64(4)).mdims() == (4,)
+    assert PaleySampler(mdim=[1, np.int64(3)]).mdims() == (1, 3)
+    assert type(PaleySampler(mdim=np.int64(4)).mdims()[0]) is int
+    for bad in (True, 2.7, (1, True), (2.0,)):
+        with pytest.raises(ValueError, match="need integers"):
+            PaleySampler(mdim=bad).mdims()
+
+
+def test_estimate_paley_constant_rejects_negative_terms():
+    with pytest.raises(ValueError, match="need terms"):
+        estimate_paley_constant(S, [(4, 16)], PaleySampler(
+            count=1, support=[(1, 1)], always=[(4, 16)], terms=-1))
+
+
 def test_reference_probe_pinned():
     # the reference plan's probe in every matrix dimension, pinned at
     # the values of the inverse-FFT evaluator with per-point SVDs: a new
@@ -445,6 +461,16 @@ def test_inflated_bound_fails_oracle(monkeypatch):
                for seed in (0, 1, 2))
 
 
+def test_inflated_pointwise_bound_fails_oracle(monkeypatch):
+    # a minorant 1.5 times too high stops grid norms of samples that
+    # beat the best
+    original = trigpoly.polar_minorant
+    monkeypatch.setattr(trigpoly, "polar_minorant",
+                        lambda f, n_points: 1.5 * original(f, n_points))
+    assert any(mismatches(S, PLAN.sequence, reference_sampler(seed, 16))
+               for seed in (0, 1, 2))
+
+
 def test_paley_ratio_is_l2_over_sobolev_bitwise():
     # with best given (0.0 never skips) the exact terms run largest bound
     # first, but are still summed in the order of S
@@ -458,18 +484,21 @@ def test_paley_ratio_is_l2_over_sobolev_bitwise():
 
 
 def test_reference_probe_grid_evaluations(monkeypatch):
-    # s1_l1_norm calls per m on the default reference probe: 100 samples
-    # of 4 terms each would be 400 without the skip rule
-    calls = {}
-    original = operators.s1_l1_norm
+    # grid trace norms per m on the default reference probe: 100 samples
+    # of 4 terms on the 51 x 51 grid would be 1,040,400 per m without the
+    # skip rule; the bins behind the bounds are not counted
+    normed = {}
+    original = trigpoly.trace_norms
 
-    def counted(f, n_points=None):
-        calls[f.mdim] = calls.get(f.mdim, 0) + 1
-        return original(f, n_points)
+    def counted(a):
+        if sys._getframe(1).f_code is trigpoly.s1_l1_norm_unless.__code__:
+            m = a.shape[-1]
+            normed[m] = normed.get(m, 0) + a.size // (m * m)
+        return original(a)
 
-    monkeypatch.setattr(operators, "s1_l1_norm", counted)
+    monkeypatch.setattr(trigpoly, "trace_norms", counted)
     r = paley_probe(PLAN, OrchestratorConfig())
-    assert calls == {1: 80, 2: 39, 4: 83, 8: 149}
+    assert normed == {1: 208080, 2: 101439, 4: 152270, 8: 289426}
     assert r["per_dim"][8]["argmax_index"] == 44
 
 

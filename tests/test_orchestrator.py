@@ -1,7 +1,9 @@
 import hashlib
 
+import numpy as np
 import pytest
 
+from paleykit import orchestrator
 from paleykit.errors import StageFailure
 from paleykit.multiindex import Smoothness, saturate
 from paleykit.orchestrator import (
@@ -73,6 +75,27 @@ def test_config_that_empties_a_gate_is_rejected(field, value):
     # -1 would fail the sequence stage without building a plan
     with pytest.raises(ValueError, match="need"):
         run_construction(S, OrchestratorConfig(matrix_dims=(), **{field: value}))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("matrix_dims", (2.7,)), ("matrix_dims", (True,)), ("matrix_dims", (4, 4)),
+    ("matrix_dims", (0,)), ("paley_count", 0), ("paley_count", True),
+    ("paley_terms", -1), ("paley_box", -1), ("paley_box", 2.0), ("grid_n", 2.5)])
+def test_paley_config_is_rejected_before_any_stage(monkeypatch, field, value):
+    # (2.7,) used to probe m = 2 and paley_terms -1 to fail in numpy
+    def no_stage(s):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(orchestrator, "find_witness_or_fail", no_stage)
+    with pytest.raises(ValueError, match="need"):
+        run_construction(S, OrchestratorConfig(**{field: value}))
+
+
+def test_numpy_matrix_dims_are_python_ints():
+    rep = run_construction(S, OrchestratorConfig(
+        K=2, matrix_dims=(np.int64(3),), paley_count=2, composite_count=1, grid_n=21))
+    assert [type(m) for m in rep.paley["per_dim"]] == [int]
+    assert rep.paley["mdim"] == (3,)
 
 
 def test_retry_squares_the_schedule():

@@ -6,6 +6,10 @@ import os
 import pathlib
 import subprocess
 import sys
+import types
+
+from paleykit.multiindex import Smoothness, saturate
+from paleykit.orchestrator import OrchestratorConfig, run_construction
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -18,3 +22,25 @@ def test_benchmark_selftests_pass():
                          timeout=120)
     assert out.returncode == 0, out.stdout + out.stderr
     assert "0 self-test(s) broken" in out.stdout
+
+
+def load_checks():
+    # perfbench/checks.py executed from its source, so no bytecode is
+    # written under perfbench/
+    path = ROOT / "perfbench" / "checks.py"
+    module = types.ModuleType("perfbench_checks")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_reference_construction_passes_the_benchmark_checks():
+    # the construct_ref gate on a shorter probe: claims, composite error,
+    # digest, and every per-m sup recomputed from its argmax sample by
+    # direct summation and per-point SVDs to 1e-9
+    checks = load_checks()
+    s = Smoothness.from_indices(saturate({(2, 0), (0, 1)}))
+    report = run_construction(s, OrchestratorConfig(paley_count=12))
+    assert sorted(report.paley["per_dim"]) == [1, 2, 4, 8]
+    assert checks.check_report(report) == []
+    assert checks.check_paley(report) == []

@@ -185,3 +185,24 @@ def test_lp_calls_only_on_maximal_pairs(monkeypatch):
     tried = tried[:tried.index((w.alpha, w.beta)) + 1]
     assert tried == [((2, 0), (0, 1))]
     assert len(calls) == len(tried)
+
+
+def test_mirror_of_a_failed_pair_is_not_solved(monkeypatch):
+    # the four ordered opposite-parity pairs of saturate{(3,0),(1,1),(0,3)}
+    # are two unordered ones, each without a witness
+    pairs = []
+
+    def counting_pair_lp(dim, members, alpha, beta):
+        pairs.append((alpha, beta))
+        return _pair_lp(dim, members, alpha, beta)
+
+    monkeypatch.setattr(property_o, "_pair_lp", counting_pair_lp)
+    S = Smoothness.from_indices(saturate({(3, 0), (1, 1), (0, 3)}))
+    assert find_witness(S) is None
+    assert pairs == [((3, 0), (1, 1)), ((1, 1), (0, 3))]
+    # the full-scan sets (whose results test_maximal_search_matches_full_scan
+    # compares): at most one LP per unordered pair
+    for S in FIXED_SETS + random_sets(0, 60):
+        pairs.clear()
+        find_witness(S)
+        assert len({frozenset(p) for p in pairs}) == len(pairs), sorted(S.indices)

@@ -9,9 +9,11 @@ from paleykit.trigpoly import (
     TrigPoly,
     lp_norm,
     paley_l2_norm,
+    polar_minorant,
     random_trigpoly,
     s1_l1_lower_bound,
     s1_l1_norm,
+    s1_l1_norm_unless,
     sobolev_norm,
     trace_norm,
     trace_norms,
@@ -414,6 +416,68 @@ def test_s1_l1_lower_bound_cases():
     assert s1_l1_lower_bound(TrigPoly({}, dim=2, mdim=3), 5) == 0.0
     with pytest.raises(ValueError):
         s1_l1_lower_bound(g, 0)
+
+
+@pytest.mark.parametrize("dim,n_grid", [(1, 7), (1, 301), (2, 7), (2, 51), (3, 5), (3, 9)])
+@pytest.mark.parametrize("mdim", [1, 3, 8])
+def test_polar_minorant_is_below_the_norm_with_mean_the_bound(dim, n_grid, mdim):
+    # frequencies up to 3N in modulus: on the small grids most of them
+    # alias, and each case holds a pair n, n + N e_1 sharing a bin
+    rng = np.random.default_rng([dim, n_grid, mdim])
+    worst = 0.0
+    for trial in range(6):
+        draw = rng.integers(-3 * n_grid, 3 * n_grid + 1, size=(6, dim))
+        freqs = [tuple(int(c) for c in row) for row in draw]
+        freqs.append((freqs[0][0] + n_grid,) + freqs[0][1:])
+        f = random_trigpoly(freqs, mdim=mdim, seed=trial)
+        ell = polar_minorant(f, n_grid)
+        exact = trace_norms(f.evaluate(n_grid)).reshape(-1)
+        assert ell.shape == exact.shape
+        assert np.all(ell <= exact * (1 + 1e-12))
+        assert ell.mean() == pytest.approx(s1_l1_lower_bound(f, n_grid), rel=1e-12)
+        worst = max(worst, float((ell / exact).max()))
+    assert worst > 0.5  # a minorant that is merely 0 would pass the rest
+
+
+def test_polar_minorant_of_zero_and_of_one_character():
+    assert not polar_minorant(TrigPoly({}, dim=2, mdim=3), 5).any()
+    # f = a e_n: ||f(x)||_1 = ||a||_1 at every node, and so is ell
+    a = random_trigpoly([(4, -9)], mdim=3, seed=1)
+    assert polar_minorant(a, 7) == pytest.approx(
+        trace_norm(a.coeffs[(4, -9)]) * np.ones(49), rel=1e-12)
+
+
+@pytest.mark.parametrize("dim,mdim,n_grid", [
+    (2, 1, 51), (2, 2, 51), (2, 3, 7), (2, 4, 51), (2, 8, 51), (2, 8, 16),
+    (1, 4, 1025), (3, 3, 13)])
+def test_s1_l1_norm_is_the_mean_of_the_grid_trace_norms_bitwise(dim, mdim, n_grid):
+    # one trace_norms call on the whole grid, as s1_l1_norm took it
+    # before the blocks; 16^2 is one block, no other N^d is a multiple
+    # of GRAM_BLOCK
+    freqs = [(1, 2, 0), (-3, 5, 1), (6, -6, 2), (2, 0, -4)]
+    f = random_trigpoly([n[:dim] for n in freqs], mdim=mdim, seed=mdim)
+    want = float(trace_norms(f.evaluate(n_grid)).mean())
+    assert s1_l1_norm(f, n_grid).hex() == want.hex()
+    assert s1_l1_norm_unless(f, lambda bound: False, n_grid).hex() == want.hex()
+
+
+def test_s1_l1_norm_unless_bounds_rise_to_the_norm():
+    f = random_trigpoly([(1, 2), (-3, 5), (6, -6), (2, 0), (25, 1)], mdim=4, seed=2)
+    norm = s1_l1_norm(f, 51)
+    seen = []
+    assert s1_l1_norm_unless(f, lambda b: seen.append(b) or False, 51) == norm
+    # one check before each of the 10 blocks after the first of 2601 nodes
+    assert len(seen) == 10
+    assert seen[0] > s1_l1_lower_bound(f, 51)
+    assert all(a <= b * (1 + 1e-12) for a, b in zip(seen, seen[1:]))
+    assert seen[-1] <= norm * (1 + 1e-12)
+    # the first bound that makes stop true ends the call
+    calls = []
+    assert s1_l1_norm_unless(f, lambda b: calls.append(b) or len(calls) == 3, 51) is None
+    assert calls == seen[:3]
+    # m <= 2: one closed-form call, stop is never asked
+    g = random_trigpoly([(1, 2), (-3, 5)], mdim=2, seed=2)
+    assert s1_l1_norm_unless(g, lambda b: 1 / 0, 51) == s1_l1_norm(g, 51)
 
 
 def test_sobolev_norm_single_frequency():
