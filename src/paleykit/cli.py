@@ -14,6 +14,7 @@ import dataclasses
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from .crnorm import cr_norm
 from .errors import (
@@ -28,7 +29,8 @@ from .operators import paley_project
 from .orchestrator import OrchestratorConfig, paley_probe, report_to_json, run_construction
 from .property_o import find_witness_or_fail
 from .riesz import riesz_coeffs
-from .sequence import build_sequence, certified_rho, closeness_bounds, techprop_quantities
+from .sequence import (build_sequence, certified_rho, closeness_bounds, pattern_frequency,
+                       sign_patterns, techprop_quantities)
 from .serialization import (
     canonical_dumps,
     from_jsonable,
@@ -176,12 +178,13 @@ def _cmd_build_sequence(args):
 
 def _cmd_riesz_spectrum(args):
     plan = _load(args.plan, "plan", plan_from_json)
-    # riesz_coeffs raises StageFailure unless both claims hold
-    spectrum = riesz_coeffs(plan.sequence, plan.K).coeffs
-    sample = [list(n) for n in sorted(spectrum)[:9]]
-    payload = {"size": len(spectrum), "claims": {"a": True, "b": True},
+    # StageFailure unless lacunary; by claim B, 3^K points in reversed-pattern order
+    mu = riesz_coeffs(plan.sequence, plan.K)
+    sample = [list(pattern_frequency(mu.sequence, d[::-1], mu.dim))
+              for d in islice(sign_patterns(mu.K), 9)]
+    payload = {"size": 3**mu.K, "claims": {"a": True, "b": True},
                "sample_frequencies": sample}
-    return 0, payload, "spectrum: %d points, claims A and B hold" % len(spectrum)
+    return 0, payload, "spectrum: %d points, claims A and B hold" % 3**mu.K
 
 
 def _cmd_project(args):

@@ -100,8 +100,8 @@ def build_pipeline(plan):
     measure on Lambda, and the per-index constants rho_k = M factor at
     n_k / (2 Q_S(n_k)^{1/2}).
 
-    riesz_coeffs raises StageFailure at stage "riesz" when claim A or
-    claim B fails on the plan's sequence."""
+    riesz_coeffs raises StageFailure at stage "riesz" unless the plan's
+    sequence is lacunary, which proves claims A and B."""
     riesz = riesz_coeffs(plan.sequence, plan.K)
     rho = []
     roots = []
@@ -259,7 +259,7 @@ def paley_ratio(f, smoothness, frequencies, n_points=None, best=None):
     return num / sum(terms)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PaleySampler:
     """Sampling policy for estimate_paley_constant.
 
@@ -279,6 +279,17 @@ class PaleySampler:
     mdim: object = 1
     seed: int = 0
     grid_n: int = None
+
+    def __post_init__(self):
+        """The one gate on the probe's inputs: integers count >= 1, terms >=
+        0, grid_n >= 1 or None (default grids), and mdim as mdims() takes it."""
+        for name, low in (("count", 1), ("terms", 0), ("grid_n", 1)):
+            value = getattr(self, name)
+            if value is None and name == "grid_n":
+                continue
+            if int_tuple((value,))[0] < low:
+                raise ValueError("need %s >= %d, got %r" % (name, low, value))
+        self.mdims()
 
     def mdims(self):
         """The matrix dimensions as a tuple of distinct Python ints, each
@@ -312,8 +323,7 @@ def estimate_paley_constant(smoothness, frequencies, sampler):
     was attained, and a per-matrix-dimension table.  Sample streams
     depend only on (seed, m, index), never on count, so enlarging the
     sample can only raise the sup.  An observed sup is a lower bound on
-    the true constant, never a proof of boundedness.  The sampler's
-    matrix dimensions must be distinct, each at least 1.
+    the true constant, never a proof of boundedness.
 
     Most samples cannot beat the running best, and their grid work is
     skipped.  A sample computes its numerator, then for each gamma in S
@@ -359,10 +369,6 @@ def estimate_paley_constant(smoothness, frequencies, sampler):
     coefficients' size, where the grid values are themselves mostly
     rounding.
     """
-    if sampler.count < 1:
-        raise ValueError("need at least one sample")
-    if sampler.terms < 0:
-        raise ValueError("need terms >= 0")
     mdims = sampler.mdims()
     lam = [int_tuple(n) for n in frequencies]
     per_dim = {}

@@ -9,9 +9,8 @@ from the report's own inputs and compares field by field, which is the
 artifact's reproducibility guarantee.
 """
 
-import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,8 +53,9 @@ class OrchestratorConfig:
 class ConstructionReport:
     """Pure data; every boolean corresponds to a re-runnable check.
 
-    claim_a and claim_b are true in every report: riesz_coeffs, run by
-    build_pipeline, raises StageFailure when either claim fails.
+    claim_a and claim_b are true in every report and stand for the
+    lacunarity check that proves them: build_pipeline's riesz_coeffs
+    raises StageFailure("riesz", "not_lacunary") otherwise.
     """
 
     schema_version: int
@@ -109,19 +109,13 @@ def _rho_bounds_ok(plan, pipeline):
 
 
 def _check_paley_config(config):
-    """Raise ValueError unless the Paley probe can run on config: matrix
-    dimensions as PaleySampler.mdims() takes them, after int_tuple, and
-    integers paley_count >= 1, paley_terms >= 0, paley_box >= 0 and
-    grid_n >= 1 (or None, each derivative on its default grid)."""
-    PaleySampler(mdim=int_tuple(config.matrix_dims)).mdims()
-    for name, low in (("paley_count", 1), ("paley_terms", 0),
-                      ("paley_box", 0), ("grid_n", 1)):
-        value = getattr(config, name)
-        if value is None and name == "grid_n":
-            continue
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-                or value < low:
-            raise ValueError("need an integer %s >= %d, got %r" % (name, low, value))
+    """The Paley probe's sampler for config, without support; ValueError
+    unless paley_box is an integer >= 0 and PaleySampler takes the rest."""
+    if int_tuple((config.paley_box,))[0] < 0:
+        raise ValueError("need paley_box >= 0, got %r" % (config.paley_box,))
+    return PaleySampler(count=config.paley_count, terms=config.paley_terms,
+                        mdim=int_tuple(config.matrix_dims), seed=config.seed,
+                        grid_n=config.grid_n)
 
 
 def paley_probe(plan, config):
@@ -130,10 +124,8 @@ def paley_probe(plan, config):
     sample, in each of config.matrix_dims."""
     box = range(1, config.paley_box + 1)
     support = [(i, j) for i in box for j in box] if plan.smoothness.dim == 2 else []
-    sampler = PaleySampler(count=config.paley_count, support=tuple(support),
-                           always=(plan.sequence[0],), terms=config.paley_terms,
-                           mdim=int_tuple(config.matrix_dims), seed=config.seed,
-                           grid_n=config.grid_n)
+    sampler = replace(_check_paley_config(config), support=tuple(support),
+                      always=(plan.sequence[0],))
     return estimate_paley_constant(plan.smoothness, plan.sequence, sampler)
 
 
@@ -165,7 +157,7 @@ def run_construction(s, config=None):
     timings["sequence"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    pipeline = build_pipeline(plan)  # raises unless claims A and B hold
+    pipeline = build_pipeline(plan)  # raises unless the plan is lacunary
     timings["riesz"] = time.perf_counter() - t
 
     t = time.perf_counter()

@@ -229,7 +229,7 @@ class TrigPoly:
         return 4 * int(self.maxfreq()) + 1
 
     def _grid_n(self, n_points):
-        n = int(n_points) if n_points is not None else self.default_grid_n()
+        n = int_tuple((n_points,))[0] if n_points is not None else self.default_grid_n()
         if n < 1:
             raise ValueError("need at least one grid point per axis")
         return n

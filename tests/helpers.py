@@ -10,7 +10,7 @@ import numpy as np
 
 from paleykit import riesz
 from paleykit.crnorm import MatrixSequence
-from paleykit.errors import ConstructionError, InfeasibleError, UnboundedError
+from paleykit.errors import ConstructionError, InfeasibleError, StageFailure, UnboundedError
 from paleykit.multiindex import Smoothness, int_tuple, saturate, symbol_abs_int, symbol_phase
 from paleykit.operators import (
     _coeff_l2,
@@ -23,7 +23,10 @@ from paleykit.operators import (
 from paleykit.sequence import (
     _admissible,
     ball_count,
+    bk_radius,
+    pattern_frequency,
     round_rational_power,
+    sign_patterns,
     techprop_quantities,
 )
 from paleykit.serialization import to_jsonable
@@ -45,8 +48,49 @@ def cos_factor_poly(n):
 
 def riesz_poly(measure):
     """A truncated Riesz product as a TrigPoly (symbolic expansion)."""
-    dim = len(next(iter(measure.coeffs)))
-    return TrigPoly(dict(measure.coeffs), dim=dim)
+    coeffs = measure.coeffs
+    return TrigPoly(coeffs, dim=len(next(iter(coeffs))))
+
+
+def riesz_walk(sequence, K):
+    """The brute-force Riesz expansion, an oracle for riesz_coeffs and
+    RieszMeasure.multiplier: the coefficient dict of the K-term product,
+    built in one walk over the 3^K sign patterns that also certifies
+    claims A and B for any sequence, lacunary or not.
+
+    Raises StageFailure("riesz", "claim_b_collision", {"patterns":
+    (d', d)}) at the first pattern d whose first coordinate the earlier
+    pattern d' already took.  An escape from claim A is raised only after
+    the walk, as StageFailure("riesz", "claim_a_escape", {"frequency":
+    m}) with the first escaping m, so a collision anywhere takes
+    precedence.
+    """
+    sequence = tuple(int_tuple(n) for n in sequence)
+    if K < 0 or K > len(sequence):
+        raise ValueError("K must be between 0 and len(sequence)")
+    dim = len(sequence[0]) if sequence else 1
+    sequence = sequence[:K]
+    radii = [bk_radius(sequence, k) for k in range(1, K + 1)]
+    first_seen = {}
+    escape = None
+    coeffs = {}
+    for d in sign_patterns(K):
+        freq = pattern_frequency(sequence, d, dim)
+        if freq[0] in first_seen:
+            raise StageFailure("riesz", "claim_b_collision",
+                               {"patterns": (first_seen[freq[0]], d)})
+        first_seen[freq[0]] = d
+        active = [k for k in range(K) if d[k]]
+        if active and escape is None:
+            # claim A fails: farther than D_k from n_k and from -n_k in l1
+            center, radius = sequence[active[-1]], radii[active[-1]]
+            if (sum(abs(a - b) for a, b in zip(freq, center)) > radius
+                    and sum(abs(a + b) for a, b in zip(freq, center)) > radius):
+                escape = freq
+        coeffs[freq] = 2.0 ** (-len(active))
+    if escape is not None:
+        raise StageFailure("riesz", "claim_a_escape", {"frequency": escape})
+    return coeffs
 
 
 def count_sign_patterns(monkeypatch):

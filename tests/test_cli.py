@@ -25,7 +25,7 @@ from paleykit.serialization import (
 )
 from paleykit.trigpoly import random_trigpoly
 
-from helpers import count_sign_patterns, matrixseq_to_json
+from helpers import count_sign_patterns, matrixseq_to_json, riesz_walk
 
 REF = "0,0;1,0;0,1;2,0"
 S = Smoothness.from_indices(saturate({(2, 0), (0, 1)}))
@@ -271,12 +271,25 @@ def test_riesz_spectrum(capsys, plan_file):
     assert [0, 0] in payload["sample_frequencies"]
 
 
-def test_riesz_spectrum_walks_the_patterns_once(capsys, plan_file,
-                                               monkeypatch):
+def test_riesz_spectrum_sample_is_the_sorted_spectrum(capsys, tmp_path):
+    # the first 9 reversed sign patterns, against the walk's sorted dict
+    path = tmp_path / "plan.json"
+    for K in range(1, 6):
+        plan = build_sequence(S, find_witness(S), K, 100, 10)
+        path.write_text(canonical_dumps(plan))
+        code, payload, _ = run(capsys, "riesz-spectrum", "--plan", str(path))
+        walk = riesz_walk(plan.sequence, K)
+        assert code == 0 and payload["size"] == len(walk)
+        assert payload["sample_frequencies"] == [list(n) for n in sorted(walk)[:9]]
+
+
+def test_riesz_spectrum_walks_no_patterns(capsys, plan_file, monkeypatch):
+    # the size is 3^K and the sample the first 9 reversed patterns, so
+    # paleykit.riesz expands nothing
     calls = count_sign_patterns(monkeypatch)
     code, _, _ = run(capsys, "riesz-spectrum", "--plan", plan_file)
     assert code == 0
-    assert calls == [2]
+    assert calls == []
 
 
 def test_riesz_spectrum_missing_file(capsys):
@@ -334,26 +347,27 @@ def test_bool_for_int_in_plan_exits_2(capsys, plan_file, tmp_path, command, K,
 
 
 def test_riesz_spectrum_reports_claim_b_collision(capsys, plan_file, tmp_path):
-    # consistent radii, but 1 + 2 = 3 in the first coordinate
+    # consistent radii, but 1 + 2 = 3 in the first coordinate, a collision
+    # the ratio check rejects at n_2 (2 < 3 * 1)
     path = _edited_plan(plan_file, tmp_path, K=3,
                         sequence=[[1, 1], [2, 5], [3, 9]], radii=[0, 2, 9],
                         ts=["100", "16000", "160000"])
     code, payload, _ = run(capsys, "riesz-spectrum", "--plan", path)
     assert code == 3
-    assert payload["stage"] == "riesz"
-    assert payload["failure"] == "claim_b_collision"
-    assert len(payload["details"]["patterns"]) == 2
+    assert payload == {"failure": "not_lacunary", "stage": "riesz",
+                       "details": {"k": 2}}
 
 
 def test_riesz_spectrum_reports_claim_a_escape(capsys, plan_file, tmp_path):
     # radii consistent with the sequence, but D_2 = 10 - 100 < 0 leaves
-    # B_2 empty, so the first pattern (-1, -1) escapes
+    # B_2 empty, so the first pattern (-1, -1) would escape; the negative
+    # coordinate of n_1 is rejected first
     path = _edited_plan(plan_file, tmp_path,
                         sequence=[[10, -100], [126, 16000]], radii=[0, -90])
     code, payload, _ = run(capsys, "riesz-spectrum", "--plan", path)
     assert code == 3
-    assert payload == {"failure": "claim_a_escape", "stage": "riesz",
-                       "details": {"frequency": [-136, -15900]}}
+    assert payload == {"failure": "not_lacunary", "stage": "riesz",
+                       "details": {"k": 1}}
 
 
 def test_project(capsys, plan_file, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import types
@@ -373,6 +374,32 @@ def test_estimate_paley_constant_rejects_negative_terms():
     with pytest.raises(ValueError, match="need terms"):
         estimate_paley_constant(S, [(4, 16)], PaleySampler(
             count=1, support=[(1, 1)], always=[(4, 16)], terms=-1))
+
+
+@pytest.mark.parametrize("bad", [9.7, True, 2.0])
+def test_grid_size_must_be_an_integer(bad):
+    # int() used to truncate: 9.7 probed a 9-grid and True a 1-grid
+    f = random_trigpoly([(1, 2), (3, 1)], seed=0)
+    fm = random_trigpoly([(1, 2), (3, 1)], mdim=2, seed=0)
+    calls = [lambda: trigpoly.lp_norm(f, 1, bad), lambda: f.evaluate(bad),
+             lambda: trigpoly.s1_l1_norm(fm, bad), lambda: s1_l1_lower_bound(fm, bad),
+             lambda: estimate_paley_constant(S, [(4, 16)], PaleySampler(
+                 count=1, always=[(4, 16)], grid_n=bad))]
+    for call in calls:
+        with pytest.raises(ValueError, match="need integers"):
+            call()
+    assert trigpoly.s1_l1_norm(fm, np.int64(9)) == trigpoly.s1_l1_norm(fm, 9)
+    assert np.array_equal(f.evaluate(np.int64(9)), f.evaluate(9))
+
+
+def test_sampler_cannot_leave_its_gate():
+    # estimate_paley_constant relies on the checks of __post_init__, so a
+    # sampler is frozen; replace() runs the checks again
+    sampler = PaleySampler(count=1, always=[(4, 16)])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sampler.count = 0
+    with pytest.raises(ValueError, match="need count"):
+        dataclasses.replace(sampler, count=0)
 
 
 def test_reference_probe_pinned():
