@@ -48,6 +48,7 @@ from .trigpoly import (
     TrigPoly,
     _above,
     paley_l2_norm,
+    pinch_minorant,
     random_trigpoly,
     s1_l1_lower_bound,
     s1_l1_norm_unless,
@@ -242,18 +243,28 @@ def paley_ratio(f, smoothness, frequencies, n_points=None, best=None):
     num = paley_l2_norm(f, smoothness, frequencies)
     parts = [f.derivative(gamma) for gamma in smoothness]
     terms = [0.0] * len(parts)
+    ells = [None] * len(parts)
+
+    def beaten(lows):
+        # every entry of lows is at most its E_gamma
+        return num <= best * sum(lows) * (1.0 - PALEY_MARGIN)
+
     if best is not None:
         terms = [s1_l1_lower_bound(p, n_points) for p in parts]
+        if (f.mdim or 1) >= 3:
+            for j in sorted(range(len(parts)), key=lambda j: -terms[j]):
+                if beaten(terms):
+                    return None
+                ells[j] = pinch_minorant(parts[j], n_points)
+                terms[j] = float(ells[j].mean())
     for j in sorted(range(len(parts)), key=lambda j: -terms[j]):
         stop = None
         if best is not None:
             def stop(bound, j=j):
-                # bound, like every entry of terms, is at most its E_gamma
-                lows = terms[:j] + [bound] + terms[j + 1:]
-                return num <= best * sum(lows) * (1.0 - PALEY_MARGIN)
+                return beaten(terms[:j] + [bound] + terms[j + 1:])
             if stop(terms[j]):
                 return None
-        terms[j] = s1_l1_norm_unless(parts[j], stop, n_points)
+        terms[j] = s1_l1_norm_unless(parts[j], stop, n_points, ells[j])
         if terms[j] is None:
             return None
     return num / sum(terms)
@@ -326,48 +337,65 @@ def estimate_paley_constant(smoothness, frequencies, sampler):
     the true constant, never a proof of boundedness.
 
     Most samples cannot beat the running best, and their grid work is
-    skipped.  A sample computes its numerator, then for each gamma in S
-    the grid-free bound L_gamma = s1_l1_lower_bound(d^gamma f) <= E_gamma
-    = s1_l1_norm(d^gamma f), then the exact E_gamma, largest bound first.
-    Before each exact term it stops if
+    skipped.  Three certified lower bounds on E_gamma = s1_l1_norm(d^gamma
+    f) stand in for it until it is computed, each at least the one
+    before:
 
-        num <= best * sum_gamma (E_gamma if computed, else L_gamma)
-                    * (1 - PALEY_MARGIN),
+    * the bin bound L_gamma = s1_l1_lower_bound(d^gamma f), grid free;
+    * at m >= 3, the pinch mean P_gamma, the grid mean of ell_gamma =
+      pinch_minorant(d^gamma f), which is <= the trace norm at every node
+      and >= the polar minorant, whose grid mean is L_gamma (see
+      pinch_minorant);
+    * part-way through an exact term at m >= 3, (norms computed so far +
+      ell_gamma over the nodes not yet normed) / N^d: s1_l1_norm_unless
+      computes the grid trace norms in blocks of GRAM_BLOCK and forms it
+      before each block after the first, so it rises from P_gamma to
+      E_gamma.
 
-    since then num / sum E_gamma < best.  An exact term at m >= 3 also
-    checks part-way: s1_l1_norm_unless computes the grid trace norms in
-    blocks of GRAM_BLOCK, and before each block it puts in place of its
-    E_gamma the bound (norms computed so far + ell over the nodes not yet
-    normed) / N^d, where ell = polar_minorant(d^gamma f) <= the trace norm
-    at every node and has grid mean L_gamma; the bound rises from
-    L_gamma to E_gamma, and the sample stops as soon as the rule above
-    holds with it.  A sample that finishes sums its E_gamma in the order
-    of S, exactly as sobolev_norm does, so every per-m sup and argmax is
+    A sample computes its numerator and every L_gamma, then stops as
+    soon as
+
+        num <= best * sum_gamma (E_gamma if computed, else its latest
+                                 bound) * (1 - PALEY_MARGIN),
+
+    since then num / sum E_gamma < best.  The rule is tried on the bin
+    bounds; at m >= 3, after raising each L_gamma to P_gamma, largest
+    L_gamma first, with the pinches all taken before any exact term
+    (a pinch evaluates 2m entries per node and needs no Gram eigenvalue,
+    against m^2 entries and an eigvalsh per node for the term); then
+    before each exact E_gamma, largest bound first, and at every
+    part-way bound inside it, whose ell_gamma is the pinch already
+    computed.  A sample that finishes sums its E_gamma in the order of
+    S, exactly as sobolev_norm does, so every per-m sup and argmax is
     the one of the plain loop over paley_ratio, bit for bit; a tie never
     replaces an earlier index.
 
-    The margin covers rounding, which can push a computed L_gamma above
-    the computed E_gamma although L_gamma <= E_gamma exactly.  Both
-    start from the same T coefficients c_k; the bins and the grid values
-    are sums of at most T terms with phases accurate to a few u (the unit
-    roundoff), so with kappa = (sum_k ||c_k||_F)^2 / sum_r ||B_r||_F^2,
-    which is at most T when no two frequencies share a bin, grid-value
-    rounding moves E_gamma by at most about (2T + d + 4) sqrt(m) kappa u
-    relative (E_gamma >= sum_r ||B_r||_F^2 / sum_k ||c_k||_F by discrete
-    Parseval); trace_norms adds its stated c m^2 u / (2 sqrt(GRAM_TAU)),
-    about c * 3.6e-13 at m = 8, and the sums and the quotient a few u
-    more.  The part-way bound adds the rounding of ell: the polar factor
-    from the SVD is unitary to a few m u, the coefficients tr(U^H c_k)
-    are off by about 2 m sqrt(m) u ||c_k||_F, and the scalar evaluation
-    sums T terms with phases accurate to a few u, so each ell(x_t) is off
-    by at most about (T + 2m + d + 4) sqrt(m) u sum_k ||c_k||_F, that is
-    (T + 2m + d + 4) sqrt(m) kappa u relative to E_gamma, the same order
-    as the grid values; the norms it adds are the computed ones E_gamma
-    is the mean of.  At T = 9, m = 8 all of this is below 1e-12
-    relative, and PALEY_MARGIN = 1e-6 holds for kappa up to about 10^8:
-    it fails only if every bin cancels to about 1e-3 of its
-    coefficients' size, where the grid values are themselves mostly
-    rounding.
+    The margin covers rounding, which can push a computed bound above
+    the computed E_gamma although it is below E_gamma exactly.  All of
+    them start from the same T coefficients c_k; the bins and the grid
+    values are sums of at most T terms with phases accurate to a few u
+    (the unit roundoff), so with kappa = (sum_k ||c_k||_F)^2 / sum_r
+    ||B_r||_F^2, which is at most T when no two frequencies share a bin,
+    grid-value rounding moves E_gamma by at most about (2T + d + 4)
+    sqrt(m) kappa u relative (E_gamma >= sum_r ||B_r||_F^2 / sum_k
+    ||c_k||_F by discrete Parseval); trace_norms adds its stated c m^2 u
+    / (2 sqrt(GRAM_TAU)), about c * 3.6e-13 at m = 8, and the sums and
+    the quotient a few u more.  The pinch adds its own rounding: the SVD
+    factors W, V are unitary to a few m u, so rotating gives W^H c_k V
+    off by about 2 m sqrt(m) u ||c_k||_F and stretches trace norms by at
+    most a few m u; evaluating its 2m block entries sums T terms with
+    phases accurate to a few u, as the grid values do; and the 2 x 2
+    closed form is off by a few u ||b||_F per block b, at most a few
+    sqrt(m) u times the Frobenius norm over the m/2 blocks.  So each
+    ell_gamma(x_t) is off by at most about (T + 2m + d + 6) sqrt(m) u
+    sum_k ||c_k||_F, that is (T + 2m + d + 6) sqrt(m) kappa u relative
+    to E_gamma: the order of the polar minorant's (T + 2m + d + 4)
+    sqrt(m) kappa u and of the grid values.  The part-way bound adds
+    only the computed norms E_gamma is the mean of.  At T = 9, m = 8 all
+    of this is below 1e-12 relative, and PALEY_MARGIN = 1e-6 holds for
+    kappa up to about 10^8: it fails only if every bin cancels to about
+    1e-3 of its coefficients' size, where the grid values are themselves
+    mostly rounding.
     """
     mdims = sampler.mdims()
     lam = [int_tuple(n) for n in frequencies]

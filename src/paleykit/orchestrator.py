@@ -9,13 +9,15 @@ from the report's own inputs and compares field by field, which is the
 artifact's reproducibility guarantee.
 """
 
+import math
+import sys
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import StageFailure
-from .multiindex import int_tuple
+from .multiindex import int_tuple, q_s_eval, symbol_abs_int, symbol_phase
 from .operators import (
     PaleySampler,
     build_pipeline,
@@ -101,11 +103,43 @@ def _composite_check(plan, pipeline, config):
     return worst
 
 
+def _rho_exact(plan, n):
+    """rho_k = (sigma_alpha(n) + tau*ell*sigma_beta(n)) / (2 Q_S(n)^{1/2})
+    at n = n_k, from the symbols' exact integers and phases, the exact
+    ell and Q_S(n), independently of M's multiplier.  With ell = p/q,
+    each of the real and imaginary parts is X / (2 q Q_S(n)^{1/2}) for an
+    integer X, computed as sign(X) times the square root of the
+    correctly rounded int division X^2 / (4 q^2 Q_S(n)): within about an
+    ulp."""
+    a, b = plan.witness.alpha, plan.witness.beta
+    p, q = plan.ell_exact.numerator, plan.ell_exact.denominator
+    pa = symbol_phase(a, n)
+    pb = plan.tau * symbol_phase(b, n)
+    abs_a = symbol_abs_int(a, n) * q
+    abs_b = symbol_abs_int(b, n) * p
+    scale = 4 * q * q * q_s_eval(plan.smoothness, n)
+    parts = []
+    for unit_a, unit_b in ((pa.real, pb.real), (pa.imag, pb.imag)):
+        x = int(unit_a) * abs_a + int(unit_b) * abs_b
+        root = math.sqrt(x * x / scale)
+        parts.append(-root if x < 0 else root)
+    return complex(*parts)
+
+
 def _rho_bounds_ok(plan, pipeline):
+    """Every rho_k of the pipeline agrees with _rho_exact to 4 ulps (it
+    rounds four times on its way from M's multiplier, _rho_exact twice)
+    and lies in [rho_hat (1 + ell) / 2, (1 + ell) / 2] up to 1e-12."""
     lo = 0.5 * plan.rho_hat * (1.0 + plan.ell_hat)
     hi = 0.5 * (1.0 + plan.ell_hat)
     slack = 1e-12
-    return all(lo - slack <= abs(r) <= hi + slack for r in pipeline.rho_k)
+    for n, r in zip(plan.sequence, pipeline.rho_k):
+        want = _rho_exact(plan, n)
+        if abs(r - want) > 4 * sys.float_info.epsilon * abs(want):
+            return False
+        if not lo - slack <= abs(r) <= hi + slack:
+            return False
+    return True
 
 
 def _check_paley_config(config):

@@ -31,11 +31,15 @@ ill-conditioned (see ``trace_norms`` for the guards and the error bound).
 the coefficients binned by residue mod N and signed by (-1)^{|n|} are the
 grid's discrete Fourier coefficients, and by the triangle inequality the
 largest trace norm among them is at most the mean, in any d and under
-aliasing.  ``polar_minorant`` turns the largest bin into a real function
-below the pointwise trace norm with that bound as its grid mean, so the
-exact norms of the nodes done plus the minorant over the rest bound the
-mean at every step of ``s1_l1_norm_unless``.  The Paley probe uses both
-to skip samples that cannot raise its sup (see
+aliasing.  ``pinch_minorant`` rotates the coefficients by the singular
+vectors of the largest bin and sums, at each node, the trace norms of
+the rotated value's diagonal 2 x 2 blocks (and its last diagonal entry
+when m is odd).  By pinching that is a real function below the pointwise
+trace norm, and its grid mean is at least that bound; it evaluates 2m
+entries per node instead of m^2, and needs no eigenvalue.  So the exact
+norms of the nodes done plus the minorant over the rest bound the mean
+at every step of ``s1_l1_norm_unless``.  The Paley probe uses both to
+skip samples that cannot raise its sup (see
 ``operators.estimate_paley_constant`` for the skip rule and the rounding
 margin).
 """
@@ -252,17 +256,23 @@ class TrigPoly:
         acc = np.array([_grid_signed(k, self.coeffs[k]) for k in freqs],
                        dtype=complex)
         acc = acc.reshape(len(freqs), math.prod(vshape))
-        roots = np.exp(2j * np.pi * np.arange(n) / n)
-        ts = np.arange(n)
+        return _grid_sum(freqs, acc, n, self.dim).reshape((n,) * self.dim + vshape)
 
-        def table(j):
-            residues = np.array([k[j] % n for k in freqs], dtype=np.int64)
-            return roots[np.outer(ts, residues) % n]
 
-        for j in range(self.dim - 1):
-            acc = table(j)[:, :, None] * acc[..., None, :, :]
-        vals = table(self.dim - 1) @ acc
-        return vals.reshape((n,) * self.dim + vshape)
+def _grid_sum(freqs, acc, n, dim):
+    """sum_k acc[k] w^{<n_k mod N, t>} at every node t of the N-grid in
+    dim dimensions, in ``evaluate``'s order: shape (N,)*dim + (E,) for
+    acc of shape (T, E), one row per frequency n_k of the list freqs."""
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    ts = np.arange(n)
+
+    def table(j):
+        residues = np.array([k[j] % n for k in freqs], dtype=np.int64)
+        return roots[np.outer(ts, residues) % n]
+
+    for j in range(dim - 1):
+        acc = table(j)[:, :, None] * acc[..., None, :, :]
+    return table(dim - 1) @ acc
 
 
 # ----------------------------------------------------------------------
@@ -381,24 +391,29 @@ def s1_l1_lower_bound(f, n_points=None):
     return float(trace_norms(vals).max())
 
 
-def polar_minorant(f, n_points=None):
+def pinch_minorant(f, n_points=None):
     """Grid values, flattened in ``evaluate``'s order, of a real function
-    ell with ell(x_t) <= ||f(x_t)||_1 at every node and grid mean
-    s1_l1_lower_bound(f, n_points); f is matrix valued.
+    ell with ell(x_t) <= ||f(x_t)||_1 at every node and grid mean at
+    least s1_l1_lower_bound(f, n_points); f is matrix valued.
 
     Take the bin B = B_{r*} of largest trace norm (see
-    ``s1_l1_lower_bound``) and the unitary polar factor U = W V^H of its
-    SVD B = W Sigma V^H, so that tr(U^H B) = ||B||_1.  Then
+    ``s1_l1_lower_bound``) and its SVD B = W Sigma V^H.  ell(x_t) is the
+    trace norm of the block-diagonal part of W^H f(x_t) V: the m // 2
+    diagonal 2 x 2 blocks, each by the closed form of ``trace_norms``,
+    plus the last diagonal entry in modulus when m is odd.
 
-        ell(x_t) = Re tr(U^H w^{-<r*,t>} f(x_t))
-                 = Re sum_r tr(U^H B_r) w^{<r - r*,t>}.
+    * ell <= ||f||_1 pointwise: W, V are unitary, so ||W^H a V||_1 =
+      ||a||_1, and keeping the diagonal blocks of a matrix (pinching) does
+      not raise its trace norm (Bhatia, Matrix Analysis, 1997, ch. IV).
+    * mean ell >= ||B||_1: with U = W V^H, Re tr(U^H w^{-<r*,t>} f(x_t))
+      is at most the sum of the moduli of the diagonal of W^H f(x_t) V,
+      which is at most ell(x_t), and its grid mean keeps only the term
+      r = r* of f(x_t) = sum_r B_r w^{<r,t>}: Re tr(U^H B) = ||B||_1.
 
-    Since |tr(V a)| <= ||a||_1 for every unitary V, ell <= ||f||_1
-    pointwise, and the grid mean of ell keeps only the term r = r*,
-    Re tr(U^H B) = ||B||_1.  On the grid w^{<n,t>} = (-1)^{|n|}
-    e^{i<n,x_t>}, so ell is (-1)^{|r*|} times the real part of the
-    scalar polynomial with coefficient tr(U^H c_k) at n_k - r*: one SVD
-    of an m x m matrix and one scalar evaluation, O(T m^2 + T N^d).
+    Only the 2m block-diagonal entries of the rotated coefficients
+    W^H c_k V are evaluated, so the cost is one SVD of an m x m matrix
+    plus O(T m^3 + T N^d m), and the arrays hold 2m entries per node
+    where those of ``evaluate`` hold m^2.
     """
     n = f._grid_n(n_points)
     bins = _bins(f, n)
@@ -407,29 +422,38 @@ def polar_minorant(f, n_points=None):
     keys = list(bins)
     r_star = keys[int(np.argmax(trace_norms(np.array([bins[r] for r in keys]))))]
     w, _, vh = np.linalg.svd(bins[r_star])
-    u_adj = (w @ vh).conj().T
-    g = TrigPoly({tuple(a - b for a, b in zip(k, r_star)): np.trace(u_adj @ c)
-                  for k, c in f.coeffs.items()}, dim=f.dim)
-    vals = g.evaluate(n).real.reshape(-1)
-    return -vals if sum(r_star) % 2 else vals
+    freqs = list(f.coeffs)
+    rot = w.conj().T @ np.array([_grid_signed(k, f.coeffs[k]) for k in freqs]) @ vh.conj().T
+    m, h = f.mdim, f.mdim // 2
+    entries = [rot[:, i:i + 2, i:i + 2].reshape(len(freqs), 4)
+               for i in range(0, m - 1, 2)]
+    if m % 2:
+        entries.append(rot[:, m - 1, m - 1:])
+    vals = _grid_sum(freqs, np.concatenate(entries, axis=1), n, f.dim)
+    vals = vals.reshape(n ** f.dim, -1)
+    ell = trace_norms(vals[:, :4 * h].reshape(-1, h, 2, 2)).sum(-1)
+    if m % 2:
+        ell += np.abs(vals[:, -1])
+    return ell
 
 
-def s1_l1_norm_unless(f, stop, n_points=None):
+def s1_l1_norm_unless(f, stop, n_points=None, ell=None):
     """s1_l1_norm(f, n_points), or None as soon as a certified lower
     bound b on it makes stop(b) true.
 
     At m >= 3 the trace norms of the N^d grid values are computed in
     blocks of GRAM_BLOCK, in ``evaluate``'s order.  Before each block
     after the first, with the norms of the nodes t < lo known and
-    ell = polar_minorant(f, n_points) <= ||f(x_t)||_1,
+    ell = pinch_minorant(f, n_points) <= ||f(x_t)||_1,
 
         b = (sum_{t < lo} ||f(x_t)||_1 + sum_{t >= lo} ell(x_t)) / N^d
 
-    is at most the grid mean: it would read s1_l1_lower_bound(f) at
-    lo = 0 and reads the mean itself once every node is normed.  ell is
-    computed at the first such check, so never when stop is None.  At
-    m <= 2 the trace norms are closed forms, cheap next to the
-    evaluation, and are taken in one call with no check.
+    is at most the grid mean: it would read the grid mean of ell at
+    lo = 0 and reads the mean itself once every node is normed.  A
+    caller that already holds ell passes it; otherwise it is computed at
+    the first such check, so never when stop is None.  At m <= 2 the
+    trace norms are closed forms, cheap next to the evaluation, and are
+    taken in one call with no check.
 
     A call that does not stop hands trace_norms the blocks it cuts
     itself, whose norms do not depend on the stack around them, and
@@ -442,11 +466,10 @@ def s1_l1_norm_unless(f, stop, n_points=None):
     vals = f.evaluate(n_points).reshape(-1, m, m)
     norms = np.empty(len(vals))
     step = GRAM_BLOCK if m >= 3 else len(vals)
-    ell = None
     for lo in range(0, len(vals), step):
         if lo and stop is not None:
             if ell is None:
-                ell = polar_minorant(f, n_points)
+                ell = pinch_minorant(f, n_points)
             if stop((norms[:lo].sum() + ell[lo:].sum()) / len(vals)):
                 return None
         norms[lo:lo + step] = trace_norms(vals[lo:lo + step])

@@ -31,7 +31,7 @@ from paleykit.sequence import (
 )
 from paleykit.serialization import to_jsonable
 from paleykit.simplex import LPResult
-from paleykit.trigpoly import TrigPoly
+from paleykit.trigpoly import TrigPoly, _bins, trace_norms
 
 
 def grid_points(n):
@@ -215,6 +215,34 @@ def paley_oracle(smoothness, frequencies, sampler):
         best = max(range(sampler.count), key=ratios.__getitem__)
         out[m] = (ratios[best], best)
     return out
+
+
+def polar_minorant(f, n_points=None):
+    """Grid values, flattened in ``evaluate``'s order, of the polar
+    minorant ell(x_t) = Re tr(U^H w^{-<r*,t>} f(x_t)) of a matrix-valued f,
+    the oracle below trigpoly.pinch_minorant.
+
+    B = B_{r*} is the bin of largest trace norm (see s1_l1_lower_bound)
+    and U = W V^H the unitary polar factor of its SVD, so tr(U^H B) =
+    ||B||_1.  Since |tr(V a)| <= ||a||_1 for every unitary V, ell <=
+    ||f||_1 pointwise, and its grid mean keeps only the term r = r* of
+    f(x_t) = sum_r B_r w^{<r,t>}, so it is s1_l1_lower_bound(f).  On the
+    grid w^{<n,t>} = (-1)^{|n|} e^{i<n,x_t>}, so ell is (-1)^{|r*|} times
+    the real part of the scalar polynomial with coefficient tr(U^H c_k)
+    at n_k - r*.
+    """
+    n = f._grid_n(n_points)
+    bins = _bins(f, n)
+    if not bins:
+        return np.zeros(n ** f.dim)
+    keys = list(bins)
+    r_star = keys[int(np.argmax(trace_norms(np.array([bins[r] for r in keys]))))]
+    w, _, vh = np.linalg.svd(bins[r_star])
+    u_adj = (w @ vh).conj().T
+    g = TrigPoly({tuple(a - b for a, b in zip(k, r_star)): np.trace(u_adj @ c)
+                  for k, c in f.coeffs.items()}, dim=f.dim)
+    vals = g.evaluate(n).real.reshape(-1)
+    return -vals if sum(r_star) % 2 else vals
 
 
 def _offsets(d, budget):

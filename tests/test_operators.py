@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import sys
 import types
@@ -464,6 +465,20 @@ def test_probe_matches_oracle_d3_without_support():
     assert d3_without_support() == []
 
 
+def d3_odd_matrix_sizes():
+    # the pinch off d = 2, with its trailing 1 x 1 block at m = 3 and 5
+    s3 = Smoothness.from_indices(saturate({(2, 0, 0), (0, 1, 0), (0, 0, 1)}))
+    lam = [(1, 2, 3)]
+    support = tuple(itertools.product(range(1, 4), repeat=3))
+    sampler = PaleySampler(count=30, support=support, always=lam, terms=4,
+                           mdim=(3, 5), seed=1, grid_n=9)
+    return mismatches(s3, lam, sampler)
+
+
+def test_probe_matches_oracle_d3_odd_matrix_sizes():
+    assert d3_odd_matrix_sizes() == []
+
+
 def test_zero_margin_fails_oracle(monkeypatch):
     # without the margin, rounding in the bound skips a sample whose
     # ratio beats the best in the last bits
@@ -489,13 +504,14 @@ def test_inflated_bound_fails_oracle(monkeypatch):
 
 
 def test_inflated_pointwise_bound_fails_oracle(monkeypatch):
-    # a minorant 1.5 times too high stops grid norms of samples that
-    # beat the best
-    original = trigpoly.polar_minorant
-    monkeypatch.setattr(trigpoly, "polar_minorant",
+    # a pinch minorant 1.5 times too high stops samples that beat the
+    # best, before or during their grid norms
+    original = operators.pinch_minorant
+    monkeypatch.setattr(operators, "pinch_minorant",
                         lambda f, n_points: 1.5 * original(f, n_points))
     assert any(mismatches(S, PLAN.sequence, reference_sampler(seed, 16))
                for seed in (0, 1, 2))
+    assert d3_odd_matrix_sizes()
 
 
 def test_paley_ratio_is_l2_over_sobolev_bitwise():
@@ -513,7 +529,7 @@ def test_paley_ratio_is_l2_over_sobolev_bitwise():
 def test_reference_probe_grid_evaluations(monkeypatch):
     # grid trace norms per m on the default reference probe: 100 samples
     # of 4 terms on the 51 x 51 grid would be 1,040,400 per m without the
-    # skip rule; the bins behind the bounds are not counted
+    # skip rule; the bins and the pinches behind the bounds are not counted
     normed = {}
     original = trigpoly.trace_norms
 
@@ -525,7 +541,7 @@ def test_reference_probe_grid_evaluations(monkeypatch):
 
     monkeypatch.setattr(trigpoly, "trace_norms", counted)
     r = paley_probe(PLAN, OrchestratorConfig())
-    assert normed == {1: 208080, 2: 101439, 4: 152270, 8: 289426}
+    assert normed == {1: 208080, 2: 101439, 4: 60212, 8: 190210}
     assert r["per_dim"][8]["argmax_index"] == 44
 
 

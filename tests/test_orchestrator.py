@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from paleykit import orchestrator
+from paleykit import operators, orchestrator
 from paleykit.errors import StageFailure
 from paleykit.multiindex import Smoothness, saturate
 from paleykit.orchestrator import (
@@ -124,6 +124,18 @@ def test_no_sign_pattern_walk_per_construction(monkeypatch):
                                                  composite_count=3))
     assert calls == []
     assert rep.claim_a and rep.claim_b
+
+
+def test_rho_bounds_see_an_error_in_m(monkeypatch):
+    # rho_k comes from M's multiplier on Lambda, so the composite check
+    # cannot see an error in that multiplier; the bounds, which recompute
+    # rho_k from the symbols, do
+    original = operators._m_factor
+    monkeypatch.setattr(operators, "_m_factor",
+                        lambda nu, plan: 1.01 * original(nu, plan))
+    rep = run_construction(S, OrchestratorConfig(matrix_dims=()))
+    assert rep.composite_max_rel_error == 0.0
+    assert not rep.rho_bounds_ok
 
 
 def test_determinism(tiny_report):

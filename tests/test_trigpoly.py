@@ -9,7 +9,7 @@ from paleykit.trigpoly import (
     TrigPoly,
     lp_norm,
     paley_l2_norm,
-    polar_minorant,
+    pinch_minorant,
     random_trigpoly,
     s1_l1_lower_bound,
     s1_l1_norm,
@@ -19,7 +19,13 @@ from paleykit.trigpoly import (
     trace_norms,
 )
 
-from helpers import coeff_bits, cos_factor_poly, grid_points, random_trigpoly_scalar_draws
+from helpers import (
+    coeff_bits,
+    cos_factor_poly,
+    grid_points,
+    polar_minorant,
+    random_trigpoly_scalar_draws,
+)
 
 
 def test_construction_and_cleanup():
@@ -421,8 +427,9 @@ def test_s1_l1_lower_bound_cases():
 @pytest.mark.parametrize("dim,n_grid", [(1, 7), (1, 301), (2, 7), (2, 51), (3, 5), (3, 9)])
 @pytest.mark.parametrize("mdim", [1, 3, 8])
 def test_polar_minorant_is_below_the_norm_with_mean_the_bound(dim, n_grid, mdim):
-    # frequencies up to 3N in modulus: on the small grids most of them
-    # alias, and each case holds a pair n, n + N e_1 sharing a bin
+    # the oracle below the pinch minorant: frequencies up to 3N in
+    # modulus, so on the small grids most of them alias, and each case
+    # holds a pair n, n + N e_1 sharing a bin
     rng = np.random.default_rng([dim, n_grid, mdim])
     worst = 0.0
     for trial in range(6):
@@ -444,6 +451,41 @@ def test_polar_minorant_of_zero_and_of_one_character():
     # f = a e_n: ||f(x)||_1 = ||a||_1 at every node, and so is ell
     a = random_trigpoly([(4, -9)], mdim=3, seed=1)
     assert polar_minorant(a, 7) == pytest.approx(
+        trace_norm(a.coeffs[(4, -9)]) * np.ones(49), rel=1e-12)
+
+
+@pytest.mark.parametrize("dim,n_grid", [(1, 7), (1, 301), (2, 7), (2, 51), (3, 5), (3, 9)])
+@pytest.mark.parametrize("mdim", [3, 4, 5, 8])
+def test_pinch_minorant_lies_between_the_polar_minorant_and_the_norm(dim, n_grid, mdim):
+    # the draws of the polar minorant's test
+    rng = np.random.default_rng([dim, n_grid, mdim])
+    worst = gain = 0.0
+    for trial in range(6):
+        draw = rng.integers(-3 * n_grid, 3 * n_grid + 1, size=(6, dim))
+        freqs = [tuple(int(c) for c in row) for row in draw]
+        freqs.append((freqs[0][0] + n_grid,) + freqs[0][1:])
+        f = random_trigpoly(freqs, mdim=mdim, seed=trial)
+        ell = pinch_minorant(f, n_grid)
+        exact = trace_norms(f.evaluate(n_grid)).reshape(-1)
+        polar = polar_minorant(f, n_grid)
+        assert ell.shape == exact.shape
+        assert np.all(ell <= exact * (1 + 1e-12))
+        assert np.all(ell >= polar - 1e-12 * exact.max())
+        assert ell.mean() >= s1_l1_lower_bound(f, n_grid) * (1 - 1e-12)
+        worst = max(worst, float((ell / exact).max()))
+        gain = max(gain, ell.mean() / polar.mean())
+    assert worst > 0.5  # a minorant that is merely 0 would pass the rest
+    assert gain > 1.01  # and so would the polar minorant itself
+
+
+@pytest.mark.parametrize("mdim", [3, 4, 5, 8])
+def test_pinch_minorant_of_zero_and_of_one_character(mdim):
+    zero = pinch_minorant(TrigPoly({}, dim=2, mdim=mdim), 5)
+    assert zero.shape == (25,) and not zero.any()
+    # f = a e_n: ||f(x)||_1 = ||a||_1 at every node, and W^H a V is the
+    # diagonal of singular values, which the pinch keeps whole
+    a = random_trigpoly([(4, -9)], mdim=mdim, seed=1)
+    assert pinch_minorant(a, 7) == pytest.approx(
         trace_norm(a.coeffs[(4, -9)]) * np.ones(49), rel=1e-12)
 
 
@@ -471,6 +513,11 @@ def test_s1_l1_norm_unless_bounds_rise_to_the_norm():
     assert seen[0] > s1_l1_lower_bound(f, 51)
     assert all(a <= b * (1 + 1e-12) for a, b in zip(seen, seen[1:]))
     assert seen[-1] <= norm * (1 + 1e-12)
+    # a pinch the caller already holds gives the same bounds
+    again = []
+    ell = pinch_minorant(f, 51)
+    assert s1_l1_norm_unless(f, lambda b: again.append(b) or False, 51, ell) == norm
+    assert again == seen
     # the first bound that makes stop true ends the call
     calls = []
     assert s1_l1_norm_unless(f, lambda b: calls.append(b) or len(calls) == 3, 51) is None
