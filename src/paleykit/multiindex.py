@@ -54,6 +54,15 @@ def int_tuple(values, dim=None):
     raise ValueError("need %s, got %r" % (want, key))
 
 
+def int_at_least(name, value, low):
+    """value as a Python int; ValueError unless it is an integer, as
+    int_tuple takes one, of at least low."""
+    v = int_tuple((value,))[0]
+    if v < low:
+        raise ValueError("need %s >= %d, got %r" % (name, low, value))
+    return v
+
+
 def multi_le(gamma, delta):
     """Coordinatewise comparison gamma <= delta."""
     return len(gamma) == len(delta) and all(g <= e for g, e in zip(gamma, delta))

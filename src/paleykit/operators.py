@@ -40,17 +40,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiindex import PHASES, int_tuple, order, q_s_eval
+from .multiindex import PHASES, int_at_least, int_tuple, order, q_s_eval
 from .riesz import riesz_coeffs
 from .sequence import witness_numerator
 from .trigpoly import (
     CHOP,
     TrigPoly,
     _above,
+    largest_bin,
     paley_l2_norm,
     pinch_minorant,
     random_trigpoly,
-    s1_l1_lower_bound,
     s1_l1_norm_unless,
 )
 
@@ -184,29 +184,13 @@ def composite_closed_form(f, pipeline):
 
 
 def composite_relative_error(f, pipeline):
-    """L2-coefficient distance between pipeline and closed form,
-    relative to the closed form (or to f when the closed form is 0).
-
-    The distance is _coeff_l2(got - want) summed in one pass: the keys
-    of got, then those of want alone, as TrigPoly subtraction orders
-    them, with its chop at CHOP of want's coefficients and of each
-    difference.
-    """
-    got = composite_apply(f, pipeline).coeffs
+    """L2-coefficient distance _coeff_l2(got - want) between pipeline and
+    closed form, by TrigPoly subtraction, relative to the closed form
+    (or to f when the closed form is 0)."""
+    got = composite_apply(f, pipeline)
     want = composite_closed_form(f, pipeline)
-    total = 0.0
-    for n, g in got.items():
-        if n in want.coeffs and _above(want.coeffs[n], CHOP):
-            g = g - want.coeffs[n]
-        if _above(g, CHOP):
-            total += _square(g)
-    for n, v in want.coeffs.items():
-        if n not in got and _above(v, CHOP):
-            total += _square(v)
-    num = math.sqrt(total)
-    den = _coeff_l2(want)
-    if den == 0.0:
-        den = _coeff_l2(f)
+    num = _coeff_l2(got - want)
+    den = _coeff_l2(want) or _coeff_l2(f)
     return num / den if den else num
 
 
@@ -250,12 +234,13 @@ def paley_ratio(f, smoothness, frequencies, n_points=None, best=None):
         return num <= best * sum(lows) * (1.0 - PALEY_MARGIN)
 
     if best is not None:
-        terms = [s1_l1_lower_bound(p, n_points) for p in parts]
+        tops = [largest_bin(p, n_points) for p in parts]
+        terms = [bound for bound, _ in tops]
         if (f.mdim or 1) >= 3:
             for j in sorted(range(len(parts)), key=lambda j: -terms[j]):
                 if beaten(terms):
                     return None
-                ells[j] = pinch_minorant(parts[j], n_points)
+                ells[j] = pinch_minorant(parts[j], tops[j][1], n_points)
                 terms[j] = float(ells[j].mean())
     for j in sorted(range(len(parts)), key=lambda j: -terms[j]):
         stop = None
@@ -296,10 +281,8 @@ class PaleySampler:
         0, grid_n >= 1 or None (default grids), and mdim as mdims() takes it."""
         for name, low in (("count", 1), ("terms", 0), ("grid_n", 1)):
             value = getattr(self, name)
-            if value is None and name == "grid_n":
-                continue
-            if int_tuple((value,))[0] < low:
-                raise ValueError("need %s >= %d, got %r" % (name, low, value))
+            if value is not None or name != "grid_n":
+                int_at_least(name, value, low)
         self.mdims()
 
     def mdims(self):
@@ -341,11 +324,12 @@ def estimate_paley_constant(smoothness, frequencies, sampler):
     f) stand in for it until it is computed, each at least the one
     before:
 
-    * the bin bound L_gamma = s1_l1_lower_bound(d^gamma f), grid free;
+    * the bin bound L_gamma = ||B_gamma||_1 for the largest bin B_gamma
+      of d^gamma f (largest_bin), grid free;
     * at m >= 3, the pinch mean P_gamma, the grid mean of ell_gamma =
-      pinch_minorant(d^gamma f), which is <= the trace norm at every node
-      and >= the polar minorant, whose grid mean is L_gamma (see
-      pinch_minorant);
+      pinch_minorant(d^gamma f, B_gamma), with B_gamma from that same bin
+      pass, which is <= the trace norm at every node and >= the polar
+      minorant, whose grid mean is L_gamma (see pinch_minorant);
     * part-way through an exact term at m >= 3, (norms computed so far +
       ell_gamma over the nodes not yet normed) / N^d: s1_l1_norm_unless
       computes the grid trace norms in blocks of GRAM_BLOCK and forms it

@@ -14,10 +14,8 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .errors import StageFailure
-from .multiindex import int_tuple, q_s_eval, symbol_abs_int, symbol_phase
+from .multiindex import int_at_least, int_tuple, q_s_eval, symbol_abs_int, symbol_phase
 from .operators import (
     PaleySampler,
     build_pipeline,
@@ -29,7 +27,7 @@ from .sequence import build_sequence
 from .serialization import plan_digest, to_jsonable
 from .trigpoly import random_trigpoly
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 @dataclass
@@ -42,8 +40,6 @@ class OrchestratorConfig:
     retries: int = 3
     seed: int = 0
     composite_count: int = 25
-    composite_box: int = 50
-    composite_terms: int = 8
     matrix_dims: tuple = (1, 2, 4, 8)
     paley_count: int = 100
     paley_terms: int = 8
@@ -91,14 +87,14 @@ def _build_with_retries(s, witness, config):
 
 
 def _composite_check(plan, pipeline, config):
+    """The largest composite_relative_error over composite_count samples,
+    sample i with Gaussian coefficients on Lambda alone, from the stream
+    (seed, 7, i).  The composite identity reads f only on Lambda, and
+    composite_apply projects onto Lambda first, so a frequency off Lambda
+    would feed no check."""
     worst = 0.0
-    box = config.composite_box
     for i in range(config.composite_count):
-        rng = np.random.default_rng([config.seed, 7, i])
-        freqs = list(plan.sequence)
-        draw = rng.integers(1, box + 1, size=(config.composite_terms, plan.smoothness.dim))
-        freqs.extend(tuple(row) for row in draw.tolist())
-        f = random_trigpoly(freqs, seed=int(rng.integers(0, 2**31)))
+        f = random_trigpoly(plan.sequence, seed=[config.seed, 7, i])
         worst = max(worst, composite_relative_error(f, pipeline))
     return worst
 
@@ -145,8 +141,7 @@ def _rho_bounds_ok(plan, pipeline):
 def _check_paley_config(config):
     """The Paley probe's sampler for config, without support; ValueError
     unless paley_box is an integer >= 0 and PaleySampler takes the rest."""
-    if int_tuple((config.paley_box,))[0] < 0:
-        raise ValueError("need paley_box >= 0, got %r" % (config.paley_box,))
+    int_at_least("paley_box", config.paley_box, 0)
     return PaleySampler(count=config.paley_count, terms=config.paley_terms,
                         mdim=int_tuple(config.matrix_dims), seed=config.seed,
                         grid_n=config.grid_n)
@@ -167,17 +162,17 @@ def run_construction(s, config=None):
     """Execute every stage on the smoothness set and report.
 
     Raises StageFailure naming the first failing stage; in particular a
-    set without the required witness fails at stage property_o.  A
-    config with composite_count < 1 or retries < 0 raises ValueError,
-    since the composite check or the sequence stage would then report
-    on nothing, and so does one the Paley probe cannot run on (see
-    _check_paley_config), before any stage runs.
+    set without the required witness fails at stage property_o.  Before
+    any stage runs, a config raises ValueError unless K >= 1, seed >= 0,
+    composite_count >= 1 and retries >= 0 are integers (numpy integers
+    pass, a float or a bool does not): with no composite sample or a
+    negative retry count the composite check or the sequence stage would
+    report on nothing.  So does a config the Paley probe cannot run on
+    (see _check_paley_config).
     """
     config = config or OrchestratorConfig()
-    if config.composite_count < 1:
-        raise ValueError("need at least one composite sample")
-    if config.retries < 0:
-        raise ValueError("need retries >= 0")
+    for name, low in (("K", 1), ("seed", 0), ("composite_count", 1), ("retries", 0)):
+        int_at_least(name, getattr(config, name), low)
     if config.matrix_dims:
         _check_paley_config(config)
     timings = {}

@@ -27,7 +27,7 @@ the eigenvalues of a^H a, with singular values only for the matrices
 whose Frobenius norm is out of range or whose Gram matrix is
 ill-conditioned (see ``trace_norms`` for the guards and the error bound).
 
-``s1_l1_lower_bound`` bounds that grid mean from below without the grid:
+``largest_bin`` bounds that grid mean from below without the grid:
 the coefficients binned by residue mod N and signed by (-1)^{|n|} are the
 grid's discrete Fourier coefficients, and by the triangle inequality the
 largest trace norm among them is at most the mean, in any d and under
@@ -48,7 +48,7 @@ import math
 
 import numpy as np
 
-from .multiindex import derivative_multiplier, int_tuple, q_s_eval
+from .multiindex import derivative_multiplier, int_at_least, int_tuple, q_s_eval
 
 CHOP = 1e-15
 # trace_norms at m >= 3: matrices per Gram block, the eigenvalue-ratio
@@ -90,18 +90,20 @@ class TrigPoly:
     mdim : int, optional
         Matrix size m; only needed for a matrix-valued polynomial with
         no coefficients, so that a zero result stays matrix valued.
+
+    A given dim or mdim, and a dim read off the keys, is a positive
+    integer; numpy integers pass, a float or a bool raises ValueError.
     """
 
     def __init__(self, coeffs, dim=None, mdim=None):
-        if mdim is not None and (not isinstance(mdim, int)
-                                 or isinstance(mdim, bool) or mdim < 1):
-            raise ValueError("matrix size must be a positive integer")
+        dim = None if dim is None else int_at_least("dim", dim, 1)
+        mdim = None if mdim is None else int_at_least("mdim", mdim, 1)
         clean = {}
         seen_scalar = False
         for n, v in coeffs.items():
             key = int_tuple(n)
             if dim is None:
-                dim = len(key)
+                dim = int_at_least("dim", len(key), 1)
             elif len(key) != dim:
                 raise ValueError("frequency %r has wrong dimension" % (key,))
             val = _coerce_value(v)
@@ -233,16 +235,15 @@ class TrigPoly:
         return 4 * int(self.maxfreq()) + 1
 
     def _grid_n(self, n_points):
-        n = int_tuple((n_points,))[0] if n_points is not None else self.default_grid_n()
-        if n < 1:
-            raise ValueError("need at least one grid point per axis")
-        return n
+        if n_points is None:
+            return self.default_grid_n()
+        return int_at_least("n_points", n_points, 1)
 
     def evaluate(self, n_points=None):
         """Values on the uniform grid, shape (N,)*dim (+(m, m)).
 
         Each coefficient c_k is signed once by (-1)^{|n_k|}, as
-        ``s1_l1_lower_bound`` signs it, and each axis j gets the phase
+        ``largest_bin`` signs it, and each axis j gets the phase
         table E_j[t, k] = w[(n_kj mod N) t mod N] over the T terms; the
         reduction mod N is done in Python integers, so it is exact at
         any frequency.  The first dim - 1 tables are multiplied into the
@@ -370,8 +371,11 @@ def _bins(f, n):
     return bins
 
 
-def s1_l1_lower_bound(f, n_points=None):
-    """A lower bound on s1_l1_norm(f, n_points) that never touches the grid.
+def largest_bin(f, n_points=None):
+    """(||B||_1, B) for the bin B = B_{r*} of largest trace norm, the
+    first in f's order on ties, or (0.0, None) for the zero polynomial:
+    ||B||_1 is a lower bound on s1_l1_norm(f, n_points) that never
+    touches the grid.
 
     Bin the coefficients by residue r = n mod N, each signed by
     (-1)^{|n|} as ``evaluate`` signs it:  B_r = sum_{n = r mod N}
@@ -379,28 +383,28 @@ def s1_l1_lower_bound(f, n_points=None):
     B_r = N^{-d} sum_t f(x_t) w^{-<r,t>} is the grid's discrete Fourier
     coefficient, and since the trace norm is a norm and |w| = 1,
     ||B_r||_1 <= N^{-d} sum_t ||f(x_t)||_1, the grid mean s1_l1_norm
-    computes.  This holds in any d and whatever the aliasing; the bound
-    is max_r ||B_r||_1, at a cost of O(T m^2) plus one trace norm per bin.
+    computes.  This holds in any d and whatever the aliasing, at a cost
+    of O(T m^2) plus one trace norm per bin.
     """
     bins = _bins(f, f._grid_n(n_points))
     if not bins:
-        return 0.0
+        return 0.0, None
     vals = np.array(list(bins.values()), dtype=complex)
-    if not f.is_matrix_valued():
-        return float(np.abs(vals).max())
-    return float(trace_norms(vals).max())
+    norms = trace_norms(vals) if f.is_matrix_valued() else np.abs(vals)
+    top = int(np.argmax(norms))
+    return float(norms[top]), vals[top]
 
 
-def pinch_minorant(f, n_points=None):
+def pinch_minorant(f, top, n_points=None):
     """Grid values, flattened in ``evaluate``'s order, of a real function
-    ell with ell(x_t) <= ||f(x_t)||_1 at every node and grid mean at
-    least s1_l1_lower_bound(f, n_points); f is matrix valued.
+    ell with ell(x_t) <= ||f(x_t)||_1 at every node; f is matrix valued,
+    and top is the bin B of ``largest_bin(f, n_points)``, whose trace
+    norm is at most the grid mean of ell.
 
-    Take the bin B = B_{r*} of largest trace norm (see
-    ``s1_l1_lower_bound``) and its SVD B = W Sigma V^H.  ell(x_t) is the
-    trace norm of the block-diagonal part of W^H f(x_t) V: the m // 2
-    diagonal 2 x 2 blocks, each by the closed form of ``trace_norms``,
-    plus the last diagonal entry in modulus when m is odd.
+    Take the SVD B = W Sigma V^H.  ell(x_t) is the trace norm of the
+    block-diagonal part of W^H f(x_t) V: the m // 2 diagonal 2 x 2
+    blocks, each by the closed form of ``trace_norms``, plus the last
+    diagonal entry in modulus when m is odd.
 
     * ell <= ||f||_1 pointwise: W, V are unitary, so ||W^H a V||_1 =
       ||a||_1, and keeping the diagonal blocks of a matrix (pinching) does
@@ -416,12 +420,9 @@ def pinch_minorant(f, n_points=None):
     where those of ``evaluate`` hold m^2.
     """
     n = f._grid_n(n_points)
-    bins = _bins(f, n)
-    if not bins:
+    if not f.coeffs:
         return np.zeros(n ** f.dim)
-    keys = list(bins)
-    r_star = keys[int(np.argmax(trace_norms(np.array([bins[r] for r in keys]))))]
-    w, _, vh = np.linalg.svd(bins[r_star])
+    w, _, vh = np.linalg.svd(top)
     freqs = list(f.coeffs)
     rot = w.conj().T @ np.array([_grid_signed(k, f.coeffs[k]) for k in freqs]) @ vh.conj().T
     m, h = f.mdim, f.mdim // 2
@@ -443,17 +444,16 @@ def s1_l1_norm_unless(f, stop, n_points=None, ell=None):
 
     At m >= 3 the trace norms of the N^d grid values are computed in
     blocks of GRAM_BLOCK, in ``evaluate``'s order.  Before each block
-    after the first, with the norms of the nodes t < lo known and
-    ell = pinch_minorant(f, n_points) <= ||f(x_t)||_1,
+    after the first, with the norms of the nodes t < lo known and the
+    caller's ell = pinch_minorant(f, top, n_points) <= ||f(x_t)||_1,
 
         b = (sum_{t < lo} ||f(x_t)||_1 + sum_{t >= lo} ell(x_t)) / N^d
 
     is at most the grid mean: it would read the grid mean of ell at
-    lo = 0 and reads the mean itself once every node is normed.  A
-    caller that already holds ell passes it; otherwise it is computed at
-    the first such check, so never when stop is None.  At m <= 2 the
-    trace norms are closed forms, cheap next to the evaluation, and are
-    taken in one call with no check.
+    lo = 0 and reads the mean itself once every node is normed.  So a
+    stop at m >= 3 needs ell.  At m <= 2 the trace norms are closed
+    forms, cheap next to the evaluation, and are taken in one call with
+    no check.
 
     A call that does not stop hands trace_norms the blocks it cuts
     itself, whose norms do not depend on the stack around them, and
@@ -468,8 +468,6 @@ def s1_l1_norm_unless(f, stop, n_points=None, ell=None):
     step = GRAM_BLOCK if m >= 3 else len(vals)
     for lo in range(0, len(vals), step):
         if lo and stop is not None:
-            if ell is None:
-                ell = pinch_minorant(f, n_points)
             if stop((norms[:lo].sum() + ell[lo:].sum()) / len(vals)):
                 return None
         norms[lo:lo + step] = trace_norms(vals[lo:lo + step])

@@ -222,11 +222,11 @@ def polar_minorant(f, n_points=None):
     minorant ell(x_t) = Re tr(U^H w^{-<r*,t>} f(x_t)) of a matrix-valued f,
     the oracle below trigpoly.pinch_minorant.
 
-    B = B_{r*} is the bin of largest trace norm (see s1_l1_lower_bound)
+    B = B_{r*} is the bin of largest trace norm (see trigpoly.largest_bin)
     and U = W V^H the unitary polar factor of its SVD, so tr(U^H B) =
     ||B||_1.  Since |tr(V a)| <= ||a||_1 for every unitary V, ell <=
     ||f||_1 pointwise, and its grid mean keeps only the term r = r* of
-    f(x_t) = sum_r B_r w^{<r,t>}, so it is s1_l1_lower_bound(f).  On the
+    f(x_t) = sum_r B_r w^{<r,t>}, so it is ||B||_1.  On the
     grid w^{<n,t>} = (-1)^{|n|} e^{i<n,x_t>}, so ell is (-1)^{|r*|} times
     the real part of the scalar polynomial with coefficient tr(U^H c_k)
     at n_k - r*.

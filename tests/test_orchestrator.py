@@ -47,15 +47,15 @@ D4 = {(2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)}
 
 @pytest.mark.parametrize("maximal, config, pin", [
     ({(2, 0), (0, 1)}, dict(K=2, composite_count=3),
-     "88e162d20b20d0a90ba7e303bdfbbc7d06454343237161c8b7c0b237b0eab78a"),
+     "df119a7a590ac40339f02ef4aabc29c428c45f06a8ae44a39505b4d55857cdff"),
     ({(2, 0), (0, 1)}, {},
-     "135006ed676391a2b8df6362e6791c91e19f25e8d88835091f01e056d4a46a63"),
+     "fc5b48323fdf7ef78951a90e05a30907935816fd7f3824f9dc6b4ae7cf8a327d"),
     ({(3, 0), (2, 1), (0, 2)}, {},
-     "17c90b257078592e1e1f09a8337ba88331cd089dcb7f3ad62b0997fddfd71296"),
+     "5f886db5a4cdec6f6bb06656516649b7aee25e2b8d5120dae8d6404c7ed0f754"),
     (D4, {},
-     "850dc8195c6791a0ca5bd5edd999b8a67263eda394533fbdc4bd9b97b6c079f3"),
+     "dd3981f91dcf7e5a83f94fb24aec138359209805842ce38759769f9bfca07348"),
     ({(2, 0), (0, 3)}, {},
-     "615ecfcdfaedaa70190fe7ec2db3e21a958d5a0ffe14c6ce966e8704dbe387fb"),
+     "2ca8b0dd51b950e5644fcf0c40769ee9580f82e88768cb7bd89022852330ddbb"),
 ], ids=["S_ref_K2", "S_ref", "S3021", "d4", "S_retry"])
 def test_report_bytes_pinned_with_the_schema_version(maximal, config, pin):
     # replay forgives 1e-12 relative, so a report field that moves in its
@@ -66,13 +66,21 @@ def test_report_bytes_pinned_with_the_schema_version(maximal, config, pin):
     d = report_to_json(rep)
     d.pop("timings")
     digest = hashlib.sha256(canonical_dumps(d).encode()).hexdigest()
-    assert (SCHEMA_VERSION, digest) == (3, pin)
+    assert (SCHEMA_VERSION, digest) == (4, pin)
 
 
-@pytest.mark.parametrize("field, value", [("composite_count", 0), ("retries", -1)])
-def test_config_that_empties_a_gate_is_rejected(field, value):
+@pytest.mark.parametrize("field, value", [
+    ("composite_count", 0), ("retries", -1), ("seed", -1), ("seed", 2.5),
+    ("seed", True), ("K", 0), ("K", 2.5)])
+def test_config_that_empties_a_gate_is_rejected(monkeypatch, field, value):
     # zero composite samples would report an error of 0.0, and retries
-    # -1 would fail the sequence stage without building a plan
+    # -1 would fail the sequence stage without building a plan; seed -1
+    # and 2.5 used to fail in numpy inside the composite stage, seed True
+    # to run as seed 1, and K 2.5 to raise TypeError in the sequence stage
+    def no_stage(s):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(orchestrator, "find_witness_or_fail", no_stage)
     with pytest.raises(ValueError, match="need"):
         run_construction(S, OrchestratorConfig(matrix_dims=(), **{field: value}))
 
@@ -124,6 +132,22 @@ def test_no_sign_pattern_walk_per_construction(monkeypatch):
                                                  composite_count=3))
     assert calls == []
     assert rep.claim_a and rep.claim_b
+
+
+def test_composite_samples_draw_on_lambda_only(monkeypatch):
+    # the composite identity reads f only on Lambda, so nothing off it is
+    # drawn
+    drawn = []
+    original = orchestrator.random_trigpoly
+
+    def spy(frequencies, **kwargs):
+        drawn.append(frequencies)
+        return original(frequencies, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "random_trigpoly", spy)
+    rep = run_construction(S, OrchestratorConfig(matrix_dims=(), composite_count=3))
+    assert len(drawn) == 3
+    assert all(freqs == rep.plan.sequence for freqs in drawn)
 
 
 def test_rho_bounds_see_an_error_in_m(monkeypatch):
@@ -218,7 +242,7 @@ def test_conditions_unmet_failure():
 
 def test_report_json_shape(tiny_report):
     d = report_to_json(tiny_report)
-    assert d["schema_version"] == 3
+    assert d["schema_version"] == 4
     assert d["paley"]["per_dim"]["1"]["sup_ratio"] > 0.0
     assert set(d["timings"]) == {"property_o", "sequence", "riesz",
                                  "composite", "paley"}

@@ -8,6 +8,9 @@ import subprocess
 import sys
 import types
 
+import pytest
+
+from paleykit import orchestrator
 from paleykit.multiindex import Smoothness, saturate
 from paleykit.orchestrator import OrchestratorConfig, run_construction
 from paleykit.property_o import find_witness
@@ -57,3 +60,47 @@ def test_reference_construction_passes_the_benchmark_checks():
     assert sorted(report.paley["per_dim"]) == [1, 2, 4, 8]
     assert checks.check_report(report) == []
     assert checks.check_paley(report) == []
+
+
+# exact_scan's witness sets (perfbench/workloads.py SCAN_SETS)
+SCAN_WITNESS_SETS = [
+    [(2, 0), (0, 1)],
+    [(3, 0), (2, 1), (0, 2)],
+    [(2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
+]
+
+
+@pytest.mark.parametrize("maximal", SCAN_WITNESS_SETS, ids=["S_ref", "S3021", "d4"])
+def test_exact_scan_constructions_pass_the_benchmark_checks(maximal):
+    # exact_scan's gate: verdict, claims, composite error and digest
+    checks = load_source("checks")
+    s = Smoothness.from_indices(saturate(maximal))
+    report = run_construction(s, OrchestratorConfig(matrix_dims=()))
+    assert checks.check_verdict("witness", report, None) == []
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda factor, w: (factor, 0.25),
+    lambda factor, w: (1.01 * factor, w),
+], ids=["riesz_coefficient_0.25", "m_factor_1.01"])
+def test_lambda_only_composite_check_fails_a_corrupt_stage(monkeypatch, corrupt):
+    # a Riesz coefficient of 0.25 at n_K, or M's factor there scaled
+    # while rho_k is left alone, moves the composite off its closed form.
+    # The error is relative to the whole closed form, where n_K carries
+    # nearly all the weight: at n_1 or n_2 the same corruptions read
+    # under 1e-12 and pass (ROADMAP item 5)
+    checks = load_source("checks")
+    original = orchestrator.build_pipeline
+
+    def corrupted(plan):
+        pipeline = original(plan)
+        n = plan.sequence[-1]
+        pipeline.on_lambda[n] = corrupt(*pipeline.on_lambda[n])
+        return pipeline
+
+    monkeypatch.setattr(orchestrator, "build_pipeline", corrupted)
+    s = Smoothness.from_indices(saturate({(2, 0), (0, 1)}))
+    report = run_construction(s, OrchestratorConfig(matrix_dims=()))
+    assert report.composite_max_rel_error > 1e-12
+    problems = checks.check_report(report)
+    assert problems and all(p.startswith("composite_max_rel_error") for p in problems)

@@ -7,11 +7,11 @@ from paleykit.multiindex import Smoothness, derivative_multiplier, saturate
 from paleykit.trigpoly import (
     CHOP,
     TrigPoly,
+    largest_bin,
     lp_norm,
     paley_l2_norm,
     pinch_minorant,
     random_trigpoly,
-    s1_l1_lower_bound,
     s1_l1_norm,
     s1_l1_norm_unless,
     sobolev_norm,
@@ -42,10 +42,20 @@ def test_construction_errors():
         TrigPoly({(1, 0): 1.0, (0, 1): np.eye(2)})
     with pytest.raises(ValueError):
         TrigPoly({})
+    with pytest.raises(ValueError, match="need dim"):
+        TrigPoly({(): 1.0})  # used to build a dim-0 polynomial
     assert len(TrigPoly({}, dim=2)) == 0
-    for bad in (0, -1, True, 2.0):
-        with pytest.raises(ValueError):
-            TrigPoly({}, dim=2, mdim=bad)
+
+
+@pytest.mark.parametrize("name", ["dim", "mdim"])
+@pytest.mark.parametrize("bad", [2.5, 2.0, 0, -1, True])
+def test_sizes_must_be_positive_integers(name, bad):
+    # dim 0 used to fail later in numpy ("cannot reshape" in s1_l1_norm),
+    # and dim 2.5 or True to pass
+    with pytest.raises(ValueError, match="need"):
+        TrigPoly({}, **{"dim": 2, "mdim": 2, name: bad})
+    f = TrigPoly({}, **{"dim": 2, "mdim": 2, name: np.int64(3)})
+    assert type(getattr(f, name)) is int and getattr(f, name) == 3
 
 
 def test_frequencies_are_never_truncated():
@@ -404,9 +414,9 @@ def test_s1_l1_lower_bound_below_norm(dim, mdim):
         twin = (n[0] + n_grid,) + n[1:]
         if twin not in f.coeffs:
             f = f + TrigPoly({twin: f.coeffs[n]}, dim=dim, mdim=mdim)
-        lower = s1_l1_lower_bound(f, n_grid)
+        lower = largest_bin(f, n_grid)[0]
         assert 0.0 < lower <= s1_l1_norm(f, n_grid)
-        assert s1_l1_lower_bound(f) <= s1_l1_norm(f)
+        assert largest_bin(f)[0] <= s1_l1_norm(f)
 
 
 def test_s1_l1_lower_bound_cases():
@@ -414,14 +424,14 @@ def test_s1_l1_lower_bound_cases():
     # (7 is odd, so e_3 and e_10 carry opposite signs on the 7-grid)
     a = np.array([[1.0, 2j], [0.5, -1.0]])
     f = TrigPoly({(3,): a, (10,): a, (-4,): 2.0 * a})
-    assert s1_l1_lower_bound(f, 7) == pytest.approx(s1_l1_norm(f, 7), rel=1e-12)
-    assert s1_l1_lower_bound(f, 7) == pytest.approx(2.0 * trace_norm(a), rel=1e-15)
+    assert largest_bin(f, 7)[0] == pytest.approx(s1_l1_norm(f, 7), rel=1e-12)
+    assert largest_bin(f, 7)[0] == pytest.approx(2.0 * trace_norm(a), rel=1e-15)
     g = TrigPoly({(3,): 1.0, (10,): 1.0})
-    assert s1_l1_lower_bound(g, 7) == 0.0
+    assert largest_bin(g, 7)[0] == 0.0
     assert s1_l1_norm(g, 7) < 1e-15
-    assert s1_l1_lower_bound(TrigPoly({}, dim=2, mdim=3), 5) == 0.0
+    assert largest_bin(TrigPoly({}, dim=2, mdim=3), 5)[0] == 0.0
     with pytest.raises(ValueError):
-        s1_l1_lower_bound(g, 0)
+        largest_bin(g, 0)
 
 
 @pytest.mark.parametrize("dim,n_grid", [(1, 7), (1, 301), (2, 7), (2, 51), (3, 5), (3, 9)])
@@ -441,7 +451,7 @@ def test_polar_minorant_is_below_the_norm_with_mean_the_bound(dim, n_grid, mdim)
         exact = trace_norms(f.evaluate(n_grid)).reshape(-1)
         assert ell.shape == exact.shape
         assert np.all(ell <= exact * (1 + 1e-12))
-        assert ell.mean() == pytest.approx(s1_l1_lower_bound(f, n_grid), rel=1e-12)
+        assert ell.mean() == pytest.approx(largest_bin(f, n_grid)[0], rel=1e-12)
         worst = max(worst, float((ell / exact).max()))
     assert worst > 0.5  # a minorant that is merely 0 would pass the rest
 
@@ -465,13 +475,13 @@ def test_pinch_minorant_lies_between_the_polar_minorant_and_the_norm(dim, n_grid
         freqs = [tuple(int(c) for c in row) for row in draw]
         freqs.append((freqs[0][0] + n_grid,) + freqs[0][1:])
         f = random_trigpoly(freqs, mdim=mdim, seed=trial)
-        ell = pinch_minorant(f, n_grid)
+        ell = pinch_minorant(f, largest_bin(f, n_grid)[1], n_grid)
         exact = trace_norms(f.evaluate(n_grid)).reshape(-1)
         polar = polar_minorant(f, n_grid)
         assert ell.shape == exact.shape
         assert np.all(ell <= exact * (1 + 1e-12))
         assert np.all(ell >= polar - 1e-12 * exact.max())
-        assert ell.mean() >= s1_l1_lower_bound(f, n_grid) * (1 - 1e-12)
+        assert ell.mean() >= largest_bin(f, n_grid)[0] * (1 - 1e-12)
         worst = max(worst, float((ell / exact).max()))
         gain = max(gain, ell.mean() / polar.mean())
     assert worst > 0.5  # a minorant that is merely 0 would pass the rest
@@ -480,12 +490,12 @@ def test_pinch_minorant_lies_between_the_polar_minorant_and_the_norm(dim, n_grid
 
 @pytest.mark.parametrize("mdim", [3, 4, 5, 8])
 def test_pinch_minorant_of_zero_and_of_one_character(mdim):
-    zero = pinch_minorant(TrigPoly({}, dim=2, mdim=mdim), 5)
+    zero = pinch_minorant(TrigPoly({}, dim=2, mdim=mdim), None, 5)
     assert zero.shape == (25,) and not zero.any()
     # f = a e_n: ||f(x)||_1 = ||a||_1 at every node, and W^H a V is the
     # diagonal of singular values, which the pinch keeps whole
     a = random_trigpoly([(4, -9)], mdim=mdim, seed=1)
-    assert pinch_minorant(a, 7) == pytest.approx(
+    assert pinch_minorant(a, largest_bin(a, 7)[1], 7) == pytest.approx(
         trace_norm(a.coeffs[(4, -9)]) * np.ones(49), rel=1e-12)
 
 
@@ -500,27 +510,24 @@ def test_s1_l1_norm_is_the_mean_of_the_grid_trace_norms_bitwise(dim, mdim, n_gri
     f = random_trigpoly([n[:dim] for n in freqs], mdim=mdim, seed=mdim)
     want = float(trace_norms(f.evaluate(n_grid)).mean())
     assert s1_l1_norm(f, n_grid).hex() == want.hex()
-    assert s1_l1_norm_unless(f, lambda bound: False, n_grid).hex() == want.hex()
+    ell = pinch_minorant(f, largest_bin(f, n_grid)[1], n_grid) if mdim >= 3 else None
+    assert s1_l1_norm_unless(f, lambda bound: False, n_grid, ell).hex() == want.hex()
 
 
 def test_s1_l1_norm_unless_bounds_rise_to_the_norm():
     f = random_trigpoly([(1, 2), (-3, 5), (6, -6), (2, 0), (25, 1)], mdim=4, seed=2)
     norm = s1_l1_norm(f, 51)
+    ell = pinch_minorant(f, largest_bin(f, 51)[1], 51)
     seen = []
-    assert s1_l1_norm_unless(f, lambda b: seen.append(b) or False, 51) == norm
+    assert s1_l1_norm_unless(f, lambda b: seen.append(b) or False, 51, ell) == norm
     # one check before each of the 10 blocks after the first of 2601 nodes
     assert len(seen) == 10
-    assert seen[0] > s1_l1_lower_bound(f, 51)
+    assert seen[0] > largest_bin(f, 51)[0]
     assert all(a <= b * (1 + 1e-12) for a, b in zip(seen, seen[1:]))
     assert seen[-1] <= norm * (1 + 1e-12)
-    # a pinch the caller already holds gives the same bounds
-    again = []
-    ell = pinch_minorant(f, 51)
-    assert s1_l1_norm_unless(f, lambda b: again.append(b) or False, 51, ell) == norm
-    assert again == seen
     # the first bound that makes stop true ends the call
     calls = []
-    assert s1_l1_norm_unless(f, lambda b: calls.append(b) or len(calls) == 3, 51) is None
+    assert s1_l1_norm_unless(f, lambda b: calls.append(b) or len(calls) == 3, 51, ell) is None
     assert calls == seen[:3]
     # m <= 2: one closed-form call, stop is never asked
     g = random_trigpoly([(1, 2), (-3, 5)], mdim=2, seed=2)
