@@ -35,6 +35,7 @@ operator_m uses, and applied in the same order, so the result is the
 stage-by-stage composite bit for bit.
 """
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -217,38 +218,84 @@ def paley_ratio(f, smoothness, frequencies, n_points=None, best=None):
     quotient; undefined for the zero polynomial.
 
     With best given, returns None as soon as the quotient is proven not
-    to exceed best (the skip rule of estimate_paley_constant).  A
-    quotient that is returned always sums its s1_l1_norm terms in the
-    order of smoothness, so it is bit-identical to
-    paley_l2_norm(f) / sobolev_norm(f) whatever best is.
+    to exceed best (the skip rule of estimate_paley_constant): on the bin
+    bounds, then, at m >= 3, on each pinch mean as it is taken, and then
+    inside the exact terms.  A quotient that is returned always sums its
+    s1_l1_norm terms in the order of smoothness, so it is bit-identical
+    to paley_l2_norm(f) / sobolev_norm(f) whatever best is.
     """
+    parts = _parts(f, smoothness)
+    num = paley_l2_norm(f, smoothness, frequencies)
+    lows = [0.0] * len(parts)
+    ells = [None] * len(parts)
+    if best is not None:
+        lows = [largest_bin(p, n_points)[0] for p in parts]
+        if _uses_pinch(f):
+            ells = _raise_to_pinch(num, parts, lows, best, n_points)
+            if ells is None:
+                return None
+    return _exact_ratio(num, parts, lows, best, n_points, ells)
+
+
+def _parts(f, smoothness):
+    """The derivatives d^gamma f, gamma in S, that the quotient's
+    denominator sums over."""
     if len(f) == 0:
         raise ValueError("Paley ratio undefined for the zero polynomial")
-    num = paley_l2_norm(f, smoothness, frequencies)
-    parts = [f.derivative(gamma) for gamma in smoothness]
-    terms = [0.0] * len(parts)
+    return [f.derivative(gamma) for gamma in smoothness]
+
+
+def _uses_pinch(f):
+    # the pinch pays off only where the exact trace norms need Gram
+    # eigenvalues, at m >= 3
+    return (f.mdim or 1) >= 3
+
+
+def _beaten(num, best, lows):
+    # the skip rule, with every entry of lows at most its E_gamma; before
+    # there is a best, nothing is skipped
+    return best is not None and num <= best * sum(lows) * (1.0 - PALEY_MARGIN)
+
+
+def _bound(num, lows):
+    # the certified upper bound num / sum(lows) on the quotient
+    low = sum(lows)
+    return num / low if low else (math.inf if num else 0.0)
+
+
+def _pinch(part, n_points):
+    return pinch_minorant(part, largest_bin(part, n_points)[1], n_points)
+
+
+def _raise_to_pinch(num, parts, lows, best, n_points):
+    """Raise each bin bound in lows, in place and largest first, to its
+    pinch mean, and return the pinch arrays; None as soon as the skip
+    rule holds."""
     ells = [None] * len(parts)
+    for j in sorted(range(len(parts)), key=lambda j: -lows[j]):
+        if _beaten(num, best, lows):
+            return None
+        ells[j] = _pinch(parts[j], n_points)
+        lows[j] = float(ells[j].mean())
+    return ells
 
-    def beaten(lows):
-        # every entry of lows is at most its E_gamma
-        return num <= best * sum(lows) * (1.0 - PALEY_MARGIN)
 
-    if best is not None:
-        tops = [largest_bin(p, n_points) for p in parts]
-        terms = [bound for bound, _ in tops]
-        if (f.mdim or 1) >= 3:
-            for j in sorted(range(len(parts)), key=lambda j: -terms[j]):
-                if beaten(terms):
-                    return None
-                ells[j] = pinch_minorant(parts[j], tops[j][1], n_points)
-                terms[j] = float(ells[j].mean())
+def _exact_ratio(num, parts, lows, best, n_points, ells):
+    """num over the exact terms E_gamma, taken largest bound first with
+    lows as the bounds, or None as soon as the skip rule holds before a
+    term or part-way through one.  At m >= 3 a term's part-way bound
+    needs its pinch array, which is computed when that term starts
+    unless ells holds it."""
+    terms = list(lows)
     for j in sorted(range(len(parts)), key=lambda j: -terms[j]):
         stop = None
         if best is not None:
             def stop(bound, j=j):
-                return beaten(terms[:j] + [bound] + terms[j + 1:])
+                return _beaten(num, best, terms[:j] + [bound] + terms[j + 1:])
             if stop(terms[j]):
                 return None
+            if ells[j] is None and _uses_pinch(parts[j]):
+                ells[j] = _pinch(parts[j], n_points)
         terms[j] = s1_l1_norm_unless(parts[j], stop, n_points, ells[j])
         if terms[j] is None:
             return None
@@ -336,23 +383,41 @@ def estimate_paley_constant(smoothness, frequencies, sampler):
       before each block after the first, so it rises from P_gamma to
       E_gamma.
 
-    A sample computes its numerator and every L_gamma, then stops as
-    soon as
+    A sample is dropped as soon as
 
         num <= best * sum_gamma (E_gamma if computed, else its latest
                                  bound) * (1 - PALEY_MARGIN),
 
-    since then num / sum E_gamma < best.  The rule is tried on the bin
-    bounds; at m >= 3, after raising each L_gamma to P_gamma, largest
-    L_gamma first, with the pinches all taken before any exact term
-    (a pinch evaluates 2m entries per node and needs no Gram eigenvalue,
-    against m^2 entries and an eigvalsh per node for the term); then
-    before each exact E_gamma, largest bound first, and at every
-    part-way bound inside it, whose ell_gamma is the pinch already
-    computed.  A sample that finishes sums its E_gamma in the order of
-    S, exactly as sobolev_norm does, so every per-m sup and argmax is
-    the one of the plain loop over paley_ratio, bit for bit; a tie never
-    replaces an earlier index.
+    since then num / sum E_gamma < best.  Per m the samples are visited
+    best-first.  A first pass draws them and computes each numerator and
+    every L_gamma, and a heap orders them by the upper bound num /
+    sum_gamma L_gamma on the quotient, lower index first on equal
+    bounds.  A heap entry keeps the sample's coefficients, num and its
+    latest bounds, never a derivative or a grid array.  A visit pops the
+    top sample, takes its derivatives again, and
+
+    * ends the search if the rule holds for it.  That is the rule's own
+      inequality, so the margin argument below covers it; every sample
+      left has a bound at most the popped one's, up to the few u of two
+      divisions, far inside the margin, so none can beat best either;
+    * at m >= 3, if it has bin bounds only, raises them to pinch means,
+      largest L_gamma first, dropping the sample once the rule holds (a
+      pinch evaluates 2m entries per node and needs no Gram eigenvalue,
+      an exact term m^2 entries and an eigvalsh per node), and puts it
+      back if its new bound no longer tops the heap.  The first visit
+      pinches too, so that the first best comes from the sharper bound;
+    * else computes the exact E_gamma, largest bound first, trying the
+      rule before each and at every part-way bound inside it, with the
+      term's pinch array just computed or, after a return to the heap,
+      computed when the term starts.
+
+    A sample that finishes sums its E_gamma in the order of S, exactly
+    as sobolev_norm does, and replaces the best if its quotient is
+    larger, or equal at a lower index.  The margin keeps the rule from
+    firing on a tie, so no sample whose quotient equals the final sup is
+    ever dropped, and every per-m sup and argmax is that of the plain
+    loop over paley_ratio in index order, first index on ties, bit for
+    bit.
 
     The margin covers rounding, which can push a computed bound above
     the computed E_gamma although it is below E_gamma exactly.  All of
@@ -383,13 +448,35 @@ def estimate_paley_constant(smoothness, frequencies, sampler):
     """
     mdims = sampler.mdims()
     lam = [int_tuple(n) for n in frequencies]
+    grid_n = sampler.grid_n
     per_dim = {}
     for m in mdims:
-        best = index = None
+        heap = []
         for i in range(sampler.count):
-            r = paley_ratio(sampler.draw(m, i), smoothness, lam,
-                            n_points=sampler.grid_n, best=best)
-            if r is not None and (best is None or r > best):
+            f = sampler.draw(m, i)
+            num = paley_l2_norm(f, smoothness, lam)
+            lows = [largest_bin(p, grid_n)[0] for p in _parts(f, smoothness)]
+            heap.append((-_bound(num, lows), i, f, num, lows, not _uses_pinch(f)))
+        heapq.heapify(heap)
+        best = index = None
+        while heap:
+            # final: the bounds are as high as they get before exact terms
+            _, i, f, num, lows, final = heapq.heappop(heap)
+            if _beaten(num, best, lows):
+                break
+            parts = _parts(f, smoothness)
+            ells = [None] * len(parts)
+            if not final:
+                ells = _raise_to_pinch(num, parts, lows, best, grid_n)
+                if ells is None:
+                    continue
+                entry = (-_bound(num, lows), i, f, num, lows, True)
+                if heap and heap[0] < entry:
+                    heapq.heappush(heap, entry)
+                    continue
+            r = _exact_ratio(num, parts, lows, best, grid_n, ells)
+            if r is not None and (best is None or r > best
+                                  or (r == best and i < index)):
                 best, index = r, i
         per_dim[m] = {"sup_ratio": best, "argmax_index": index}
     top = max(mdims, key=lambda m: per_dim[m]["sup_ratio"])

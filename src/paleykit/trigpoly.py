@@ -160,10 +160,26 @@ class TrigPoly:
     # ------------------------------------------------------------------
     # algebra
 
+    def _derived(self, coeffs):
+        """A polynomial of self's dim and mdim whose coefficients are
+        derived from checked ones, so that their keys are int tuples of
+        length dim and their values complex, of self's shape: of the
+        checks in __init__ only the rule that no exactly-zero coefficient
+        is stored runs again."""
+        out = TrigPoly.__new__(TrigPoly)
+        out.dim, out.mdim = self.dim, self.mdim
+        if self.mdim is None:
+            out.coeffs = {n: v for n, v in coeffs.items() if v != 0}
+        else:
+            out.coeffs = {n: v for n, v in coeffs.items() if v.any()}
+        return out
+
+    def _chopped(self, coeffs, tol=CHOP):
+        return self._derived({n: v for n, v in coeffs.items() if _above(v, tol)})
+
     def chop(self, tol=CHOP):
         """Drop coefficients whose largest entry is at most tol."""
-        out = {n: v for n, v in self.coeffs.items() if _above(v, tol)}
-        return TrigPoly(out, dim=self.dim, mdim=self.mdim)
+        return self._chopped(self.coeffs, tol)
 
     def _check_compatible(self, other):
         if self.dim != other.dim or self.mdim != other.mdim:
@@ -174,7 +190,7 @@ class TrigPoly:
         out = dict(self.coeffs)
         for n, v in other.coeffs.items():
             out[n] = out[n] + v if n in out else v
-        return TrigPoly(out, dim=self.dim, mdim=self.mdim).chop()
+        return self._chopped(out)
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -185,8 +201,8 @@ class TrigPoly:
     def __mul__(self, other):
         if isinstance(other, TrigPoly):
             return self.convolve(other)
-        out = {n: other * v for n, v in self.coeffs.items()}
-        return TrigPoly(out, dim=self.dim, mdim=self.mdim).chop()
+        out = {n: _coerce_value(other * v) for n, v in self.coeffs.items()}
+        return self._chopped(out)
 
     __rmul__ = __mul__
 
@@ -206,7 +222,7 @@ class TrigPoly:
                 key = tuple(a + b for a, b in zip(n1, n2))
                 prod = v1 @ v2 if self.mdim is not None else v1 * v2
                 out[key] = out[key] + prod if key in out else prod
-        return TrigPoly(out, dim=self.dim, mdim=self.mdim).chop()
+        return self._chopped(out)
 
     def conj(self):
         """Pointwise adjoint: coefficient at n becomes the conjugate
@@ -215,17 +231,13 @@ class TrigPoly:
         for n, v in self.coeffs.items():
             key = tuple(-c for c in n)
             out[key] = v.conj().T if isinstance(v, np.ndarray) else v.conjugate()
-        return TrigPoly(out, dim=self.dim, mdim=self.mdim)
+        return self._derived(out)
 
     def derivative(self, gamma):
         """Partial derivative of multi-index gamma (0^0 = 1 convention),
         chopped as ``chop`` would chop it."""
-        out = {}
-        for n, v in self.coeffs.items():
-            dv = derivative_multiplier(gamma, n) * v
-            if _above(dv, CHOP):
-                out[n] = dv
-        return TrigPoly(out, dim=self.dim, mdim=self.mdim)
+        return self._chopped({n: derivative_multiplier(gamma, n) * v
+                              for n, v in self.coeffs.items()})
 
     # ------------------------------------------------------------------
     # evaluation and quadrature
@@ -482,10 +494,10 @@ def sobolev_norm(f, smoothness, n_points=None):
 
 def paley_l2_norm(f, smoothness, frequencies):
     """Weighted coefficient norm (sum_{n} Q_S(n) |f_hat(n)|^2)^{1/2} over
-    the given frequencies; matrix coefficients enter by Frobenius norm."""
+    the set of the given frequencies, each counted once, in the order of
+    first occurrence; matrix coefficients enter by Frobenius norm."""
     total = 0.0
-    for n in frequencies:
-        key = int_tuple(n)
+    for key in dict.fromkeys(int_tuple(n) for n in frequencies):
         if key not in f.coeffs:
             continue
         v = f.coeffs[key]

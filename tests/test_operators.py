@@ -508,13 +508,64 @@ def test_inflated_bound_fails_oracle(monkeypatch):
 
 def test_inflated_pointwise_bound_fails_oracle(monkeypatch):
     # a pinch minorant 1.5 times too high stops samples that beat the
-    # best, before or during their grid norms
+    # best, before or during their grid norms.  It is inflated on the odd
+    # samples only, known by their spectra, which derivatives keep: a
+    # uniform factor keeps the best-first order, so the true argmax comes
+    # first and the mutant changes nothing
+    odd = set()
+    draw = PaleySampler.draw
+
+    def drawn(self, m, i):
+        f = draw(self, m, i)
+        if i % 2:
+            odd.add(f.spectrum())
+        return f
+
     original = operators.pinch_minorant
-    monkeypatch.setattr(operators, "pinch_minorant",
-                        lambda f, top, n_points: 1.5 * original(f, top, n_points))
+
+    def inflated(f, top, n_points):
+        ell = original(f, top, n_points)
+        return 1.5 * ell if f.spectrum() in odd else ell
+
+    monkeypatch.setattr(PaleySampler, "draw", drawn)
+    monkeypatch.setattr(operators, "pinch_minorant", inflated)
     assert any(mismatches(S, PLAN.sequence, reference_sampler(seed, 16))
                for seed in (0, 1, 2))
     assert d3_odd_matrix_sizes()
+
+
+def test_exact_tie_reports_the_first_index(monkeypatch):
+    # samples 1 and 4 are c e_{n_1} and -c e_{n_1}, c of rank one: the
+    # same quotient bit for bit, above every mixed sample.  A bin bound
+    # halved on the derivatives of sample 4 (still a lower bound) ranks
+    # it first, yet the tie goes to index 1
+    n1 = PLAN.sequence[0]
+    c = np.outer([1.0, 2j], [0.5, 1j])
+    twins = {1: TrigPoly({n1: c}), 4: TrigPoly({n1: -c})}
+    draw = PaleySampler.draw
+    monkeypatch.setattr(PaleySampler, "draw",
+                        lambda self, m, i: twins[i] if i in twins else draw(self, m, i))
+    halved = {tuple(coeff_bits(twins[4].derivative(g))) for g in S}
+    original = operators.largest_bin
+
+    def bound(f, n_points):
+        low, top = original(f, n_points)
+        return (low / 2 if tuple(coeff_bits(f)) in halved else low), top
+
+    monkeypatch.setattr(operators, "largest_bin", bound)
+    sampler = PaleySampler(count=6, support=BOX, always=(n1,), terms=4, mdim=2,
+                           grid_n=51)
+    got = estimate_paley_constant(S, PLAN.sequence, sampler)["per_dim"][2]
+    assert paley_oracle(S, PLAN.sequence, sampler)[2] == (got["sup_ratio"], 1)
+    assert got["argmax_index"] == 1
+
+
+def test_probe_matches_oracle_where_best_first_reorders():
+    # seed 7 at m = 8: in index order the best rises at samples 0, 1, 2,
+    # 4 and 7, while best-first visits the largest bounds first
+    sampler = PaleySampler(count=30, support=BOX, always=(PLAN.sequence[0],),
+                           terms=8, mdim=8, seed=7, grid_n=51)
+    assert mismatches(S, PLAN.sequence, sampler) == []
 
 
 def test_paley_ratio_is_l2_over_sobolev_bitwise():
@@ -544,7 +595,7 @@ def test_reference_probe_grid_evaluations(monkeypatch):
 
     monkeypatch.setattr(trigpoly, "trace_norms", counted)
     r = paley_probe(PLAN, OrchestratorConfig())
-    assert normed == {1: 208080, 2: 101439, 4: 60212, 8: 190210}
+    assert normed == {1: 174267, 2: 75429, 4: 12964, 8: 130336}
     assert r["per_dim"][8]["argmax_index"] == 44
 
 
@@ -558,6 +609,12 @@ def test_single_character_closed_form():
     want = math.sqrt(20101.0) / 211.0
     assert r["sup_ratio"] == pytest.approx(want, rel=1e-12)
     assert r["sup_ratio"] <= 1.0
+    # a repeated frequency counts once, as paley_project counts it
+    again = estimate_paley_constant(
+        S, [n1, n1], PaleySampler(count=3, always=[n1], mdim=2))
+    assert again == estimate_paley_constant(
+        S, [n1], PaleySampler(count=3, always=[n1], mdim=2))
+    assert again["sup_ratio"] == pytest.approx(0.5837, abs=1e-4)
 
 
 def test_ratio_zero_when_spectrum_misses_lambda():

@@ -549,6 +549,64 @@ def test_paley_l2_single_frequency():
     assert abs(got - 2.0 * math.sqrt(q)) < 1e-12
 
 
+def test_paley_l2_counts_a_repeated_frequency_once():
+    # the sum ran over the list, so a repeat counted twice: 292.17, a
+    # factor sqrt(2) above 206.60
+    S = Smoothness.from_indices(saturate({(2, 0), (0, 1)}))
+    f = random_trigpoly([(10, 100), (3, 4)], mdim=2, seed=1)
+    once = paley_l2_norm(f, S, [(10, 100), (3, 4)])
+    assert paley_l2_norm(f, S, [(10, 100), (3, 4), (10, 100), (3, 4)]) == once
+    assert paley_l2_norm(f, S, [(10, 100), (10, 100)]) == paley_l2_norm(f, S, [(10, 100)])
+
+
+def _checked(f, out, chop=False):
+    # through the checked constructor, as the derived operations were built
+    g = TrigPoly(out, dim=f.dim, mdim=f.mdim)
+    return g.chop() if chop else g
+
+
+def _big(v, tol=CHOP):
+    return (np.max(np.abs(v)) if isinstance(v, np.ndarray) else abs(v)) > tol
+
+
+@pytest.mark.parametrize("mdim", [None, 3])
+def test_derived_operations_match_the_checked_constructor(mdim):
+    # the derived operations trust keys and shapes; they must store the
+    # same keys and the same coefficient bits as the checked constructor
+    f = random_trigpoly([(0, 2), (1, 0), (3, -4), (5, 5)], mdim=mdim, seed=2)
+    g = random_trigpoly([(1, 0), (2, 2), (0, 2)], mdim=mdim, seed=3)
+    g = g + TrigPoly({(3, -4): -f.coeffs[(3, -4)]})  # cancels on addition
+    gamma = (1, 2)
+
+    def adjoint(v):
+        return v.conj().T if mdim else v.conjugate()
+
+    add = dict(f.coeffs)
+    for n, v in g.coeffs.items():
+        add[n] = add[n] + v if n in add else v
+    conv = {}
+    for n1, v1 in f.coeffs.items():
+        for n2, v2 in g.coeffs.items():
+            key = (n1[0] + n2[0], n1[1] + n2[1])
+            prod = v1 @ v2 if mdim else v1 * v2
+            conv[key] = conv[key] + prod if key in conv else prod
+    derived = {n: derivative_multiplier(gamma, n) * v for n, v in f.coeffs.items()}
+    pairs = [
+        (f.derivative(gamma),
+         _checked(f, {n: v for n, v in derived.items() if _big(v)})),
+        (f.chop(0.5), _checked(f, {n: v for n, v in f.coeffs.items() if _big(v, 0.5)})),
+        (f.conj(), _checked(f, {(-n[0], -n[1]): adjoint(v) for n, v in f.coeffs.items()})),
+        ((0.5 - 1.5j) * f, _checked(f, {n: (0.5 - 1.5j) * v for n, v in f.coeffs.items()}, True)),
+        (0 * f, _checked(f, {n: 0 * v for n, v in f.coeffs.items()}, True)),
+        (f + g, _checked(f, add, True)),
+        (f * g, _checked(f, conv, True)),
+    ]
+    for got, want in pairs:
+        assert (got.dim, got.mdim) == (want.dim, want.mdim)
+        assert coeff_bits(got) == coeff_bits(want)
+    assert (3, -4) not in (f + g).coeffs and (0, 2) not in f.derivative(gamma).coeffs
+
+
 def test_random_trigpoly_deterministic():
     f = random_trigpoly([(1, 2)], seed=9)
     g = random_trigpoly([(1, 2)], seed=9)
