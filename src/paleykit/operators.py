@@ -46,13 +46,15 @@ from .riesz import riesz_coeffs
 from .sequence import witness_numerator
 from .trigpoly import (
     CHOP,
+    GRAM_BLOCK,
     TrigPoly,
     _above,
     largest_bin,
     paley_l2_norm,
     pinch_minorant,
     random_trigpoly,
-    s1_l1_norm_unless,
+    sobolev_norm,
+    trace_norms,
 )
 
 
@@ -213,42 +215,13 @@ def _coeff_l2(f):
 PALEY_MARGIN = 1e-6
 
 
-def paley_ratio(f, smoothness, frequencies, n_points=None, best=None):
+def paley_ratio(f, smoothness, frequencies, n_points=None):
     """paley_l2_norm over sobolev_norm (p = 1), the per-function Paley
-    quotient; undefined for the zero polynomial.
-
-    With best given, returns None as soon as the quotient is proven not
-    to exceed best (the skip rule of estimate_paley_constant): on the bin
-    bounds, then, at m >= 3, on each pinch mean as it is taken, and then
-    inside the exact terms.  A quotient that is returned always sums its
-    s1_l1_norm terms in the order of smoothness, so it is bit-identical
-    to paley_l2_norm(f) / sobolev_norm(f) whatever best is.
-    """
-    parts = _parts(f, smoothness)
-    num = paley_l2_norm(f, smoothness, frequencies)
-    lows = [0.0] * len(parts)
-    ells = [None] * len(parts)
-    if best is not None:
-        lows = [largest_bin(p, n_points)[0] for p in parts]
-        if _uses_pinch(f):
-            ells = _raise_to_pinch(num, parts, lows, best, n_points)
-            if ells is None:
-                return None
-    return _exact_ratio(num, parts, lows, best, n_points, ells)
-
-
-def _parts(f, smoothness):
-    """The derivatives d^gamma f, gamma in S, that the quotient's
-    denominator sums over."""
+    quotient; undefined for the zero polynomial."""
     if len(f) == 0:
         raise ValueError("Paley ratio undefined for the zero polynomial")
-    return [f.derivative(gamma) for gamma in smoothness]
-
-
-def _uses_pinch(f):
-    # the pinch pays off only where the exact trace norms need Gram
-    # eigenvalues, at m >= 3
-    return (f.mdim or 1) >= 3
+    return (paley_l2_norm(f, smoothness, frequencies)
+            / sobolev_norm(f, smoothness, n_points))
 
 
 def _beaten(num, best, lows):
@@ -263,11 +236,7 @@ def _bound(num, lows):
     return num / low if low else (math.inf if num else 0.0)
 
 
-def _pinch(part, n_points):
-    return pinch_minorant(part, largest_bin(part, n_points)[1], n_points)
-
-
-def _raise_to_pinch(num, parts, lows, best, n_points):
+def _raise_to_pinch(num, parts, tops, lows, best, n_points):
     """Raise each bin bound in lows, in place and largest first, to its
     pinch mean, and return the pinch arrays; None as soon as the skip
     rule holds."""
@@ -275,28 +244,54 @@ def _raise_to_pinch(num, parts, lows, best, n_points):
     for j in sorted(range(len(parts)), key=lambda j: -lows[j]):
         if _beaten(num, best, lows):
             return None
-        ells[j] = _pinch(parts[j], n_points)
+        ells[j] = pinch_minorant(parts[j], tops[j], n_points)
         lows[j] = float(ells[j].mean())
     return ells
 
 
-def _exact_ratio(num, parts, lows, best, n_points, ells):
+def _exact_term(num, best, terms, j, part, ell, n_points):
+    """E_j = s1_l1_norm(part, n_points) bit for bit, or None as soon as
+    the skip rule holds with terms[j] raised to a part-way bound.
+
+    part is matrix valued; its grid values live only inside this call.
+    Given its pinch array ell (m >= 3), the trace norms are taken in
+    blocks of GRAM_BLOCK, in ``evaluate``'s order, and before each block
+    after the first the bound
+
+        (sum_{t < lo} ||part(x_t)||_1 + sum_{t >= lo} ell(x_t)) / N^d
+
+    stands for terms[j].  Without ell (m <= 2, closed-form norms) they
+    are taken in one call with no check.  A block's norms do not depend
+    on the stack around it, so the mean is s1_l1_norm's.
+    """
+    m = part.mdim
+    vals = part.evaluate(n_points).reshape(-1, m, m)
+    norms = np.empty(len(vals))
+    step = len(vals) if ell is None else GRAM_BLOCK
+    for lo in range(0, len(vals), step):
+        if lo:
+            bound = (norms[:lo].sum() + ell[lo:].sum()) / len(vals)
+            if _beaten(num, best, terms[:j] + [bound] + terms[j + 1:]):
+                return None
+        norms[lo:lo + step] = trace_norms(vals[lo:lo + step])
+    return float(norms.mean())
+
+
+def _exact_ratio(num, parts, tops, lows, best, n_points, ells):
     """num over the exact terms E_gamma, taken largest bound first with
     lows as the bounds, or None as soon as the skip rule holds before a
-    term or part-way through one.  At m >= 3 a term's part-way bound
-    needs its pinch array, which is computed when that term starts
-    unless ells holds it."""
+    term or part-way through one.  With ells given (m >= 3) and a best
+    to beat, a term whose pinch array ells lacks gets it from its bin in
+    tops before its grid values.  A quotient that is returned sums the
+    E_gamma in the order of smoothness, as sobolev_norm does."""
     terms = list(lows)
     for j in sorted(range(len(parts)), key=lambda j: -terms[j]):
-        stop = None
-        if best is not None:
-            def stop(bound, j=j):
-                return _beaten(num, best, terms[:j] + [bound] + terms[j + 1:])
-            if stop(terms[j]):
-                return None
-            if ells[j] is None and _uses_pinch(parts[j]):
-                ells[j] = _pinch(parts[j], n_points)
-        terms[j] = s1_l1_norm_unless(parts[j], stop, n_points, ells[j])
+        if _beaten(num, best, terms):
+            return None
+        if best is not None and ells is not None and ells[j] is None:
+            ells[j] = pinch_minorant(parts[j], tops[j], n_points)
+        ell = None if ells is None else ells[j]
+        terms[j] = _exact_term(num, best, terms, j, parts[j], ell, n_points)
         if terms[j] is None:
             return None
     return num / sum(terms)
@@ -378,7 +373,7 @@ def estimate_paley_constant(smoothness, frequencies, sampler):
       pass, which is <= the trace norm at every node and >= the polar
       minorant, whose grid mean is L_gamma (see pinch_minorant);
     * part-way through an exact term at m >= 3, (norms computed so far +
-      ell_gamma over the nodes not yet normed) / N^d: s1_l1_norm_unless
+      ell_gamma over the nodes not yet normed) / N^d: _exact_term
       computes the grid trace norms in blocks of GRAM_BLOCK and forms it
       before each block after the first, so it rises from P_gamma to
       E_gamma.
@@ -392,9 +387,10 @@ def estimate_paley_constant(smoothness, frequencies, sampler):
     best-first.  A first pass draws them and computes each numerator and
     every L_gamma, and a heap orders them by the upper bound num /
     sum_gamma L_gamma on the quotient, lower index first on equal
-    bounds.  A heap entry keeps the sample's coefficients, num and its
-    latest bounds, never a derivative or a grid array.  A visit pops the
-    top sample, takes its derivatives again, and
+    bounds.  A heap entry keeps the sample's coefficients, num, its
+    latest bounds and each B_gamma, copied out of the bin pass, so every
+    derivative is binned once; never a derivative or a grid array.  A
+    visit pops the top sample, takes its derivatives again, and
 
     * ends the search if the rule holds for it.  That is the rule's own
       inequality, so the margin argument below covers it; every sample
@@ -451,30 +447,35 @@ def estimate_paley_constant(smoothness, frequencies, sampler):
     grid_n = sampler.grid_n
     per_dim = {}
     for m in mdims:
+        # the pinch pays off only where the exact trace norms need Gram
+        # eigenvalues, at m >= 3
+        pinch = m >= 3
         heap = []
         for i in range(sampler.count):
             f = sampler.draw(m, i)
             num = paley_l2_norm(f, smoothness, lam)
-            lows = [largest_bin(p, grid_n)[0] for p in _parts(f, smoothness)]
-            heap.append((-_bound(num, lows), i, f, num, lows, not _uses_pinch(f)))
+            bins = [largest_bin(f.derivative(g), grid_n) for g in smoothness]
+            lows = [low for low, _ in bins]
+            tops = [top for _, top in bins]
+            heap.append((-_bound(num, lows), i, f, num, lows, tops, not pinch))
         heapq.heapify(heap)
         best = index = None
         while heap:
             # final: the bounds are as high as they get before exact terms
-            _, i, f, num, lows, final = heapq.heappop(heap)
+            _, i, f, num, lows, tops, final = heapq.heappop(heap)
             if _beaten(num, best, lows):
                 break
-            parts = _parts(f, smoothness)
-            ells = [None] * len(parts)
+            parts = [f.derivative(g) for g in smoothness]
+            ells = [None] * len(parts) if pinch else None
             if not final:
-                ells = _raise_to_pinch(num, parts, lows, best, grid_n)
+                ells = _raise_to_pinch(num, parts, tops, lows, best, grid_n)
                 if ells is None:
                     continue
-                entry = (-_bound(num, lows), i, f, num, lows, True)
+                entry = (-_bound(num, lows), i, f, num, lows, tops, True)
                 if heap and heap[0] < entry:
                     heapq.heappush(heap, entry)
                     continue
-            r = _exact_ratio(num, parts, lows, best, grid_n, ells)
+            r = _exact_ratio(num, parts, tops, lows, best, grid_n, ells)
             if r is not None and (best is None or r > best
                                   or (r == best and i < index)):
                 best, index = r, i

@@ -38,10 +38,10 @@ when m is odd).  By pinching that is a real function below the pointwise
 trace norm, and its grid mean is at least that bound; it evaluates 2m
 entries per node instead of m^2, and needs no eigenvalue.  So the exact
 norms of the nodes done plus the minorant over the rest bound the mean
-at every step of ``s1_l1_norm_unless``.  The Paley probe uses both to
-skip samples that cannot raise its sup (see
-``operators.estimate_paley_constant`` for the skip rule and the rounding
-margin).
+at every step of a grid norm taken in blocks.  The Paley probe uses both
+to skip samples that cannot raise its sup (see
+``operators.estimate_paley_constant`` for the skip rule, the part-way
+bound and the rounding margin).
 """
 
 import math
@@ -234,9 +234,12 @@ class TrigPoly:
         return self._derived(out)
 
     def derivative(self, gamma):
-        """Partial derivative of multi-index gamma (0^0 = 1 convention),
-        chopped as ``chop`` would chop it."""
-        return self._chopped({n: derivative_multiplier(gamma, n) * v
+        """Partial derivative of multi-index gamma (0^0 = 1 convention).
+
+        Only the coefficients the multiplier sends to exactly zero are
+        dropped, never small ones, so that d^gamma (t f) = t d^gamma f for
+        every scalar t and sobolev_norm is homogeneous."""
+        return self._derived({n: derivative_multiplier(gamma, n) * v
                               for n, v in self.coeffs.items()})
 
     # ------------------------------------------------------------------
@@ -369,7 +372,9 @@ def s1_l1_norm(f, n_points=None):
     Scalar polynomials are treated as 1 x 1 matrices, so this coincides
     with the plain L^1 norm there.
     """
-    return s1_l1_norm_unless(f, None, n_points)
+    if not f.is_matrix_valued():
+        return lp_norm(f, 1, n_points)
+    return float(trace_norms(f.evaluate(n_points)).mean())
 
 
 def _bins(f, n):
@@ -387,7 +392,8 @@ def largest_bin(f, n_points=None):
     """(||B||_1, B) for the bin B = B_{r*} of largest trace norm, the
     first in f's order on ties, or (0.0, None) for the zero polynomial:
     ||B||_1 is a lower bound on s1_l1_norm(f, n_points) that never
-    touches the grid.
+    touches the grid.  B is a copy, so a caller that keeps it keeps no
+    other bin.
 
     Bin the coefficients by residue r = n mod N, each signed by
     (-1)^{|n|} as ``evaluate`` signs it:  B_r = sum_{n = r mod N}
@@ -404,7 +410,7 @@ def largest_bin(f, n_points=None):
     vals = np.array(list(bins.values()), dtype=complex)
     norms = trace_norms(vals) if f.is_matrix_valued() else np.abs(vals)
     top = int(np.argmax(norms))
-    return float(norms[top]), vals[top]
+    return float(norms[top]), vals[top].copy()
 
 
 def pinch_minorant(f, top, n_points=None):
@@ -448,42 +454,6 @@ def pinch_minorant(f, top, n_points=None):
     if m % 2:
         ell += np.abs(vals[:, -1])
     return ell
-
-
-def s1_l1_norm_unless(f, stop, n_points=None, ell=None):
-    """s1_l1_norm(f, n_points), or None as soon as a certified lower
-    bound b on it makes stop(b) true.
-
-    At m >= 3 the trace norms of the N^d grid values are computed in
-    blocks of GRAM_BLOCK, in ``evaluate``'s order.  Before each block
-    after the first, with the norms of the nodes t < lo known and the
-    caller's ell = pinch_minorant(f, top, n_points) <= ||f(x_t)||_1,
-
-        b = (sum_{t < lo} ||f(x_t)||_1 + sum_{t >= lo} ell(x_t)) / N^d
-
-    is at most the grid mean: it would read the grid mean of ell at
-    lo = 0 and reads the mean itself once every node is normed.  So a
-    stop at m >= 3 needs ell.  At m <= 2 the trace norms are closed
-    forms, cheap next to the evaluation, and are taken in one call with
-    no check.
-
-    A call that does not stop hands trace_norms the blocks it cuts
-    itself, whose norms do not depend on the stack around them, and
-    takes the mean of all N^d norms: the same value, bit for bit, as one
-    trace_norms call on the whole grid.
-    """
-    if not f.is_matrix_valued():
-        return lp_norm(f, 1, n_points)
-    m = f.mdim
-    vals = f.evaluate(n_points).reshape(-1, m, m)
-    norms = np.empty(len(vals))
-    step = GRAM_BLOCK if m >= 3 else len(vals)
-    for lo in range(0, len(vals), step):
-        if lo and stop is not None:
-            if stop((norms[:lo].sum() + ell[lo:].sum()) / len(vals)):
-                return None
-        norms[lo:lo + step] = trace_norms(vals[lo:lo + step])
-    return float(norms.mean())
 
 
 def sobolev_norm(f, smoothness, n_points=None):

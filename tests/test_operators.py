@@ -32,6 +32,7 @@ from paleykit.trigpoly import (
     TrigPoly,
     largest_bin,
     paley_l2_norm,
+    pinch_minorant,
     random_trigpoly,
     sobolev_norm,
 )
@@ -569,15 +570,79 @@ def test_probe_matches_oracle_where_best_first_reorders():
 
 
 def test_paley_ratio_is_l2_over_sobolev_bitwise():
-    # with best given (0.0 never skips) the exact terms run largest bound
-    # first, but are still summed in the order of S
     sampler = reference_sampler(0, 4)
     for m in (1, 4):
         for i in range(4):
             f = sampler.draw(m, i)
             want = paley_l2_norm(f, S, PLAN.sequence) / sobolev_norm(f, S, 51)
             assert paley_ratio(f, S, PLAN.sequence, 51).hex() == want.hex()
-            assert paley_ratio(f, S, PLAN.sequence, 51, best=0.0).hex() == want.hex()
+
+
+def test_paley_ratio_is_homogeneous():
+    # derivatives drop only exact zeros, so no term of a tiny f is lost:
+    # t e_{n_1} has the closed-form ratio at every scale, and t e_{(1, 1)},
+    # off Lambda, has ratio 0
+    want = math.sqrt(20101.0) / 211.0
+    for t in (1e3, 1.0, 1e-16, 1e-100):
+        got = paley_ratio(TrigPoly({(10, 100): t}), S, PLAN.sequence)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert paley_ratio(TrigPoly({(1, 1): t}), S, PLAN.sequence) == 0.0
+    f = random_trigpoly([(1, 2), (10, 100), (3, -4)], mdim=3, seed=1)
+    tiny = TrigPoly({n: 1e-16 * v for n, v in f.coeffs.items()})
+    assert sobolev_norm(tiny, S, 51) == pytest.approx(
+        1e-16 * sobolev_norm(f, S, 51), rel=1e-12)
+
+
+def test_exact_term_bounds_rise_to_the_norm(monkeypatch):
+    f = random_trigpoly([(1, 2), (-3, 5), (6, -6), (2, 0), (25, 1)], mdim=4, seed=2)
+    norm = trigpoly.s1_l1_norm(f, 51)
+    low, top = largest_bin(f, 51)
+    ell = pinch_minorant(f, top, 51)
+    seen = []
+    rule = operators._beaten
+
+    def recorded(num, best, lows):
+        seen.append(lows[0])
+        return rule(num, best, lows)
+
+    monkeypatch.setattr(operators, "_beaten", recorded)
+    assert operators._exact_term(1.0, 0.0, [low], 0, f, ell, 51) == norm
+    # one check before each of the 10 blocks after the first of 2601 nodes
+    bounds = list(seen)
+    assert len(bounds) == 10
+    assert bounds[0] > low
+    assert all(a <= b * (1 + 1e-12) for a, b in zip(bounds, bounds[1:]))
+    assert bounds[-1] <= norm * (1 + 1e-12)
+    # the first bound that meets the skip rule ends the term: with num = 1
+    # the rule reads bound >= mid
+    assert bounds[1] < bounds[2]
+    mid = (bounds[1] + bounds[2]) / 2
+    best = 1.0 / (mid * (1.0 - operators.PALEY_MARGIN))
+    seen.clear()
+    assert operators._exact_term(1.0, best, [low], 0, f, ell, 51) is None
+    assert seen == bounds[:3]
+    # m <= 2, no pinch array: one closed-form call, the rule is never asked
+    g = random_trigpoly([(1, 2), (-3, 5)], mdim=2, seed=2)
+    seen.clear()
+    assert operators._exact_term(1.0, 0.0, [0.0], 0, g, None, 51) == \
+        trigpoly.s1_l1_norm(g, 51)
+    assert seen == []
+
+
+def test_probe_bins_each_derivative_once(monkeypatch):
+    # the first pass bins every derivative and its heap entry keeps the
+    # top bins, so no pinch bins again
+    binned = []
+    original = operators.largest_bin
+
+    def counted(f, n_points):
+        binned.append(f.mdim)
+        return original(f, n_points)
+
+    monkeypatch.setattr(operators, "largest_bin", counted)
+    estimate_paley_constant(S, PLAN.sequence, reference_sampler(0, 16))
+    assert {m: binned.count(m) for m in set(binned)} == {
+        m: 16 * len(S) for m in (1, 2, 4, 8)}
 
 
 def test_reference_probe_grid_evaluations(monkeypatch):
@@ -585,15 +650,15 @@ def test_reference_probe_grid_evaluations(monkeypatch):
     # of 4 terms on the 51 x 51 grid would be 1,040,400 per m without the
     # skip rule; the bins and the pinches behind the bounds are not counted
     normed = {}
-    original = trigpoly.trace_norms
+    original = operators.trace_norms
 
     def counted(a):
-        if sys._getframe(1).f_code is trigpoly.s1_l1_norm_unless.__code__:
+        if sys._getframe(1).f_code is operators._exact_term.__code__:
             m = a.shape[-1]
             normed[m] = normed.get(m, 0) + a.size // (m * m)
         return original(a)
 
-    monkeypatch.setattr(trigpoly, "trace_norms", counted)
+    monkeypatch.setattr(operators, "trace_norms", counted)
     r = paley_probe(PLAN, OrchestratorConfig())
     assert normed == {1: 174267, 2: 75429, 4: 12964, 8: 130336}
     assert r["per_dim"][8]["argmax_index"] == 44

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from paleykit import operators
 from paleykit.multiindex import Smoothness, derivative_multiplier, saturate
 from paleykit.trigpoly import (
     CHOP,
@@ -13,7 +14,6 @@ from paleykit.trigpoly import (
     pinch_minorant,
     random_trigpoly,
     s1_l1_norm,
-    s1_l1_norm_unless,
     sobolev_norm,
     trace_norm,
     trace_norms,
@@ -168,24 +168,23 @@ def test_derivative_multiplies_coefficients():
 
 
 @pytest.mark.parametrize("mdim", [None, 2])
-def test_derivative_equals_build_then_chop(mdim):
-    # along (1, 0) the first four terms land below CHOP, at CHOP, at zero
-    # and above CHOP; (1, 1) holds a coefficient chop would remove
+def test_derivative_drops_only_exact_zeros(mdim):
+    # along (1, 0) the term at (0, 3) vanishes exactly and is dropped,
+    # while the terms below CHOP, at CHOP and far below it are kept
     coeffs = {(1, 0): 0.5 * CHOP, (2, 0): 0.5 * CHOP, (0, 3): 1.0,
               (5, 1): 0.4 * CHOP, (1, 1): 1e-20, (-3, 2): 0.25}
     if mdim:
         coeffs = {n: v * np.eye(mdim) for n, v in coeffs.items()}
     f = TrigPoly(coeffs)
     for gamma in ((1, 0), (0, 1), (2, 1), (0, 0)):
-        two_step = TrigPoly({n: derivative_multiplier(gamma, n) * v
-                             for n, v in f.coeffs.items()},
-                            dim=2, mdim=mdim).chop()
+        built = TrigPoly({n: derivative_multiplier(gamma, n) * v
+                          for n, v in f.coeffs.items()}, dim=2, mdim=mdim)
         once = f.derivative(gamma)
-        assert once.mdim == two_step.mdim == mdim
-        assert once.coeffs.keys() == two_step.coeffs.keys()
-        for n, v in two_step.coeffs.items():
+        assert once.mdim == built.mdim == mdim
+        assert once.coeffs.keys() == built.coeffs.keys()
+        for n, v in built.coeffs.items():
             assert np.array_equal(once.coeffs[n], v)
-    assert set(f.derivative((1, 0)).coeffs) == {(5, 1), (-3, 2)}
+    assert set(f.derivative((1, 0)).coeffs) == set(coeffs) - {(0, 3)}
 
 
 def naive_values(f, n):
@@ -503,35 +502,18 @@ def test_pinch_minorant_of_zero_and_of_one_character(mdim):
     (2, 1, 51), (2, 2, 51), (2, 3, 7), (2, 4, 51), (2, 8, 51), (2, 8, 16),
     (1, 4, 1025), (3, 3, 13)])
 def test_s1_l1_norm_is_the_mean_of_the_grid_trace_norms_bitwise(dim, mdim, n_grid):
-    # one trace_norms call on the whole grid, as s1_l1_norm took it
-    # before the blocks; 16^2 is one block, no other N^d is a multiple
-    # of GRAM_BLOCK
+    # one trace_norms call on the whole grid, and the Paley probe's exact
+    # term, which cuts the grid into blocks of GRAM_BLOCK itself at
+    # m >= 3 and checks a part-way bound before each; 16^2 is one block,
+    # no other N^d is a multiple of GRAM_BLOCK
     freqs = [(1, 2, 0), (-3, 5, 1), (6, -6, 2), (2, 0, -4)]
     f = random_trigpoly([n[:dim] for n in freqs], mdim=mdim, seed=mdim)
     want = float(trace_norms(f.evaluate(n_grid)).mean())
     assert s1_l1_norm(f, n_grid).hex() == want.hex()
     ell = pinch_minorant(f, largest_bin(f, n_grid)[1], n_grid) if mdim >= 3 else None
-    assert s1_l1_norm_unless(f, lambda bound: False, n_grid, ell).hex() == want.hex()
-
-
-def test_s1_l1_norm_unless_bounds_rise_to_the_norm():
-    f = random_trigpoly([(1, 2), (-3, 5), (6, -6), (2, 0), (25, 1)], mdim=4, seed=2)
-    norm = s1_l1_norm(f, 51)
-    ell = pinch_minorant(f, largest_bin(f, 51)[1], 51)
-    seen = []
-    assert s1_l1_norm_unless(f, lambda b: seen.append(b) or False, 51, ell) == norm
-    # one check before each of the 10 blocks after the first of 2601 nodes
-    assert len(seen) == 10
-    assert seen[0] > largest_bin(f, 51)[0]
-    assert all(a <= b * (1 + 1e-12) for a, b in zip(seen, seen[1:]))
-    assert seen[-1] <= norm * (1 + 1e-12)
-    # the first bound that makes stop true ends the call
-    calls = []
-    assert s1_l1_norm_unless(f, lambda b: calls.append(b) or len(calls) == 3, 51, ell) is None
-    assert calls == seen[:3]
-    # m <= 2: one closed-form call, stop is never asked
-    g = random_trigpoly([(1, 2), (-3, 5)], mdim=2, seed=2)
-    assert s1_l1_norm_unless(g, lambda b: 1 / 0, 51) == s1_l1_norm(g, 51)
+    # best = 0 never meets the skip rule
+    got = operators._exact_term(1.0, 0.0, [0.0], 0, f, ell, n_grid)
+    assert got.hex() == want.hex()
 
 
 def test_sobolev_norm_single_frequency():
