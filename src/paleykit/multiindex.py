@@ -15,6 +15,7 @@ multiplier uses the opposite convention 0^0 = 1, so the two agree only on
 frequencies with all coordinates nonzero.
 """
 
+import functools
 import operator
 from dataclasses import dataclass
 from itertools import product
@@ -210,7 +211,16 @@ def derivative_multiplier(gamma, n):
 
     Unlike sigma_gamma this does not vanish on frequencies with zero
     coordinates unless a zero coordinate carries a positive exponent.
+    The exact-integer product is cached per (gamma, n), since a Paley
+    probe differentiates the same few frequencies in every sample.
     """
+    return _multiplier(int_tuple(gamma), int_tuple(n))
+
+
+@functools.lru_cache(maxsize=1024)
+def _multiplier(gamma, n):
+    # derivative_multiplier on tuples of Python ints, so that no
+    # fixed-width integer can overflow into the cached value
     mag = 1
     for g, c in zip(gamma, n):
         if g > 0:

@@ -387,10 +387,12 @@ def estimate_paley_constant(smoothness, frequencies, sampler):
     best-first.  A first pass draws them and computes each numerator and
     every L_gamma, and a heap orders them by the upper bound num /
     sum_gamma L_gamma on the quotient, lower index first on equal
-    bounds.  A heap entry keeps the sample's coefficients, num, its
-    latest bounds and each B_gamma, copied out of the bin pass, so every
-    derivative is binned once; never a derivative or a grid array.  A
-    visit pops the top sample, takes its derivatives again, and
+    bounds.  A sample's derivatives are binned in one pass, one
+    largest_bin call over all of them.  A heap entry keeps the sample's
+    coefficients, num, its latest bounds and each B_gamma, copied out of
+    that pass, so no derivative is binned again; never a derivative or a
+    grid array.  A visit pops the top sample, takes its derivatives again
+    (derivative_multiplier caches the multiplier of each (gamma, n)), and
 
     * ends the search if the rule holds for it.  That is the rule's own
       inequality, so the margin argument below covers it; every sample
@@ -454,7 +456,7 @@ def estimate_paley_constant(smoothness, frequencies, sampler):
         for i in range(sampler.count):
             f = sampler.draw(m, i)
             num = paley_l2_norm(f, smoothness, lam)
-            bins = [largest_bin(f.derivative(g), grid_n) for g in smoothness]
+            bins = largest_bin([f.derivative(g) for g in smoothness], grid_n)
             lows = [low for low, _ in bins]
             tops = [top for _, top in bins]
             heap.append((-_bound(num, lows), i, f, num, lows, tops, not pinch))

@@ -31,10 +31,12 @@ ill-conditioned (see ``trace_norms`` for the guards and the error bound).
 the coefficients binned by residue mod N and signed by (-1)^{|n|} are the
 grid's discrete Fourier coefficients, and by the triangle inequality the
 largest trace norm among them is at most the mean, in any d and under
-aliasing.  ``pinch_minorant`` rotates the coefficients by the singular
-vectors of the largest bin and sums, at each node, the trace norms of
-the rotated value's diagonal 2 x 2 blocks (and its last diagonal entry
-when m is odd).  By pinching that is a real function below the pointwise
+aliasing.  It takes several polynomials at once, the derivatives of one
+sample, and norms all their bins in one ``trace_norms`` call.
+``pinch_minorant`` rotates the coefficients by the singular vectors of
+the largest bin and sums, at each node, the trace norms of the rotated
+value's diagonal 2 x 2 blocks (and its last diagonal entry when m is
+odd).  By pinching that is a real function below the pointwise
 trace norm, and its grid mean is at least that bound; it evaluates 2m
 entries per node instead of m^2, and needs no eigenvalue.  So the exact
 norms of the nodes done plus the minorant over the rest bound the mean
@@ -48,7 +50,7 @@ import math
 
 import numpy as np
 
-from .multiindex import derivative_multiplier, int_at_least, int_tuple, q_s_eval
+from .multiindex import _multiplier, int_at_least, int_tuple, q_s_eval
 
 CHOP = 1e-15
 # trace_norms at m >= 3: matrices per Gram block, the eigenvalue-ratio
@@ -160,22 +162,9 @@ class TrigPoly:
     # ------------------------------------------------------------------
     # algebra
 
-    def _derived(self, coeffs):
-        """A polynomial of self's dim and mdim whose coefficients are
-        derived from checked ones, so that their keys are int tuples of
-        length dim and their values complex, of self's shape: of the
-        checks in __init__ only the rule that no exactly-zero coefficient
-        is stored runs again."""
-        out = TrigPoly.__new__(TrigPoly)
-        out.dim, out.mdim = self.dim, self.mdim
-        if self.mdim is None:
-            out.coeffs = {n: v for n, v in coeffs.items() if v != 0}
-        else:
-            out.coeffs = {n: v for n, v in coeffs.items() if v.any()}
-        return out
-
     def _chopped(self, coeffs, tol=CHOP):
-        return self._derived({n: v for n, v in coeffs.items() if _above(v, tol)})
+        return _nonzero(self.dim, self.mdim,
+                        {n: v for n, v in coeffs.items() if _above(v, tol)})
 
     def chop(self, tol=CHOP):
         """Drop coefficients whose largest entry is at most tol."""
@@ -201,8 +190,10 @@ class TrigPoly:
     def __mul__(self, other):
         if isinstance(other, TrigPoly):
             return self.convolve(other)
+        # only exact zeros are dropped, so that (s t) f = s (t f) for all
+        # scalars, however small
         out = {n: _coerce_value(other * v) for n, v in self.coeffs.items()}
-        return self._chopped(out)
+        return _nonzero(self.dim, self.mdim, out)
 
     __rmul__ = __mul__
 
@@ -231,16 +222,25 @@ class TrigPoly:
         for n, v in self.coeffs.items():
             key = tuple(-c for c in n)
             out[key] = v.conj().T if isinstance(v, np.ndarray) else v.conjugate()
-        return self._derived(out)
+        return _nonzero(self.dim, self.mdim, out)
 
     def derivative(self, gamma):
         """Partial derivative of multi-index gamma (0^0 = 1 convention).
 
-        Only the coefficients the multiplier sends to exactly zero are
+        Only the coefficients whose multiplier is exactly zero are
         dropped, never small ones, so that d^gamma (t f) = t d^gamma f for
-        every scalar t and sobolev_norm is homogeneous."""
-        return self._derived({n: derivative_multiplier(gamma, n) * v
-                              for n, v in self.coeffs.items()})
+        every scalar t and sobolev_norm is homogeneous.  A nonzero
+        multiplier is a power of i times an integer of modulus at least 1,
+        so it sends no stored coefficient to zero, and the product needs
+        no zero test.  The multipliers are derivative_multiplier's, from
+        its cache."""
+        gamma = int_tuple(gamma)
+        out = {}
+        for n, v in self.coeffs.items():
+            mult = _multiplier(gamma, n)
+            if mult:
+                out[n] = mult * v
+        return _trusted(self.dim, self.mdim, out)
 
     # ------------------------------------------------------------------
     # evaluation and quadrature
@@ -273,6 +273,24 @@ class TrigPoly:
                        dtype=complex)
         acc = acc.reshape(len(freqs), math.prod(vshape))
         return _grid_sum(freqs, acc, n, self.dim).reshape((n,) * self.dim + vshape)
+
+
+def _trusted(dim, mdim, coeffs):
+    """A polynomial on coefficients derived from checked ones, so that
+    their keys are int tuples of length dim, their values complex scalars
+    (mdim None) or complex mdim x mdim arrays, and none is exactly zero:
+    none of the checks in __init__ runs."""
+    out = TrigPoly.__new__(TrigPoly)
+    out.dim, out.mdim, out.coeffs = dim, mdim, coeffs
+    return out
+
+
+def _nonzero(dim, mdim, coeffs):
+    """_trusted on the coefficients that are not exactly zero: of the
+    checks in __init__ only that rule runs again."""
+    if mdim is None:
+        return _trusted(dim, mdim, {n: v for n, v in coeffs.items() if v != 0})
+    return _trusted(dim, mdim, {n: v for n, v in coeffs.items() if v.any()})
 
 
 def _grid_sum(freqs, acc, n, dim):
@@ -339,7 +357,10 @@ def trace_norms(a):
     if a.shape[-2:] == (1, 1):
         return np.abs(a[..., 0, 0])
     if a.shape[-2:] == (2, 2):
-        fro2 = np.sum(a.real**2 + a.imag**2, axis=(-2, -1))
+        # the squared moduli added in row-major order, as a reduction over
+        # both matrix axes adds them, on the four entry columns
+        sq = a.real**2 + a.imag**2
+        fro2 = sq[..., 0, 0] + sq[..., 0, 1] + sq[..., 1, 0] + sq[..., 1, 1]
         det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
         return np.sqrt(fro2 + 2.0 * np.abs(det))
     m = a.shape[-1]
@@ -351,13 +372,16 @@ def trace_norms(a):
             gram = blk.conj().swapaxes(-1, -2) @ blk
         fro2 = np.trace(gram, axis1=-2, axis2=-1).real
         slow = ~((fro2 >= FRO2_MIN) & (fro2 <= FRO2_MAX))
-        gram[slow] = np.eye(m)
+        if slow.any():
+            gram[slow] = np.eye(m)
         lam = np.linalg.eigvalsh(gram)
         slow |= lam[:, 0] < GRAM_TAU * lam[:, -1]
         res = out[lo:lo + len(blk)]
-        res[~slow] = np.sqrt(lam[~slow]).sum(-1)
         if slow.any():
+            res[~slow] = np.sqrt(lam[~slow]).sum(-1)
             res[slow] = np.linalg.svd(blk[slow], compute_uv=False).sum(-1)
+        else:
+            np.sqrt(lam).sum(-1, out=res)
     return out.reshape(a.shape[:-2])
 
 
@@ -377,46 +401,53 @@ def s1_l1_norm(f, n_points=None):
     return float(trace_norms(f.evaluate(n_points)).mean())
 
 
-def _bins(f, n):
-    """B_r = sum_{n_k = r mod N} (-1)^{|n_k|} c_k, keyed by the residue
-    r in [0, N)^d, in the order the residues first occur in f."""
-    bins = {}
-    for k, v in f.coeffs.items():
-        r = tuple(c % n for c in k)
-        v = _grid_signed(k, v)
-        bins[r] = bins[r] + v if r in bins else v
-    return bins
+def largest_bin(parts, n_points=None):
+    """[(||B||_1, B) for each part]: B = B_{r*} is the part's bin of
+    largest trace norm, the first in the part's order on ties, or
+    (0.0, None) for a zero part.  ||B||_1 is a lower bound on
+    s1_l1_norm(part, n_points) that never touches the grid.  The parts
+    share one value shape, as the derivatives of one polynomial do, and
+    each B is a copy, so a caller that keeps it keeps no other bin.
 
-
-def largest_bin(f, n_points=None):
-    """(||B||_1, B) for the bin B = B_{r*} of largest trace norm, the
-    first in f's order on ties, or (0.0, None) for the zero polynomial:
-    ||B||_1 is a lower bound on s1_l1_norm(f, n_points) that never
-    touches the grid.  B is a copy, so a caller that keeps it keeps no
-    other bin.
-
-    Bin the coefficients by residue r = n mod N, each signed by
+    Bin each part's coefficients by residue r = n mod N, each signed by
     (-1)^{|n|} as ``evaluate`` signs it:  B_r = sum_{n = r mod N}
     (-1)^{|n|} c_n.  The grid values are f(x_t) = sum_r B_r w^{<r,t>}, so
     B_r = N^{-d} sum_t f(x_t) w^{-<r,t>} is the grid's discrete Fourier
     coefficient, and since the trace norm is a norm and |w| = 1,
     ||B_r||_1 <= N^{-d} sum_t ||f(x_t)||_1, the grid mean s1_l1_norm
     computes.  This holds in any d and whatever the aliasing, at a cost
-    of O(T m^2) plus one trace norm per bin.
+    of O(T m^2) per part plus one trace norm per bin, all in one
+    ``trace_norms`` call (a matrix's trace norm does not depend on the
+    stack around it, so each part's norms are those of a call of its own).
     """
-    bins = _bins(f, f._grid_n(n_points))
-    if not bins:
-        return 0.0, None
-    vals = np.array(list(bins.values()), dtype=complex)
-    norms = trace_norms(vals) if f.is_matrix_valued() else np.abs(vals)
-    top = int(np.argmax(norms))
-    return float(norms[top]), vals[top].copy()
+    vals, ends = [], []
+    for f in parts:
+        n = f._grid_n(n_points)
+        bins = {}
+        for k, v in f.coeffs.items():
+            r = tuple(c % n for c in k)
+            v = _grid_signed(k, v)
+            bins[r] = bins[r] + v if r in bins else v
+        vals.extend(bins.values())
+        ends.append(len(vals))
+    if vals:
+        vals = np.array(vals, dtype=complex)
+        norms = trace_norms(vals) if vals.ndim == 3 else np.abs(vals)
+    out, lo = [], 0
+    for hi in ends:
+        if hi == lo:
+            out.append((0.0, None))
+        else:
+            top = lo + int(np.argmax(norms[lo:hi]))
+            out.append((float(norms[top]), vals[top].copy()))
+        lo = hi
+    return out
 
 
 def pinch_minorant(f, top, n_points=None):
     """Grid values, flattened in ``evaluate``'s order, of a real function
     ell with ell(x_t) <= ||f(x_t)||_1 at every node; f is matrix valued,
-    and top is the bin B of ``largest_bin(f, n_points)``, whose trace
+    and top is the bin B that ``largest_bin`` finds for f, whose trace
     norm is at most the grid mean of ell.
 
     Take the SVD B = W Sigma V^H.  ell(x_t) is the trace norm of the
@@ -482,11 +513,16 @@ def random_trigpoly(frequencies, mdim=None, seed=0):
 
     One draw of shape (T, 2) or (T, 2, m, m) for T frequencies: the same
     stream, in the same order, as a real and an imaginary part drawn per
-    frequency in turn.
+    frequency in turn.  The keys are checked here, once, so the
+    polynomial is built without the constructor's checks.
     """
     freqs = [int_tuple(n) for n in frequencies]
     if not freqs:
         raise ValueError("need at least one frequency")
+    dim = int_at_least("dim", len(freqs[0]), 1)
+    for n in freqs:
+        if len(n) != dim:
+            raise ValueError("frequency %r has wrong dimension" % (n,))
     rng = np.random.default_rng(seed)
     out = {}
     if mdim is None:
@@ -496,4 +532,5 @@ def random_trigpoly(frequencies, mdim=None, seed=0):
         draw = rng.standard_normal((len(freqs), 2, mdim, mdim))
         for n, (re, im) in zip(freqs, draw):
             out[n] = (re + 1j * im) / math.sqrt(2)
-    return TrigPoly(out)
+        mdim = draw.shape[-1]  # a Python int, as the constructor reads it
+    return _nonzero(dim, mdim, out)

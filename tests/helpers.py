@@ -31,7 +31,7 @@ from paleykit.sequence import (
 )
 from paleykit.serialization import to_jsonable
 from paleykit.simplex import LPResult
-from paleykit.trigpoly import TrigPoly, _bins, trace_norms
+from paleykit.trigpoly import FRO2_MAX, FRO2_MIN, GRAM_BLOCK, GRAM_TAU, TrigPoly, trace_norms
 
 
 def grid_points(n):
@@ -217,6 +217,61 @@ def paley_oracle(smoothness, frequencies, sampler):
     return out
 
 
+def bins_of(f, n):
+    """B_r = sum_{n_k = r mod N} (-1)^{|n_k|} c_k, keyed by the residue
+    r in [0, N)^d, in the order the residues first occur in f."""
+    bins = {}
+    for k, v in f.coeffs.items():
+        r = tuple(c % n for c in k)
+        v = -v if sum(k) % 2 else v
+        bins[r] = bins[r] + v if r in bins else v
+    return bins
+
+
+def largest_bin_alone(f, n_points=None):
+    """(||B||_1, B) for f's bin of largest trace norm, the first on ties,
+    or (0.0, None), from f's bins alone and a trace-norm call of their
+    own: the oracle for trigpoly.largest_bin, which norms the bins of
+    several polynomials in one call."""
+    bins = bins_of(f, f._grid_n(n_points))
+    if not bins:
+        return 0.0, None
+    vals = np.array(list(bins.values()), dtype=complex)
+    norms = trace_norms_masked(vals) if f.is_matrix_valued() else np.abs(vals)
+    top = int(np.argmax(norms))
+    return float(norms[top]), vals[top].copy()
+
+
+def trace_norms_masked(a):
+    """trigpoly.trace_norms in its plain form, the oracle for its fast
+    paths: the m = 2 closed form through a reduction over both matrix
+    axes, and at m >= 3 the slow matrices masked out of every Gram block
+    whether or not the block holds any."""
+    if a.shape[-2:] == (1, 1):
+        return np.abs(a[..., 0, 0])
+    if a.shape[-2:] == (2, 2):
+        fro2 = np.sum(a.real**2 + a.imag**2, axis=(-2, -1))
+        det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+        return np.sqrt(fro2 + 2.0 * np.abs(det))
+    m = a.shape[-1]
+    flat = a.reshape(-1, m, m)
+    out = np.empty(len(flat))
+    for lo in range(0, len(flat), GRAM_BLOCK):
+        blk = flat[lo:lo + GRAM_BLOCK]
+        with np.errstate(all="ignore"):
+            gram = blk.conj().swapaxes(-1, -2) @ blk
+        fro2 = np.trace(gram, axis1=-2, axis2=-1).real
+        slow = ~((fro2 >= FRO2_MIN) & (fro2 <= FRO2_MAX))
+        gram[slow] = np.eye(m)
+        lam = np.linalg.eigvalsh(gram)
+        slow |= lam[:, 0] < GRAM_TAU * lam[:, -1]
+        res = out[lo:lo + len(blk)]
+        res[~slow] = np.sqrt(lam[~slow]).sum(-1)
+        if slow.any():
+            res[slow] = np.linalg.svd(blk[slow], compute_uv=False).sum(-1)
+    return out.reshape(a.shape[:-2])
+
+
 def polar_minorant(f, n_points=None):
     """Grid values, flattened in ``evaluate``'s order, of the polar
     minorant ell(x_t) = Re tr(U^H w^{-<r*,t>} f(x_t)) of a matrix-valued f,
@@ -232,7 +287,7 @@ def polar_minorant(f, n_points=None):
     at n_k - r*.
     """
     n = f._grid_n(n_points)
-    bins = _bins(f, n)
+    bins = bins_of(f, n)
     if not bins:
         return np.zeros(n ** f.dim)
     keys = list(bins)

@@ -144,3 +144,9 @@ def test_derivative_multiplier_conventions():
     assert derivative_multiplier((1, 1), (0, 5)) == 0
     # and disagrees with the symbol there
     assert symbol_eval((0, 1), (0, 5)) == 0
+    # any integer sequence; numpy integers are read as Python ints, so
+    # 10**10 squared is exact, not wrapped to 64 bits, in the shared cache
+    assert derivative_multiplier([2, 0], np.array([10**10, 1])) == -1e20
+    assert derivative_multiplier((2, 0), (10**10, 1)) == -1e20
+    with pytest.raises(ValueError):
+        derivative_multiplier((1, 0), (1.5, 2))

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from paleykit import operators, trigpoly
+from paleykit import multiindex, operators, trigpoly
 from paleykit.multiindex import PHASES, Smoothness, saturate
 from paleykit.operators import (
     PaleySampler,
@@ -384,7 +384,7 @@ def test_grid_size_must_be_an_integer(bad):
     f = random_trigpoly([(1, 2), (3, 1)], seed=0)
     fm = random_trigpoly([(1, 2), (3, 1)], mdim=2, seed=0)
     calls = [lambda: trigpoly.lp_norm(f, 1, bad), lambda: f.evaluate(bad),
-             lambda: trigpoly.s1_l1_norm(fm, bad), lambda: largest_bin(fm, bad),
+             lambda: trigpoly.s1_l1_norm(fm, bad), lambda: largest_bin([fm], bad),
              lambda: estimate_paley_constant(S, [(4, 16)], PaleySampler(
                  count=1, always=[(4, 16)], grid_n=bad))]
     for call in calls:
@@ -497,10 +497,10 @@ def test_probe_matches_oracle_on_default_grid():
 
 
 def test_inflated_bound_fails_oracle(monkeypatch):
-    # a bound 1.5 times too high skips samples that beat the best
-    def inflated(f, n_points):
-        bound, top = largest_bin(f, n_points)
-        return 1.5 * bound, top
+    # a bound 1.5 times too high, on every derivative of the sample's one
+    # bin pass, skips samples that beat the best
+    def inflated(parts, n_points):
+        return [(1.5 * bound, top) for bound, top in largest_bin(parts, n_points)]
 
     monkeypatch.setattr(operators, "largest_bin", inflated)
     assert any(mismatches(S, PLAN.sequence, reference_sampler(seed, 16))
@@ -549,9 +549,9 @@ def test_exact_tie_reports_the_first_index(monkeypatch):
     halved = {tuple(coeff_bits(twins[4].derivative(g))) for g in S}
     original = operators.largest_bin
 
-    def bound(f, n_points):
-        low, top = original(f, n_points)
-        return (low / 2 if tuple(coeff_bits(f)) in halved else low), top
+    def bound(parts, n_points):
+        return [(low / 2 if tuple(coeff_bits(f)) in halved else low, top)
+                for f, (low, top) in zip(parts, original(parts, n_points))]
 
     monkeypatch.setattr(operators, "largest_bin", bound)
     sampler = PaleySampler(count=6, support=BOX, always=(n1,), terms=4, mdim=2,
@@ -596,7 +596,7 @@ def test_paley_ratio_is_homogeneous():
 def test_exact_term_bounds_rise_to_the_norm(monkeypatch):
     f = random_trigpoly([(1, 2), (-3, 5), (6, -6), (2, 0), (25, 1)], mdim=4, seed=2)
     norm = trigpoly.s1_l1_norm(f, 51)
-    low, top = largest_bin(f, 51)
+    [(low, top)] = largest_bin([f], 51)
     ell = pinch_minorant(f, top, 51)
     seen = []
     rule = operators._beaten
@@ -630,19 +630,35 @@ def test_exact_term_bounds_rise_to_the_norm(monkeypatch):
 
 
 def test_probe_bins_each_derivative_once(monkeypatch):
-    # the first pass bins every derivative and its heap entry keeps the
-    # top bins, so no pinch bins again
+    # the first pass bins all derivatives of a sample in one pass and its
+    # heap entry keeps the top bins, so no pinch bins again
     binned = []
     original = operators.largest_bin
 
-    def counted(f, n_points):
-        binned.append(f.mdim)
-        return original(f, n_points)
+    def counted(parts, n_points):
+        binned.append(parts[0].mdim)
+        assert [f.mdim for f in parts] == [parts[0].mdim] * len(S)
+        return original(parts, n_points)
 
     monkeypatch.setattr(operators, "largest_bin", counted)
     estimate_paley_constant(S, PLAN.sequence, reference_sampler(0, 16))
     assert {m: binned.count(m) for m in set(binned)} == {
-        m: 16 * len(S) for m in (1, 2, 4, 8)}
+        m: 16 for m in (1, 2, 4, 8)}
+
+
+def test_probe_prices_each_multiplier_once():
+    # the probe differentiates each sample on its first pass and again on
+    # every visit; derivative_multiplier runs once per (gamma, n)
+    sampler = reference_sampler(0, 16)
+    pairs = {(g, n) for m in sampler.mdims() for i in range(16)
+             for n in sampler.draw(m, i).coeffs for g in S}
+    multiindex._multiplier.cache_clear()
+    estimate_paley_constant(S, PLAN.sequence, sampler)
+    info = multiindex._multiplier.cache_info()
+    assert info.misses == len(pairs) < info.maxsize
+    # the first pass alone asks 16 samples x 4 sizes x |S| derivatives x
+    # 9 terms, and the visits ask again
+    assert info.hits + info.misses > 16 * 4 * len(S) * 9
 
 
 def test_reference_probe_grid_evaluations(monkeypatch):

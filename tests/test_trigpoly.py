@@ -23,8 +23,10 @@ from helpers import (
     coeff_bits,
     cos_factor_poly,
     grid_points,
+    largest_bin_alone,
     polar_minorant,
     random_trigpoly_scalar_draws,
+    trace_norms_masked,
 )
 
 
@@ -355,6 +357,40 @@ def test_trace_norms_edge_cases_match_svd(m):
         trace_norms(np.array([np.eye(m), nan_entry]))
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+def test_trace_norms_match_the_masked_formulation_bitwise(m):
+    # 700 matrices are three Gram blocks; the middle one holds every edge
+    # case (inf, out-of-range Frobenius norms, ill-conditioned and zero
+    # matrices), the outer two only ordinary rows, which skip the masks
+    rng = np.random.default_rng(20 + m)
+    stack = rng.standard_normal((700, m, m)) + 1j * rng.standard_normal((700, m, m))
+    stack *= 10.0 ** rng.uniform(-3, 3, size=(700, 1, 1))
+    if m >= 3:
+        cases = list(_edge_cases(m).values())
+    else:
+        cases = [np.zeros((m, m)), 1e200 * stack[0], 1e-200 * stack[1],
+                 np.outer(stack[2, 0], stack[3, 0])]
+    stack[300:300 + len(cases)] = cases
+    # any leading shape, and a block with no slow matrix at all
+    for a in (stack, stack[:600].reshape(4, 150, m, m), stack[:256]):
+        with np.errstate(all="ignore"):  # the 2 x 2 closed form of 1e200 * a
+            got, want = trace_norms(a), trace_norms_masked(a)
+        assert got.shape == want.shape == a.shape[:-2]
+        assert np.array_equal(_bits(got), _bits(want))
+    if m >= 3:
+        assert np.isnan(trace_norms(stack)[300 + list(_edge_cases(m)).index("inf")])
+    if m >= 3:
+        nan_entry = np.eye(m, dtype=complex)
+        nan_entry[0, 1] = np.nan
+        for norms in (trace_norms, trace_norms_masked):
+            with pytest.raises(np.linalg.LinAlgError):
+                norms(np.array([np.eye(m), nan_entry]))
+
+
 def test_trace_norms_send_only_ill_conditioned_matrices_to_svd(monkeypatch):
     # an 8 x 8 probe stack on the 51 x 51 grid, kept well conditioned by a
     # dominant constant term
@@ -398,6 +434,43 @@ def test_s1_l1_constant_matrix():
     assert abs(s1_l1_norm(f, n_points=4) - trace_norm(a)) < 1e-12
 
 
+def bin_of(f, n_points=None):
+    # largest_bin on f alone
+    return largest_bin([f], n_points)[0]
+
+
+@pytest.mark.parametrize("dim,n_grid", [(1, 7), (2, 7), (2, 51), (3, 5)])
+@pytest.mark.parametrize("mdim", [None, 1, 2, 3, 4, 8])
+def test_largest_bin_pass_matches_each_part_alone_bitwise(dim, n_grid, mdim):
+    # the derivatives of one sample binned in one pass, with one
+    # trace_norms call over all their bins, against each derivative
+    # binned with a call of its own: frequencies up to 3N, so most of them
+    # alias, a pair n, n + N e_1 sharing a bin, and the zero index, whose
+    # derivatives other than the zeroth drop it
+    rng = np.random.default_rng([dim, n_grid, mdim or 0])
+    smoothness = Smoothness.from_indices(
+        saturate({(2,) + (0,) * (dim - 1), (0,) * (dim - 1) + (1,)}))
+    for trial in range(4):
+        draw = rng.integers(-3 * n_grid, 3 * n_grid + 1, size=(40, dim))
+        freqs = [tuple(int(c) for c in row) for row in draw]
+        freqs += [(freqs[0][0] + n_grid,) + freqs[0][1:], (0,) * dim]
+        f = random_trigpoly(freqs, mdim=mdim, seed=trial)
+        parts = [f.derivative(g) for g in smoothness]
+        parts.append(TrigPoly({}, dim=dim, mdim=mdim))
+        for n_points in (n_grid, None):
+            got = largest_bin(parts, n_points)
+            assert len(got) == len(parts)
+            for (low, top), part in zip(got, parts):
+                want_low, want_top = largest_bin_alone(part, n_points)
+                assert low.hex() == want_low.hex()
+                if want_top is None:
+                    assert top is None
+                else:
+                    assert np.array_equal(np.atleast_1d(top).view(np.int64),
+                                          np.atleast_1d(want_top).view(np.int64))
+    assert largest_bin([], 7) == []
+
+
 @pytest.mark.parametrize("dim,mdim", [(1, None), (2, None), (3, None),
                                       (1, 3), (2, 2), (2, 4), (3, 1)])
 def test_s1_l1_lower_bound_below_norm(dim, mdim):
@@ -413,9 +486,9 @@ def test_s1_l1_lower_bound_below_norm(dim, mdim):
         twin = (n[0] + n_grid,) + n[1:]
         if twin not in f.coeffs:
             f = f + TrigPoly({twin: f.coeffs[n]}, dim=dim, mdim=mdim)
-        lower = largest_bin(f, n_grid)[0]
+        lower = bin_of(f, n_grid)[0]
         assert 0.0 < lower <= s1_l1_norm(f, n_grid)
-        assert largest_bin(f)[0] <= s1_l1_norm(f)
+        assert bin_of(f)[0] <= s1_l1_norm(f)
 
 
 def test_s1_l1_lower_bound_cases():
@@ -423,14 +496,14 @@ def test_s1_l1_lower_bound_cases():
     # (7 is odd, so e_3 and e_10 carry opposite signs on the 7-grid)
     a = np.array([[1.0, 2j], [0.5, -1.0]])
     f = TrigPoly({(3,): a, (10,): a, (-4,): 2.0 * a})
-    assert largest_bin(f, 7)[0] == pytest.approx(s1_l1_norm(f, 7), rel=1e-12)
-    assert largest_bin(f, 7)[0] == pytest.approx(2.0 * trace_norm(a), rel=1e-15)
+    assert bin_of(f, 7)[0] == pytest.approx(s1_l1_norm(f, 7), rel=1e-12)
+    assert bin_of(f, 7)[0] == pytest.approx(2.0 * trace_norm(a), rel=1e-15)
     g = TrigPoly({(3,): 1.0, (10,): 1.0})
-    assert largest_bin(g, 7)[0] == 0.0
+    assert bin_of(g, 7)[0] == 0.0
     assert s1_l1_norm(g, 7) < 1e-15
-    assert largest_bin(TrigPoly({}, dim=2, mdim=3), 5)[0] == 0.0
+    assert bin_of(TrigPoly({}, dim=2, mdim=3), 5)[0] == 0.0
     with pytest.raises(ValueError):
-        largest_bin(g, 0)
+        bin_of(g, 0)
 
 
 @pytest.mark.parametrize("dim,n_grid", [(1, 7), (1, 301), (2, 7), (2, 51), (3, 5), (3, 9)])
@@ -450,7 +523,7 @@ def test_polar_minorant_is_below_the_norm_with_mean_the_bound(dim, n_grid, mdim)
         exact = trace_norms(f.evaluate(n_grid)).reshape(-1)
         assert ell.shape == exact.shape
         assert np.all(ell <= exact * (1 + 1e-12))
-        assert ell.mean() == pytest.approx(largest_bin(f, n_grid)[0], rel=1e-12)
+        assert ell.mean() == pytest.approx(bin_of(f, n_grid)[0], rel=1e-12)
         worst = max(worst, float((ell / exact).max()))
     assert worst > 0.5  # a minorant that is merely 0 would pass the rest
 
@@ -474,13 +547,13 @@ def test_pinch_minorant_lies_between_the_polar_minorant_and_the_norm(dim, n_grid
         freqs = [tuple(int(c) for c in row) for row in draw]
         freqs.append((freqs[0][0] + n_grid,) + freqs[0][1:])
         f = random_trigpoly(freqs, mdim=mdim, seed=trial)
-        ell = pinch_minorant(f, largest_bin(f, n_grid)[1], n_grid)
+        ell = pinch_minorant(f, bin_of(f, n_grid)[1], n_grid)
         exact = trace_norms(f.evaluate(n_grid)).reshape(-1)
         polar = polar_minorant(f, n_grid)
         assert ell.shape == exact.shape
         assert np.all(ell <= exact * (1 + 1e-12))
         assert np.all(ell >= polar - 1e-12 * exact.max())
-        assert ell.mean() >= largest_bin(f, n_grid)[0] * (1 - 1e-12)
+        assert ell.mean() >= bin_of(f, n_grid)[0] * (1 - 1e-12)
         worst = max(worst, float((ell / exact).max()))
         gain = max(gain, ell.mean() / polar.mean())
     assert worst > 0.5  # a minorant that is merely 0 would pass the rest
@@ -494,7 +567,7 @@ def test_pinch_minorant_of_zero_and_of_one_character(mdim):
     # f = a e_n: ||f(x)||_1 = ||a||_1 at every node, and W^H a V is the
     # diagonal of singular values, which the pinch keeps whole
     a = random_trigpoly([(4, -9)], mdim=mdim, seed=1)
-    assert pinch_minorant(a, largest_bin(a, 7)[1], 7) == pytest.approx(
+    assert pinch_minorant(a, bin_of(a, 7)[1], 7) == pytest.approx(
         trace_norm(a.coeffs[(4, -9)]) * np.ones(49), rel=1e-12)
 
 
@@ -510,7 +583,7 @@ def test_s1_l1_norm_is_the_mean_of_the_grid_trace_norms_bitwise(dim, mdim, n_gri
     f = random_trigpoly([n[:dim] for n in freqs], mdim=mdim, seed=mdim)
     want = float(trace_norms(f.evaluate(n_grid)).mean())
     assert s1_l1_norm(f, n_grid).hex() == want.hex()
-    ell = pinch_minorant(f, largest_bin(f, n_grid)[1], n_grid) if mdim >= 3 else None
+    ell = pinch_minorant(f, bin_of(f, n_grid)[1], n_grid) if mdim >= 3 else None
     # best = 0 never meets the skip rule
     got = operators._exact_term(1.0, 0.0, [0.0], 0, f, ell, n_grid)
     assert got.hex() == want.hex()
@@ -578,8 +651,10 @@ def test_derived_operations_match_the_checked_constructor(mdim):
          _checked(f, {n: v for n, v in derived.items() if _big(v)})),
         (f.chop(0.5), _checked(f, {n: v for n, v in f.coeffs.items() if _big(v, 0.5)})),
         (f.conj(), _checked(f, {(-n[0], -n[1]): adjoint(v) for n, v in f.coeffs.items()})),
-        ((0.5 - 1.5j) * f, _checked(f, {n: (0.5 - 1.5j) * v for n, v in f.coeffs.items()}, True)),
-        (0 * f, _checked(f, {n: 0 * v for n, v in f.coeffs.items()}, True)),
+        ((0.5 - 1.5j) * f, _checked(f, {n: (0.5 - 1.5j) * v for n, v in f.coeffs.items()})),
+        (1e-16 * f, _checked(f, {n: 1e-16 * v for n, v in f.coeffs.items()})),
+        (-f, _checked(f, {n: -v for n, v in f.coeffs.items()})),
+        (0 * f, _checked(f, {n: 0 * v for n, v in f.coeffs.items()})),
         (f + g, _checked(f, add, True)),
         (f * g, _checked(f, conv, True)),
     ]
@@ -611,3 +686,22 @@ def test_random_trigpoly_matches_scalar_draws(mdim):
 def test_random_trigpoly_needs_a_frequency():
     with pytest.raises(ValueError, match="at least one frequency"):
         random_trigpoly([])
+    for mdim in (None, 2):
+        with pytest.raises(ValueError, match="wrong dimension"):
+            random_trigpoly([(1, 2), (3,)], mdim=mdim)
+        with pytest.raises(ValueError, match="need dim"):
+            random_trigpoly([()], mdim=mdim)
+
+
+@pytest.mark.parametrize("mdim", [None, 3])
+def test_scalar_multiple_is_homogeneous(mdim):
+    # a scalar multiple drops only exact zeros: at 1e-16 no coefficient is
+    # lost, so the Paley ratio is that of the polynomial itself
+    f = random_trigpoly([(1, 2), (3, 4)], mdim=mdim, seed=1)
+    S = Smoothness.from_indices(saturate({(2, 0), (0, 1)}))
+    want = operators.paley_ratio(f, S, [(1, 2)], 51)
+    for t in (1e-16, 1e-100, -2.5):
+        g = t * f
+        assert g.spectrum() == f.spectrum() == (-g).spectrum()
+        assert operators.paley_ratio(g, S, [(1, 2)], 51) == pytest.approx(want, rel=1e-12)
+    assert len(0.0 * f) == 0
