@@ -37,6 +37,9 @@ stage-by-stage composite bit for bit.
 
 import heapq
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,8 +229,8 @@ def paley_ratio(f, smoothness, frequencies, n_points=None):
 
 def _beaten(num, best, lows):
     # the skip rule, with every entry of lows at most its E_gamma; before
-    # there is a best, nothing is skipped
-    return best is not None and num <= best * sum(lows) * (1.0 - PALEY_MARGIN)
+    # there is a best (best = -inf), nothing is skipped
+    return num <= best * sum(lows) * (1.0 - PALEY_MARGIN)
 
 
 def _bound(num, lows):
@@ -236,22 +239,23 @@ def _bound(num, lows):
     return num / low if low else (math.inf if num else 0.0)
 
 
-def _raise_to_pinch(num, parts, tops, lows, best, n_points):
+def _raise_to_pinch(num, parts, tops, lows, cell, n_points):
     """Raise each bin bound in lows, in place and largest first, to its
     pinch mean, and return the pinch arrays; None as soon as the skip
-    rule holds."""
+    rule holds against cell.value."""
     ells = [None] * len(parts)
     for j in sorted(range(len(parts)), key=lambda j: -lows[j]):
-        if _beaten(num, best, lows):
+        if _beaten(num, cell.value, lows):
             return None
         ells[j] = pinch_minorant(parts[j], tops[j], n_points)
         lows[j] = float(ells[j].mean())
     return ells
 
 
-def _exact_term(num, best, terms, j, part, ell, n_points):
+def _exact_term(num, cell, terms, j, part, ell, n_points):
     """E_j = s1_l1_norm(part, n_points) bit for bit, or None as soon as
-    the skip rule holds with terms[j] raised to a part-way bound.
+    the skip rule holds against cell.value with terms[j] raised to a
+    part-way bound.
 
     part is matrix valued; its grid values live only inside this call.
     Given its pinch array ell (m >= 3), the trace norms are taken in
@@ -271,27 +275,29 @@ def _exact_term(num, best, terms, j, part, ell, n_points):
     for lo in range(0, len(vals), step):
         if lo:
             bound = (norms[:lo].sum() + ell[lo:].sum()) / len(vals)
-            if _beaten(num, best, terms[:j] + [bound] + terms[j + 1:]):
+            if _beaten(num, cell.value, terms[:j] + [bound] + terms[j + 1:]):
                 return None
         norms[lo:lo + step] = trace_norms(vals[lo:lo + step])
     return float(norms.mean())
 
 
-def _exact_ratio(num, parts, tops, lows, best, n_points, ells):
+def _exact_ratio(num, parts, tops, lows, cell, n_points, ells):
     """num over the exact terms E_gamma, taken largest bound first with
-    lows as the bounds, or None as soon as the skip rule holds before a
-    term or part-way through one.  With ells given (m >= 3) and a best
-    to beat, a term whose pinch array ells lacks gets it from its bin in
-    tops before its grid values.  A quotient that is returned sums the
-    E_gamma in the order of smoothness, as sobolev_norm does."""
+    lows as the bounds, or None as soon as the skip rule holds against
+    cell.value before a term or part-way through one.  With ells given
+    (m >= 3) and a best to beat, a term whose pinch array ells lacks gets
+    it from its bin in tops before its grid values.  A quotient that is
+    returned sums the E_gamma in the order of smoothness, as
+    sobolev_norm does."""
     terms = list(lows)
     for j in sorted(range(len(parts)), key=lambda j: -terms[j]):
+        best = cell.value
         if _beaten(num, best, terms):
             return None
-        if best is not None and ells is not None and ells[j] is None:
+        if best > -math.inf and ells is not None and ells[j] is None:
             ells[j] = pinch_minorant(parts[j], tops[j], n_points)
         ell = None if ells is None else ells[j]
-        terms[j] = _exact_term(num, best, terms, j, parts[j], ell, n_points)
+        terms[j] = _exact_term(num, cell, terms, j, parts[j], ell, n_points)
         if terms[j] is None:
             return None
     return num / sum(terms)
@@ -383,7 +389,8 @@ def estimate_paley_constant(smoothness, frequencies, sampler):
         num <= best * sum_gamma (E_gamma if computed, else its latest
                                  bound) * (1 - PALEY_MARGIN),
 
-    since then num / sum E_gamma < best.  Per m the samples are visited
+    since then num / sum E_gamma < best.  Per m the samples are searched
+    in two halves, even i and odd i (see below), each visited
     best-first.  A first pass draws them and computes each numerator and
     every L_gamma, and a heap orders them by the upper bound num /
     sum_gamma L_gamma on the quotient, lower index first on equal
@@ -410,12 +417,32 @@ def estimate_paley_constant(smoothness, frequencies, sampler):
       computed when the term starts.
 
     A sample that finishes sums its E_gamma in the order of S, exactly
-    as sobolev_norm does, and replaces the best if its quotient is
-    larger, or equal at a lower index.  The margin keeps the rule from
-    firing on a tie, so no sample whose quotient equals the final sup is
-    ever dropped, and every per-m sup and argmax is that of the plain
-    loop over paley_ratio in index order, first index on ties, bit for
-    bit.
+    as sobolev_norm does, and replaces its half's best if its quotient
+    is larger, or equal at a lower index.  The margin keeps the rule
+    from firing on a tie, so no sample whose quotient equals the final
+    sup is ever dropped, and every per-m sup and argmax is that of the
+    plain loop over paley_ratio in index order, first index on ties, bit
+    for bit.
+
+    The calling process searches the even half at every m while one
+    forked child searches the odd half, and the call returns only after
+    the child is reaped, whether the search succeeds or raises.  The
+    halves prune against one running best per m, an 8-byte cell in
+    shared memory under a lock that starts at -inf and is only ever
+    raised: each half reads it at every skip test and raises it when a
+    quotient of its own beats it.  So the best a sample is tested
+    against is one that a finished sample, of either half, attained: it
+    is at most the sup, and the argument above holds with it.  The half
+    that holds the argmax finishes every sample whose quotient equals
+    the sup and reports the first of them; the other half reports a
+    smaller quotient or, on a tie, its own first index.  Per m the
+    result is the larger of the two, the lower index on a tie, and it is
+    the serial search's bit for bit.  What varies with timing is only how
+    soon each half sees the other's best, and so how many bounds, pinches
+    and trace norms each half computes: the work counts vary from run to
+    run, the results do not.  The child sends back its per-m results or
+    the exception it raised, which the caller re-raises, and it leaves
+    by os._exit, so it never flushes output buffered before the fork.
 
     The margin covers rounding, which can push a computed bound above
     the computed E_gamma although it is below E_gamma exactly.  All of
@@ -444,43 +471,43 @@ def estimate_paley_constant(smoothness, frequencies, sampler):
     1e-3 of its coefficients' size, where the grid values are themselves
     mostly rounding.
     """
+    # imported here, so that importing paleykit does not pay for it
+    from multiprocessing import Value
+
     mdims = sampler.mdims()
     lam = [int_tuple(n) for n in frequencies]
-    grid_n = sampler.grid_n
+    cells = {m: Value("d", -math.inf) for m in mdims}
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read)
+            try:
+                out = {m: _search_half(smoothness, lam, sampler, m, 1, cells[m])
+                       for m in mdims}
+            except BaseException as exc:
+                out = exc
+            with open(write, "wb") as pipe:
+                pipe.write(pickle.dumps(out))
+        finally:
+            os._exit(0)
+    os.close(write)
+    try:
+        with open(read, "rb") as pipe:
+            even = {m: _search_half(smoothness, lam, sampler, m, 0, cells[m])
+                    for m in mdims}
+            odd = pipe.read()
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    if not odd:
+        raise RuntimeError("the Paley probe's odd half ended without a result")
+    odd = pickle.loads(odd)
+    if isinstance(odd, BaseException):
+        raise odd
     per_dim = {}
     for m in mdims:
-        # the pinch pays off only where the exact trace norms need Gram
-        # eigenvalues, at m >= 3
-        pinch = m >= 3
-        heap = []
-        for i in range(sampler.count):
-            f = sampler.draw(m, i)
-            num = paley_l2_norm(f, smoothness, lam)
-            bins = largest_bin([f.derivative(g) for g in smoothness], grid_n)
-            lows = [low for low, _ in bins]
-            tops = [top for _, top in bins]
-            heap.append((-_bound(num, lows), i, f, num, lows, tops, not pinch))
-        heapq.heapify(heap)
-        best = index = None
-        while heap:
-            # final: the bounds are as high as they get before exact terms
-            _, i, f, num, lows, tops, final = heapq.heappop(heap)
-            if _beaten(num, best, lows):
-                break
-            parts = [f.derivative(g) for g in smoothness]
-            ells = [None] * len(parts) if pinch else None
-            if not final:
-                ells = _raise_to_pinch(num, parts, tops, lows, best, grid_n)
-                if ells is None:
-                    continue
-                entry = (-_bound(num, lows), i, f, num, lows, tops, True)
-                if heap and heap[0] < entry:
-                    heapq.heappush(heap, entry)
-                    continue
-            r = _exact_ratio(num, parts, tops, lows, best, grid_n, ells)
-            if r is not None and (best is None or r > best
-                                  or (r == best and i < index)):
-                best, index = r, i
+        best, index = _merge((even[m], odd[m]))
         per_dim[m] = {"sup_ratio": best, "argmax_index": index}
     top = max(mdims, key=lambda m: per_dim[m]["sup_ratio"])
     return {
@@ -492,3 +519,61 @@ def estimate_paley_constant(smoothness, frequencies, sampler):
         "mdim": sampler.mdim,
         "seed": sampler.seed,
     }
+
+
+def _merge(halves):
+    """The (best, index) of the halves with the larger quotient, the lower
+    index on a tie; a half whose every sample was skipped drops out."""
+    return max((h for h in halves if h[1] is not None), key=lambda h: (h[0], -h[1]))
+
+
+def _search_half(smoothness, lam, sampler, m, side, cell):
+    """The best-first search of estimate_paley_constant at matrix size m
+    over the samples i = side (mod 2): returns this half's best quotient
+    and its index, or (-inf, None) if every sample was skipped.
+
+    cell is the running best, a multiprocessing Value("d") holding -inf
+    or a quotient some finished sample attained: each skip test reads
+    it, and a quotient of this half that beats it raises it."""
+    grid_n = sampler.grid_n
+    # the pinch pays off only where the exact trace norms need Gram
+    # eigenvalues, at m >= 3
+    pinch = m >= 3
+    heap = []
+    for i in range(side, sampler.count, 2):
+        f = sampler.draw(m, i)
+        num = paley_l2_norm(f, smoothness, lam)
+        bins = largest_bin([f.derivative(g) for g in smoothness], grid_n)
+        lows = [low for low, _ in bins]
+        tops = [top for _, top in bins]
+        heap.append((-_bound(num, lows), i, f, num, lows, tops, not pinch))
+    heapq.heapify(heap)
+    best, index = -math.inf, None
+    while heap:
+        # final: the bounds are as high as they get before exact terms
+        _, i, f, num, lows, tops, final = heapq.heappop(heap)
+        if _beaten(num, cell.value, lows):
+            break
+        parts = [f.derivative(g) for g in smoothness]
+        ells = [None] * len(parts) if pinch else None
+        if not final:
+            ells = _raise_to_pinch(num, parts, tops, lows, cell, grid_n)
+            if ells is None:
+                continue
+            entry = (-_bound(num, lows), i, f, num, lows, tops, True)
+            if heap and heap[0] < entry:
+                heapq.heappush(heap, entry)
+                continue
+        r = _exact_ratio(num, parts, tops, lows, cell, grid_n, ells)
+        if r is not None and (r > best or (r == best and i < index)):
+            best, index = r, i
+            _raise_best(cell, r)
+    return best, index
+
+
+def _raise_best(cell, r):
+    # read and write under one hold of the lock: a check outside it could
+    # overwrite the other half's larger best with a smaller one
+    with cell.get_lock():
+        if r > cell.value:
+            cell.value = r

@@ -24,7 +24,7 @@ it is, at a cost of O(T N^d m^2) for T terms of size m x m.
 Per-point trace norms use |a| at m = 1, the closed form
 (||a||_F^2 + 2|det a|)^{1/2} at m = 2, and above that the square roots of
 the eigenvalues of a^H a, with singular values only for the matrices
-whose Frobenius norm is out of range or whose Gram matrix is
+whose Frobenius norm is out of range (at m >= 2) or whose Gram matrix is
 ill-conditioned (see ``trace_norms`` for the guards and the error bound).
 
 ``largest_bin`` bounds that grid mean from below without the grid:
@@ -53,8 +53,9 @@ import numpy as np
 from .multiindex import _multiplier, int_at_least, int_tuple, q_s_eval
 
 CHOP = 1e-15
-# trace_norms at m >= 3: matrices per Gram block, the eigenvalue-ratio
-# guard and the ||a||_F^2 range in which a^H a is formed safely
+# trace_norms: matrices per Gram block and the eigenvalue-ratio guard at
+# m >= 3, and the ||a||_F^2 range in which a^H a (m >= 3) or the squares
+# of the 2 x 2 closed form are formed safely
 GRAM_BLOCK = 256
 GRAM_TAU = 1e-4
 FRO2_MIN, FRO2_MAX = 1e-280, 1e280
@@ -332,7 +333,8 @@ def trace_norms(a):
     |a| at m = 1.  At m = 2, sigma_1 + sigma_2 = (||a||_F^2 + 2|det a|)^{1/2},
     since sigma_1^2 + sigma_2^2 = ||a||_F^2 and sigma_1 sigma_2 = |det a|;
     both terms are non-negative, so the absolute error is eps ||a|| as
-    with an SVD.
+    with an SVD.  The first guard below holds there too: out of range the
+    squares overflow or underflow.
 
     At m >= 3, ||a||_1 = sum_i lambda_i^{1/2} over the eigenvalues of the
     Gram matrix G = a^H a, from one batched matmul and ``eigvalsh``, in
@@ -344,10 +346,10 @@ def trace_norms(a):
       underflow, against sigma_1^2 >= tr G / m; outside, and for inf or
       nan entries (where ``eigvalsh`` would raise on the whole stack), the
       SVD gives its own answer: a value, nan, or ``LinAlgError``.
-    * lambda_min < tau lambda_max, tau = GRAM_TAU.  Forming G and
-      ``eigvalsh`` are backward stable, so by Weyl each computed eigenvalue
-      obeys |lambda_i - sigma_i^2| <= c m u sigma_1^2 (u the unit roundoff,
-      c a small constant).  With lambda_i >= tau sigma_1^2 the square root
+    * at m >= 3 only, lambda_min < tau lambda_max, tau = GRAM_TAU.
+      Forming G and ``eigvalsh`` are backward stable, so by Weyl each
+      computed eigenvalue obeys |lambda_i - sigma_i^2| <= c m u sigma_1^2
+      (u the unit roundoff, c a small constant).  With lambda_i >= tau sigma_1^2 the square root
       divides that by sqrt(lambda_i) + sigma_i >= 2 sqrt(tau) sigma_1, so
       the m terms sum to an error of at most c m^2 u sigma_1 / (2 sqrt(tau))
       <= c m^2 u / (2 sqrt(tau)) ||a||_1: about c * 3.6e-13 relative at
@@ -356,15 +358,21 @@ def trace_norms(a):
     """
     if a.shape[-2:] == (1, 1):
         return np.abs(a[..., 0, 0])
-    if a.shape[-2:] == (2, 2):
-        # the squared moduli added in row-major order, as a reduction over
-        # both matrix axes adds them, on the four entry columns
-        sq = a.real**2 + a.imag**2
-        fro2 = sq[..., 0, 0] + sq[..., 0, 1] + sq[..., 1, 0] + sq[..., 1, 1]
-        det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-        return np.sqrt(fro2 + 2.0 * np.abs(det))
     m = a.shape[-1]
     flat = a.reshape(-1, m, m)
+    if m == 2:
+        # the squared moduli added in row-major order, as a reduction over
+        # both matrix axes adds them, on the four entry columns; the first
+        # guard below sends a matrix to the SVD, as at m >= 3
+        with np.errstate(all="ignore"):
+            sq = flat.real**2 + flat.imag**2
+            fro2 = sq[:, 0, 0] + sq[:, 0, 1] + sq[:, 1, 0] + sq[:, 1, 1]
+            det = flat[:, 0, 0] * flat[:, 1, 1] - flat[:, 0, 1] * flat[:, 1, 0]
+            out = np.sqrt(fro2 + 2.0 * np.abs(det))
+        slow = ~((fro2 >= FRO2_MIN) & (fro2 <= FRO2_MAX))
+        if slow.any():
+            out[slow] = np.linalg.svd(flat[slow], compute_uv=False).sum(-1)
+        return out.reshape(a.shape[:-2])
     out = np.empty(len(flat))
     for lo in range(0, len(flat), GRAM_BLOCK):
         blk = flat[lo:lo + GRAM_BLOCK]

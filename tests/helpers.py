@@ -3,6 +3,7 @@ paleykit uses them."""
 
 import itertools
 import math
+import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -14,6 +15,8 @@ from paleykit.errors import ConstructionError, InfeasibleError, StageFailure, Un
 from paleykit.multiindex import Smoothness, int_tuple, saturate, symbol_abs_int, symbol_phase
 from paleykit.operators import (
     _coeff_l2,
+    _merge,
+    _search_half,
     composite_closed_form,
     convolve_riesz,
     coordinate_projection,
@@ -217,6 +220,26 @@ def paley_oracle(smoothness, frequencies, sampler):
     return out
 
 
+def cell(value=-math.inf):
+    """A running best for the probe's search helpers that no other process
+    shares, so the work they do does not depend on timing."""
+    return multiprocessing.Value("d", value)
+
+
+def search_in_halves(smoothness, frequencies, sampler):
+    """estimate_paley_constant's per-m search in this process: the even
+    half, then the odd half against the best the even half left in one
+    cell per m; returns {m: (sup_ratio, argmax_index)}, merged as the
+    probe merges them.  The work it does is the same on every run."""
+    lam = [int_tuple(n) for n in frequencies]
+    out = {}
+    for m in sampler.mdims():
+        best = cell()
+        out[m] = _merge([_search_half(smoothness, lam, sampler, m, side, best)
+                         for side in (0, 1)])
+    return out
+
+
 def bins_of(f, n):
     """B_r = sum_{n_k = r mod N} (-1)^{|n_k|} c_k, keyed by the residue
     r in [0, N)^d, in the order the residues first occur in f."""
@@ -245,16 +268,21 @@ def largest_bin_alone(f, n_points=None):
 def trace_norms_masked(a):
     """trigpoly.trace_norms in its plain form, the oracle for its fast
     paths: the m = 2 closed form through a reduction over both matrix
-    axes, and at m >= 3 the slow matrices masked out of every Gram block
-    whether or not the block holds any."""
+    axes, with out-of-range matrices masked out to the SVD, and at m >= 3
+    the slow matrices masked out of every Gram block whether or not the
+    block holds any."""
     if a.shape[-2:] == (1, 1):
         return np.abs(a[..., 0, 0])
-    if a.shape[-2:] == (2, 2):
-        fro2 = np.sum(a.real**2 + a.imag**2, axis=(-2, -1))
-        det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-        return np.sqrt(fro2 + 2.0 * np.abs(det))
     m = a.shape[-1]
     flat = a.reshape(-1, m, m)
+    if m == 2:
+        with np.errstate(all="ignore"):
+            fro2 = np.sum(flat.real**2 + flat.imag**2, axis=(-2, -1))
+            det = flat[:, 0, 0] * flat[:, 1, 1] - flat[:, 0, 1] * flat[:, 1, 0]
+            out = np.sqrt(fro2 + 2.0 * np.abs(det))
+        slow = ~((fro2 >= FRO2_MIN) & (fro2 <= FRO2_MAX))
+        out[slow] = np.linalg.svd(flat[slow], compute_uv=False).sum(-1)
+        return out.reshape(a.shape[:-2])
     out = np.empty(len(flat))
     for lo in range(0, len(flat), GRAM_BLOCK):
         blk = flat[lo:lo + GRAM_BLOCK]

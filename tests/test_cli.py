@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -416,6 +419,24 @@ def test_estimate_paley_is_thin_wrapper(capsys, plan_file):
     assert payload["sup_ratio"] == pytest.approx(want["sup_ratio"], rel=1e-15)
     assert payload["m"] == [1]
     assert "plan_digest" in payload
+
+
+def test_piped_estimate_paley_prints_its_json_once(plan_file):
+    # stdout is a buffered pipe, so the line printed before the probe is
+    # still in the buffer when the probe forks: a child that flushed it on
+    # exit would print it twice
+    script = ("import sys; from paleykit.cli import main; print('before'); "
+              "sys.exit(main(sys.argv[1:]))")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", script, "estimate-paley", "--plan", plan_file,
+         "--count", "3", "--matrix-dim", "1", "--matrix-dim", "3",
+         "--grid-n", "21"],
+        capture_output=True, text=True, timeout=120, check=True, env=env)
+    before, line = out.stdout.splitlines()
+    assert before == "before"
+    assert json.loads(line)["m"] == [1, 3]
 
 
 def test_estimate_paley_rejects_repeated_matrix_dim(capsys, plan_file):

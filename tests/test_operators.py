@@ -1,7 +1,11 @@
 import dataclasses
 import itertools
 import math
+import multiprocessing
+import os
+import pathlib
 import sys
+import time
 import types
 from fractions import Fraction
 
@@ -38,10 +42,12 @@ from paleykit.trigpoly import (
 )
 
 from helpers import (
+    cell,
     coeff_bits,
     composite_relative_error_stagewise,
     composite_stagewise,
     paley_oracle,
+    search_in_halves,
 )
 
 S = Smoothness.from_indices(saturate({(2, 0), (0, 1)}))
@@ -428,12 +434,21 @@ def reference_sampler(seed, count):
                         terms=8, mdim=(1, 2, 4, 8), seed=seed, grid_n=51)
 
 
-def mismatches(smoothness, lam, sampler):
-    """(m, probe, oracle) wherever the per-m sup bits or argmax differ."""
-    got = estimate_paley_constant(smoothness, lam, sampler)["per_dim"]
+def mismatches(smoothness, lam, sampler, in_halves=False):
+    """(m, probe, oracle) wherever the per-m sup bits or argmax differ.
+
+    in_halves runs the probe's two halves in this process, one after the
+    other (search_in_halves): what a broken skip rule drops then does not
+    depend on how the two processes of the probe interleave, so the
+    mutant tests below use it."""
+    if in_halves:
+        got = search_in_halves(smoothness, lam, sampler)
+    else:
+        got = {m: (v["sup_ratio"], v["argmax_index"]) for m, v in
+               estimate_paley_constant(smoothness, lam, sampler)["per_dim"].items()}
     out = []
     for m, (ratio, index) in paley_oracle(smoothness, lam, sampler).items():
-        mine = (got[m]["sup_ratio"].hex(), got[m]["argmax_index"])
+        mine = (got[m][0].hex(), got[m][1])
         if mine != (ratio.hex(), index):
             out.append((m, mine, (ratio.hex(), index)))
     return out
@@ -453,27 +468,27 @@ def test_probe_matches_oracle_under_aliasing():
     assert mismatches(S, PLAN.sequence, sampler) == []
 
 
-def d3_without_support():
+def d3_without_support(in_halves=False):
     # every sample is c e_n: the ratios agree to rounding, and the bound
     # equals the norm up to rounding, so the argmax rests on the last bits
     s3 = Smoothness.from_indices(saturate({(2, 0, 0), (0, 1, 0), (0, 0, 1)}))
     lam = [(1, 2, 3)]
     sampler = PaleySampler(count=10, always=lam, mdim=(1, 2), seed=3, grid_n=9)
-    return mismatches(s3, lam, sampler)
+    return mismatches(s3, lam, sampler, in_halves)
 
 
 def test_probe_matches_oracle_d3_without_support():
     assert d3_without_support() == []
 
 
-def d3_odd_matrix_sizes():
+def d3_odd_matrix_sizes(in_halves=False):
     # the pinch off d = 2, with its trailing 1 x 1 block at m = 3 and 5
     s3 = Smoothness.from_indices(saturate({(2, 0, 0), (0, 1, 0), (0, 0, 1)}))
     lam = [(1, 2, 3)]
     support = tuple(itertools.product(range(1, 4), repeat=3))
     sampler = PaleySampler(count=30, support=support, always=lam, terms=4,
                            mdim=(3, 5), seed=1, grid_n=9)
-    return mismatches(s3, lam, sampler)
+    return mismatches(s3, lam, sampler, in_halves)
 
 
 def test_probe_matches_oracle_d3_odd_matrix_sizes():
@@ -484,7 +499,7 @@ def test_zero_margin_fails_oracle(monkeypatch):
     # without the margin, rounding in the bound skips a sample whose
     # ratio beats the best in the last bits
     monkeypatch.setattr(operators, "PALEY_MARGIN", 0.0)
-    assert [m for m, *_ in d3_without_support()] == [1]
+    assert [m for m, *_ in d3_without_support(in_halves=True)] == [1]
 
 
 def test_probe_matches_oracle_on_default_grid():
@@ -503,7 +518,7 @@ def test_inflated_bound_fails_oracle(monkeypatch):
         return [(1.5 * bound, top) for bound, top in largest_bin(parts, n_points)]
 
     monkeypatch.setattr(operators, "largest_bin", inflated)
-    assert any(mismatches(S, PLAN.sequence, reference_sampler(seed, 16))
+    assert any(mismatches(S, PLAN.sequence, reference_sampler(seed, 16), True)
                for seed in (0, 1, 2))
 
 
@@ -530,9 +545,9 @@ def test_inflated_pointwise_bound_fails_oracle(monkeypatch):
 
     monkeypatch.setattr(PaleySampler, "draw", drawn)
     monkeypatch.setattr(operators, "pinch_minorant", inflated)
-    assert any(mismatches(S, PLAN.sequence, reference_sampler(seed, 16))
+    assert any(mismatches(S, PLAN.sequence, reference_sampler(seed, 16), True)
                for seed in (0, 1, 2))
-    assert d3_odd_matrix_sizes()
+    assert d3_odd_matrix_sizes(in_halves=True)
 
 
 def test_exact_tie_reports_the_first_index(monkeypatch):
@@ -606,7 +621,7 @@ def test_exact_term_bounds_rise_to_the_norm(monkeypatch):
         return rule(num, best, lows)
 
     monkeypatch.setattr(operators, "_beaten", recorded)
-    assert operators._exact_term(1.0, 0.0, [low], 0, f, ell, 51) == norm
+    assert operators._exact_term(1.0, cell(0.0), [low], 0, f, ell, 51) == norm
     # one check before each of the 10 blocks after the first of 2601 nodes
     bounds = list(seen)
     assert len(bounds) == 10
@@ -619,19 +634,21 @@ def test_exact_term_bounds_rise_to_the_norm(monkeypatch):
     mid = (bounds[1] + bounds[2]) / 2
     best = 1.0 / (mid * (1.0 - operators.PALEY_MARGIN))
     seen.clear()
-    assert operators._exact_term(1.0, best, [low], 0, f, ell, 51) is None
+    assert operators._exact_term(1.0, cell(best), [low], 0, f, ell, 51) is None
     assert seen == bounds[:3]
     # m <= 2, no pinch array: one closed-form call, the rule is never asked
     g = random_trigpoly([(1, 2), (-3, 5)], mdim=2, seed=2)
     seen.clear()
-    assert operators._exact_term(1.0, 0.0, [0.0], 0, g, None, 51) == \
+    assert operators._exact_term(1.0, cell(0.0), [0.0], 0, g, None, 51) == \
         trigpoly.s1_l1_norm(g, 51)
     assert seen == []
 
 
 def test_probe_bins_each_derivative_once(monkeypatch):
     # the first pass bins all derivatives of a sample in one pass and its
-    # heap entry keeps the top bins, so no pinch bins again
+    # heap entry keeps the top bins, so no pinch bins again; counted on
+    # the two halves in this process, since a count in the caller misses
+    # the forked half
     binned = []
     original = operators.largest_bin
 
@@ -641,7 +658,7 @@ def test_probe_bins_each_derivative_once(monkeypatch):
         return original(parts, n_points)
 
     monkeypatch.setattr(operators, "largest_bin", counted)
-    estimate_paley_constant(S, PLAN.sequence, reference_sampler(0, 16))
+    search_in_halves(S, PLAN.sequence, reference_sampler(0, 16))
     assert {m: binned.count(m) for m in set(binned)} == {
         m: 16 for m in (1, 2, 4, 8)}
 
@@ -653,7 +670,7 @@ def test_probe_prices_each_multiplier_once():
     pairs = {(g, n) for m in sampler.mdims() for i in range(16)
              for n in sampler.draw(m, i).coeffs for g in S}
     multiindex._multiplier.cache_clear()
-    estimate_paley_constant(S, PLAN.sequence, sampler)
+    search_in_halves(S, PLAN.sequence, sampler)
     info = multiindex._multiplier.cache_info()
     assert info.misses == len(pairs) < info.maxsize
     # the first pass alone asks 16 samples x 4 sizes x |S| derivatives x
@@ -662,9 +679,10 @@ def test_probe_prices_each_multiplier_once():
 
 
 def test_reference_probe_grid_evaluations(monkeypatch):
-    # grid trace norms per m on the default reference probe: 100 samples
-    # of 4 terms on the 51 x 51 grid would be 1,040,400 per m without the
-    # skip rule; the bins and the pinches behind the bounds are not counted
+    # grid trace norms per m on the default reference probe, its even half
+    # and then its odd half in this process: 100 samples of 4 terms on the
+    # 51 x 51 grid would be 1,040,400 per m without the skip rule; the
+    # bins and the pinches behind the bounds are not counted
     normed = {}
     original = operators.trace_norms
 
@@ -675,9 +693,68 @@ def test_reference_probe_grid_evaluations(monkeypatch):
         return original(a)
 
     monkeypatch.setattr(operators, "trace_norms", counted)
-    r = paley_probe(PLAN, OrchestratorConfig())
-    assert normed == {1: 174267, 2: 75429, 4: 12964, 8: 130336}
-    assert r["per_dim"][8]["argmax_index"] == 44
+    r = search_in_halves(S, PLAN.sequence, reference_sampler(0, 100))
+    assert normed == {1: 137853, 2: 98838, 4: 32113, 8: 140269}
+    assert r[8][1] == 44
+
+
+def live_children():
+    """The pids of this process's children, reaped or not."""
+    tasks = pathlib.Path("/proc/self/task")
+    return {int(pid) for task in tasks.iterdir()
+            for pid in (task / "children").read_text().split()}
+
+
+def test_probe_leaves_no_child():
+    sampler = reference_sampler(0, 6)
+    before = live_children()
+    r = estimate_paley_constant(S, PLAN.sequence, sampler)
+    assert live_children() == before
+    assert {m: (v["sup_ratio"], v["argmax_index"]) for m, v in r["per_dim"].items()} \
+        == search_in_halves(S, PLAN.sequence, sampler)
+    # a single sample: the odd half is empty
+    one = estimate_paley_constant(S, PLAN.sequence, reference_sampler(0, 1))
+    assert all(v["argmax_index"] == 0 for v in one["per_dim"].values())
+    assert live_children() == before
+
+
+def test_error_in_the_odd_half_reaches_the_caller(monkeypatch):
+    draw = PaleySampler.draw
+
+    def failing(self, m, i):
+        if i % 2 and m == 4:
+            raise ZeroDivisionError("odd sample %d at m = %d" % (i, m))
+        return draw(self, m, i)
+
+    monkeypatch.setattr(PaleySampler, "draw", failing)
+    before = live_children()
+    with pytest.raises(ZeroDivisionError, match="^odd sample 1 at m = 4$"):
+        estimate_paley_constant(S, PLAN.sequence, reference_sampler(0, 4))
+    assert live_children() == before
+
+
+def test_odd_half_that_dies_is_an_error(monkeypatch):
+    draw = PaleySampler.draw
+    monkeypatch.setattr(PaleySampler, "draw",
+                        lambda self, m, i: os._exit(3) if i % 2 else draw(self, m, i))
+    with pytest.raises(RuntimeError, match="odd half ended without a result"):
+        estimate_paley_constant(S, PLAN.sequence, reference_sampler(0, 4))
+
+
+def test_error_in_the_even_half_kills_and_reaps_the_child(monkeypatch):
+    # the odd half would sleep for ten minutes: the caller's error ends it
+    def draw(self, m, i):
+        if i % 2:
+            time.sleep(600)
+        raise ZeroDivisionError("even sample %d" % i)
+
+    monkeypatch.setattr(PaleySampler, "draw", draw)
+    before = live_children()
+    start = time.perf_counter()
+    with pytest.raises(ZeroDivisionError, match="^even sample 0$"):
+        estimate_paley_constant(S, PLAN.sequence, reference_sampler(0, 4))
+    assert time.perf_counter() - start < 60
+    assert live_children() == before
 
 
 def test_single_character_closed_form():
@@ -719,3 +796,25 @@ def test_multiplier_operators_commute():
     a = convolve_riesz(paley_project(f, lam), PIPE.riesz)
     b = paley_project(convolve_riesz(f, PIPE.riesz), lam)
     assert a.coeffs == b.coeffs
+
+
+def test_running_best_is_only_ever_raised():
+    # four processes on two cores raise one cell with interleaved values:
+    # a lost update would lower it below a value just raised to, or leave
+    # it below the largest of them
+    best = cell()
+    fork = multiprocessing.get_context("fork")
+
+    def raise_many(j):
+        for k in range(20000):
+            operators._raise_best(best, 4.0 * k + j)
+            if best.value < 4.0 * k + j:
+                sys.exit(1)
+
+    procs = [fork.Process(target=raise_many, args=(j,)) for j in range(4)]
+    for p in procs:
+        p.start()
+    for p in procs:
+        p.join(timeout=60)
+        assert not p.is_alive() and p.exitcode == 0
+    assert best.value == 4.0 * 19999 + 3

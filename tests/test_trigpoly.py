@@ -20,6 +20,7 @@ from paleykit.trigpoly import (
 )
 
 from helpers import (
+    cell,
     coeff_bits,
     cos_factor_poly,
     grid_points,
@@ -336,6 +337,27 @@ def _edge_cases(m):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_trace_norms_2x2_out_of_range_go_to_svd():
+    # the closed form squares the entries: without the range guard 1e200
+    # * a overflows to inf with a RuntimeWarning, and 1e-170 * a reads 0.0
+    a = np.array([[1, 2], [3, 4j]])
+    for scale in (1e200, 1e-170, 1e-200):
+        ref = np.linalg.svd(scale * a, compute_uv=False).sum()
+        assert abs(trace_norm(scale * a) - ref) <= 1e-13 * ref
+    # in range the closed form stays, bit for bit, beside the SVD
+    stack = np.array([a, 1e-300 * a, 1e100 * a])
+    got = trace_norms(stack)
+    sq = a.real**2 + a.imag**2
+    want = np.sqrt(sq.sum() + 2.0 * abs(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]))
+    assert got[0] == want and got[2] == trace_norm(1e100 * a)
+    assert got[1] == trace_norm(1e-300 * a) > 0.0
+    nan_entry = np.eye(2, dtype=complex)
+    nan_entry[0, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        trace_norms(np.array([np.eye(2), nan_entry]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("m", [3, 4, 8])
 def test_trace_norms_edge_cases_match_svd(m):
     cases = _edge_cases(m)
@@ -377,8 +399,7 @@ def test_trace_norms_match_the_masked_formulation_bitwise(m):
     stack[300:300 + len(cases)] = cases
     # any leading shape, and a block with no slow matrix at all
     for a in (stack, stack[:600].reshape(4, 150, m, m), stack[:256]):
-        with np.errstate(all="ignore"):  # the 2 x 2 closed form of 1e200 * a
-            got, want = trace_norms(a), trace_norms_masked(a)
+        got, want = trace_norms(a), trace_norms_masked(a)
         assert got.shape == want.shape == a.shape[:-2]
         assert np.array_equal(_bits(got), _bits(want))
     if m >= 3:
@@ -585,7 +606,7 @@ def test_s1_l1_norm_is_the_mean_of_the_grid_trace_norms_bitwise(dim, mdim, n_gri
     assert s1_l1_norm(f, n_grid).hex() == want.hex()
     ell = pinch_minorant(f, bin_of(f, n_grid)[1], n_grid) if mdim >= 3 else None
     # best = 0 never meets the skip rule
-    got = operators._exact_term(1.0, 0.0, [0.0], 0, f, ell, n_grid)
+    got = operators._exact_term(1.0, cell(0.0), [0.0], 0, f, ell, n_grid)
     assert got.hex() == want.hex()
 
 
