@@ -5,11 +5,10 @@ For x = (x_1..x_L) of m x m matrices the norm is the infimum of
     || (sum_k y_k^* y_k)^{1/2} ||_S1  +  || (sum_k z_k z_k^*)^{1/2} ||_S1
 
 over decompositions x_k = y_k + z_k.  ``cr_norm`` brackets it: an upper
-bound attained by a decomposition, from iteratively reweighted least
-squares, and a lower bound from a dual certificate in R cap C, so the
-reported gap is proved, not estimated.  For scalar sequences the norm is
-the plain l2 norm and for L = 1 the trace norm; both ends of the bracket
-meet there.
+bound attained by a decomposition, from Douglas-Rachford splitting, and
+a lower bound from a dual certificate in R cap C, so the reported gap is
+proved, not estimated.  For scalar sequences the norm is the plain l2
+norm and for L = 1 the trace norm; both ends of the bracket meet there.
 
 Also here: empirical Khintchine ratios for lacunary one-variable series
 with these matrix coefficients.
@@ -25,12 +24,13 @@ from .trigpoly import TrigPoly, s1_l1_norm
 
 # relative gap (value - lower) / value that counts as converged
 GAP_TOLERANCE = 1e-10
-# IRLS steps before cr_norm returns its bracket unconverged
+# Douglas-Rachford steps before cr_norm returns its bracket unconverged
 MAX_ITERATIONS = 3000
 
 
 class MatrixSequence:
-    """A finite list of complex square matrices of one common size.
+    """A finite list of complex square matrices of one common size, with
+    finite entries.
 
     Scalars are accepted and treated as 1 x 1 matrices.
     """
@@ -49,6 +49,8 @@ class MatrixSequence:
         if len({a.shape for a in mats}) != 1:
             raise ValueError("all matrices must share one dimension")
         self.matrices = np.stack(mats)
+        if not np.isfinite(self.matrices).all():
+            raise ValueError("entries must be finite")
 
     @classmethod
     def coerce(cls, xs):
@@ -79,20 +81,32 @@ class Decomposition:
             raise ValueError("y and z parts must have matching shapes")
 
 
-def _gram_pair(ys, zs, out):
-    """Write sum_k y_k^* y_k into out[0] and sum_k z_k z_k^* into out[1]."""
-    length, m, _ = ys.shape
-    y = ys.reshape(length * m, m)
-    np.matmul(y.conj().T, y, out=out[0])
-    z = zs.transpose(1, 0, 2).reshape(m, length * m)
-    np.matmul(z, z.conj().T, out=out[1])
+def _col(a):
+    """The matrices of a stacked into one (L m) x m column."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _row(a):
+    """The matrices of a side by side in one m x (L m) row."""
+    return a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+
+
+def _gram_pair(a, out):
+    """Write sum_k a_k^* a_k into out[0] and sum_k a_k a_k^* into out[1]."""
+    col, row = _col(a), _row(a)
+    np.matmul(col.conj().T, col, out=out[0])
+    np.matmul(row, row.conj().T, out=out[1])
     return out
 
 
-def _objective(ys, zs, out):
-    # Gram sums are PSD up to rounding; clamp before the square roots
-    w = np.linalg.eigvalsh(_gram_pair(ys, zs, out))
-    return float(np.sqrt(np.clip(w, 0.0, None)).sum())
+def _trace_norm(a):
+    """The trace norm of a from its singular values."""
+    return float(np.linalg.svd(a, compute_uv=False).sum())
+
+
+def _scaled(a, e):
+    """2^e a, exactly."""
+    return np.ldexp(a.view(float), e).view(complex)
 
 
 @dataclass
@@ -104,7 +118,8 @@ class CrNormResult:
     lower: float
     decomposition: Decomposition
     iterations: int
-    # IRLS runs from one start, the even split
+    # always 1: one run from one start.  perfbench's trace hook reads it,
+    # so it stays until that hook records iterations and gap instead
     restarts_used = 1
 
     @property
@@ -117,19 +132,35 @@ class CrNormResult:
 
 
 def cr_norm(xs):
-    """Bracket the C+R norm by iteratively reweighted least squares.
+    """Bracket the C+R norm by Douglas-Rachford splitting.
 
-    Step.  With C = sum y_k^* y_k = V diag(c) V^*, R = sum z_k z_k^* =
-    U diag(r) U^* and the smoothed weights P = V diag(p) V^*, p =
-    (c + delta)^{1/2}, Q = U diag(q) U^*, q = (r + delta)^{1/2}, the
-    next y minimises sum tr(y_k P^{-1} y_k^*) + tr(z_k^* Q^{-1} z_k)
-    over y + z = x, i.e. it solves Q y_k + y_k P = x_k P.  In the
-    eigenbases, with x~_k = U^* x_k V, that is y~_k,ij = x~_k,ij p_j /
-    (q_i + p_j) and y_k = U y~_k V^*.
+    Write col(y) for the (L m) x m matrix that stacks the y_k and row(z)
+    for the m x (L m) matrix that lays the z_k side by side.  Then
+    (sum y^* y)^{1/2} and (sum z z^*)^{1/2} have the singular values of
+    col(y) and row(z), and the norm is the minimum over y of f(y) + g(y),
+    f(y) = ||col(y)||_S1 and g(y) = ||row(x - y)||_S1.
 
-    Upper bound.  ``value`` is the least unsmoothed objective over the
-    two pure splits (y = x and y = 0) and every iterate, so it never
-    exceeds min(column, row) and is attained by ``decomposition``.
+    Step.  Douglas-Rachford splitting (Lions-Mercier, SIAM J. Numer.
+    Anal. 1979) with step t runs y = prox_tf(w), v = prox_tg(2y - w) and
+    w <- w + v - y.  Each prox is a singular-value soft threshold at t:
+    with col(w) = U diag(c) V^*, col(y) = U diag((c - t)_+) V^*; with
+    row(x - 2y + w) = U' diag(r) V'^*, the row part z = x - v has row(z)
+    = U' diag((r - t)_+) V'^*.  t = ||x||_F / sqrt(m) is the common
+    singular value of col(x) when its m singular values are equal, and
+    being homogeneous in x it keeps the steps homogeneous too.  The
+    thresholds set the ranks of y and z exactly, and once they have
+    found the optimum's rank the iterates converge fast, also where that
+    rank is deficient.
+
+    Upper bound.  ``value`` is the least objective over the two pure
+    splits (y = x and y = 0) and the iterates (v, x - v), so it never
+    exceeds min(column, row) and is attained by ``decomposition``.  It
+    is summed from singular values: those of row(x - v) are the
+    thresholded r, and col(v) takes one SVD.  Square roots of Gram
+    eigenvalues would not do.  The iterates are exactly low rank, and a
+    Gram eigenvalue that should be 0 comes back wrong by about eps
+    ||x||_F^2, so its square root is off by about sqrt(eps) ||x||_F, far
+    more than GAP_TOLERANCE allows.
 
     Lower bound.  For any (a_k) put s = max(||sum a_k^* a_k||,
     ||sum a_k a_k^*||)^{1/2}.  Stacking the y_k into one column Y and
@@ -139,48 +170,56 @@ def cr_norm(xs):
     with sum a a^* and tr((sum z z^*)^{1/2}).  So for every split
     x = y + z, |sum tr(a_k^* x_k)| <= s (col(y) + row(z)), and taking
     the infimum, |sum tr(a_k^* x_k)| / s <= ||x||_{C+R}: the norm of
-    R cap C in S_inf is dual to C+R in S_1.  We take a_k = (y_k P^{-1} +
-    Q^{-1} z_k) / 2 for the new iterate; the step makes both halves
-    equal, so in the eigenbases a~_k,ij = x~_k,ij / (q_i + p_j).  At an
-    unsmoothed fixed point, a is the subgradient that certifies it.
-    ``lower`` is the best such bound over the iterates, capped at
+    R cap C in S_inf is dual to C+R in S_1.  The certificate of a step
+    is its prox residual a = (w - y) / t, that is col(a) = U diag(min(c
+    / t, 1)) V^*, a subgradient of f at y.  So ||col(a)|| <= 1 by
+    construction, and at a fixed point a is also a subgradient of
+    ||row(.)||_S1 at x - y and pairs with x to the optimum.  Both
+    operator norms in s are computed, from the largest eigenvalues of
+    the two Gram matrices, so the bound holds at every step, converged
+    or not.  ``lower`` is the best such bound over the steps, capped at
     ``value``: where the two meet they differ only by rounding.
 
-    Smoothing and stopping.  delta starts at 1e-2 ||x||_F^2 / m and after
-    each step drops to (0.1 gap value / m)^2 when that is smaller, so the
-    smoothing bias m delta^{1/2} stays a tenth of the gap.  The loop stops
-    once the relative gap is at most GAP_TOLERANCE, or after
-    MAX_ITERATIONS steps.  Scalar sequences (the l2 norm) and single
-    matrices (the trace norm) close the gap within a few steps.
+    Scale.  x is first scaled by the power of two that brings the
+    largest modulus of a real or imaginary part into [1/2, 1), so
+    nothing overflows or underflows, and ``value``, ``lower`` and
+    ``decomposition`` are scaled back exactly: cr_norm(2^k x) is
+    2^k cr_norm(x), bit for bit, while 2^k x and the results stay in
+    the normal range.  A norm beyond double range raises OverflowError.
+
+    Stopping.  The loop stops once the relative gap is at most
+    GAP_TOLERANCE, or after MAX_ITERATIONS steps.  Scalar sequences (the
+    l2 norm) and single matrices (the trace norm) close the gap within a
+    few steps.
     """
     x = MatrixSequence.coerce(xs).matrices
-    m = x.shape[1]
-    grams = np.empty((2, m, m), complex)
-    value, best = min(((_objective(ys, x - ys, grams), ys)
-                       for ys in (x, np.zeros_like(x))), key=lambda t: t[0])
+    _, e = math.frexp(float(np.abs(x.view(float)).max()))
+    x = _scaled(x, -e)
+    length, m, _ = x.shape
+    t = math.sqrt(float(np.vdot(x, x).real) / m)
+    value, best = min(((_trace_norm(_col(ys)) + _trace_norm(_row(x - ys)), ys)
+                       for ys in (x, np.zeros_like(x))), key=lambda p: p[0])
     lower, steps = 0.0, 0
-    delta = 1e-2 * float(np.vdot(x, x).real) / m
-    ys = x / 2.0
-    while True:
-        w, v = np.linalg.eigh(_gram_pair(ys, x - ys, grams))
-        w = np.clip(w, 0.0, None)
-        obj = float(np.sqrt(w).sum())
+    grams = np.empty((2, m, m), complex)
+    w = x / 2.0
+    while value - lower > GAP_TOLERANCE * value and steps < MAX_ITERATIONS:
+        u, c, vh = np.linalg.svd(_col(w), full_matrices=False)
+        y = ((u * np.maximum(c - t, 0.0)) @ vh).reshape(x.shape)
+        a = ((u * np.minimum(c / t, 1.0)) @ vh).reshape(x.shape)
+        s2 = float(np.linalg.eigvalsh(_gram_pair(a, grams))[:, -1].max())
+        lower = max(lower, float(np.vdot(a, x).real) / math.sqrt(s2))
+        u, r, vh = np.linalg.svd(_row(x - 2.0 * y + w), full_matrices=False)
+        r = np.maximum(r - t, 0.0)
+        v = x - ((u * r) @ vh).reshape(m, length, m).transpose(1, 0, 2)
+        obj = _trace_norm(_col(v)) + float(r.sum())
         if obj < value:
-            value, best = obj, ys
-        if value - lower <= GAP_TOLERANCE * value or steps == MAX_ITERATIONS:
-            break
-        vc, ur = v
-        p = np.sqrt(w[0] + delta)
-        q = np.sqrt(w[1] + delta)
-        xt = ur.conj().T @ x @ vc
-        a = xt / (q[:, None] + p)
-        s2 = float(np.linalg.eigvalsh(_gram_pair(a, a, grams))[:, -1].max())
-        lower = max(lower, float(np.vdot(a, xt).real) / math.sqrt(s2))
-        ys = ur @ (a * p) @ vc.conj().T
+            value, best = obj, v
+        w += v - y
         steps += 1
-        delta = min(delta, (0.1 * (value - lower) / m) ** 2)
-    return CrNormResult(value=value, lower=min(lower, value),
-                        decomposition=Decomposition(best, x - best),
+    return CrNormResult(value=math.ldexp(value, e),
+                        lower=math.ldexp(min(lower, value), e),
+                        decomposition=Decomposition(_scaled(best, e),
+                                                    _scaled(x - best, e)),
                         iterations=steps)
 
 

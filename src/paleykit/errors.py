@@ -28,7 +28,8 @@ class SingularFrequencyError(PaleykitError):
 class StageFailure(PaleykitError):
     """A pipeline stage failed in a structured, reportable way.
 
-    Carries .stage (the failing stage name) and .reason.
+    Carries .stage (the failing stage name), .reason and .details, and
+    keeps all three through pickling.
     """
 
     def __init__(self, stage, reason, details=None):
@@ -36,3 +37,7 @@ class StageFailure(PaleykitError):
         self.stage = stage
         self.reason = reason
         self.details = details or {}
+
+    def __reduce__(self):
+        # Exception unpickles as cls(*args), and args holds only the message
+        return type(self), (self.stage, self.reason, self.details)

@@ -123,11 +123,15 @@ def symbol_eval(gamma, x):
 
 def column_row_value(dec):
     """Value of one decomposition y + z: the trace norms of (sum y^* y)^{1/2}
-    and (sum z z^*)^{1/2}, from the eigenvalues of the two Gram sums."""
-    col = np.einsum("kji,kjl->il", dec.ys.conj(), dec.ys)
-    row = np.einsum("kij,klj->il", dec.zs, dec.zs.conj())
-    return sum(float(np.sqrt(np.clip(np.linalg.eigvalsh(g), 0.0, None)).sum())
-               for g in (col, row))
+    and (sum z z^*)^{1/2}, from the singular values of the (L m) x m
+    column that stacks the y_k and the m x (L m) row of the z_k.  Square
+    roots of Gram eigenvalues would not see the rank of a low-rank split:
+    an eigenvalue that should be 0 reads about eps ||x||^2."""
+    length, m, _ = dec.ys.shape
+    col = dec.ys.reshape(length * m, m)
+    row = dec.zs.transpose(1, 0, 2).reshape(m, length * m)
+    return sum(float(np.linalg.svd(a, compute_uv=False).sum())
+               for a in (col, row))
 
 
 def matrixseq_to_json(ms):

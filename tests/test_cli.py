@@ -488,6 +488,15 @@ def test_cr_norm_rejects_mdim_mismatch(capsys, tmp_path):
     assert payload["error"].startswith("bad matrix sequence file: ")
 
 
+def test_cr_norm_rejects_non_finite_entries(capsys, tmp_path):
+    ms = tmp_path / "ms.json"
+    ms.write_text('{"matrices": [[[{"im": 0.0, "re": 3.0}]], '
+                  '[[{"im": 0.0, "re": NaN}]]], "mdim": 1}')
+    code, payload, _ = run(capsys, "cr-norm", "--input", str(ms))
+    assert code == 2
+    assert payload["error"] == "bad matrix sequence file: entries must be finite"
+
+
 def test_techprop_pair_quantities(capsys, tmp_path):
     pair = tmp_path / "pair.json"
     pair.write_text(json.dumps({"m": [101, 100], "n": [100, 100]}))

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from paleykit import multiindex, operators, trigpoly
+from paleykit.errors import StageFailure
 from paleykit.multiindex import PHASES, Smoothness, saturate
 from paleykit.operators import (
     PaleySampler,
@@ -731,6 +732,23 @@ def test_error_in_the_odd_half_reaches_the_caller(monkeypatch):
     with pytest.raises(ZeroDivisionError, match="^odd sample 1 at m = 4$"):
         estimate_paley_constant(S, PLAN.sequence, reference_sampler(0, 4))
     assert live_children() == before
+
+
+def test_stage_failure_in_the_odd_half_reaches_the_caller(monkeypatch):
+    draw = PaleySampler.draw
+
+    def failing(self, m, i):
+        if i % 2:
+            raise StageFailure("paley", "odd_sample", {"index": i, "m": m})
+        return draw(self, m, i)
+
+    monkeypatch.setattr(PaleySampler, "draw", failing)
+    with pytest.raises(StageFailure) as info:
+        estimate_paley_constant(S, PLAN.sequence, reference_sampler(0, 4))
+    exc = info.value
+    assert (exc.stage, exc.reason, exc.details) == (
+        "paley", "odd_sample", {"index": 1, "m": 1})
+    assert str(exc) == "paley: odd_sample"
 
 
 def test_odd_half_that_dies_is_an_error(monkeypatch):

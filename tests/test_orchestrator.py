@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -229,6 +230,19 @@ def test_no_witness_failures():
             run_construction(bad, TINY)
         assert exc.value.stage == "property_o"
         assert exc.value.reason == "no_witness"
+
+
+def test_stage_failure_survives_pickling():
+    bad = Smoothness.from_indices(saturate({(1, 1)}))
+    with pytest.raises(StageFailure) as exc:
+        run_construction(bad, TINY)
+    for err in (exc.value, StageFailure("sequence", "q_s_overflow", {"k": 4}),
+                StageFailure("riesz", "not_lacunary")):
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is StageFailure
+        assert (back.stage, back.reason, back.details, str(back)) == \
+            (err.stage, err.reason, err.details, str(err))
+    assert exc.value.details == {"smoothness": bad}
 
 
 def test_conditions_unmet_failure():
