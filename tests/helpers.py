@@ -492,6 +492,21 @@ def khintchine_cell_sample(seed, i):
             / math.sqrt(2) for _ in range(length)]
 
 
+def mixed_rank_sample(i):
+    """Sample i of a seeded family x_k = g_k v^T + u h_k^T with u and v
+    fixed and g_k, h_k Gaussian vectors, m in 2..8 and L in 1..16.  Each
+    part has one shared side, so the C+R optimum splits x into a rank-one
+    column part and a rank-one row part."""
+    rng = np.random.default_rng([0, i])
+    m, length = int(rng.integers(2, 9)), int(rng.integers(1, 17))
+
+    def gauss():
+        return (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / math.sqrt(2)
+
+    u, v = gauss(), gauss()
+    return [np.outer(gauss(), v) + np.outer(u, gauss()) for _ in range(length)]
+
+
 def random_sets(seed, count, max_size=20):
     """Downward closures of 2-3 sparse random points in d = 2..4, of at
     most ``max_size`` members.  The full pair scan solves one exact LP

@@ -20,6 +20,7 @@ from helpers import (
     column_row_value,
     cr_norm_descent,
     khintchine_cell_sample,
+    mixed_rank_sample,
 )
 
 
@@ -166,6 +167,35 @@ def test_value_is_its_split_by_singular_values(seed, index):
     assert r.lower <= split
 
 
+def test_oracle_step_budget():
+    # 1104 steps at RELAXATION 1.5; the unrelaxed update took 1825
+    total = sum(cr_norm(khintchine_cell_sample(*s)).iterations
+                for s in ORACLE_SAMPLES)
+    assert total <= 1300
+
+
+def test_mixed_rank_step_budget():
+    # 1060 steps at RELAXATION 1.5 and 1423 unrelaxed; a factor of 1.7
+    # takes 1579, so a larger one must not slip in unnoticed
+    total = sum(cr_norm(mixed_rank_sample(i)).iterations for i in range(40))
+    assert total <= 1200
+
+
+def test_unconverged_bracket_stays_sound():
+    # terms six decades apart: one fixed step t cannot close the gap
+    rng = np.random.default_rng(5)
+    x = (rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
+         ) * np.logspace(0, 6, 4)[:, None, None]
+    r = cr_norm(x)
+    assert r.converged is False
+    assert r.iterations == MAX_ITERATIONS
+    assert r.lower <= r.value
+    zero = np.zeros_like(x)
+    assert r.value <= column_row_value(Decomposition(x, zero))
+    assert r.value <= column_row_value(Decomposition(zero, x))
+    assert r.value >= max(trace_norm(a) for a in x) * (1 - 1e-12)
+
+
 def test_large_and_tiny_scalars():
     for scale in (1e300, 1e-300):
         r = cr_norm([scale, scale])
@@ -249,5 +279,13 @@ def test_khintchine_envelope_prefix_stable():
     e3 = khintchine_envelope(count=3, seed=0)
     e5 = khintchine_envelope(count=5, seed=0)
     assert e3["ratios"] == e5["ratios"][:3]
-    with pytest.raises(ValueError):
-        khintchine_envelope(count=0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"count": 0}, {"count": True}, {"count": 2.0}, {"max_mdim": 0},
+    {"max_length": 0},
+], ids=["count-0", "count-bool", "count-float", "max_mdim-0", "max_length-0"])
+def test_khintchine_envelope_validation(kwargs):
+    name = next(iter(kwargs))
+    with pytest.raises(ValueError, match="need %s|need integers" % name):
+        khintchine_envelope(**kwargs)
