@@ -407,9 +407,9 @@ def estimate_paley_constant(smoothness, frequencies, sampler):
       divisions, far inside the margin, so none can beat best either;
     * at m >= 3, if it has bin bounds only, raises them to pinch means,
       largest L_gamma first, dropping the sample once the rule holds (a
-      pinch evaluates 2m entries per node and needs no Gram eigenvalue,
-      an exact term m^2 entries and an eigvalsh per node), and puts it
-      back if its new bound no longer tops the heap.  The first visit
+      pinch evaluates 2m entries and m/2 2 x 2 trace norms per node, an
+      exact term m^2 entries and an m x m trace norm per node), and puts
+      it back if its new bound no longer tops the heap.  The first visit
       pinches too, so that the first best comes from the sharper bound;
     * else computes the exact E_gamma, largest bound first, trying the
       rule before each and at every part-way bound inside it, with the
@@ -452,12 +452,13 @@ def estimate_paley_constant(smoothness, frequencies, sampler):
     ||B_r||_F^2, which is at most T when no two frequencies share a bin,
     grid-value rounding moves E_gamma by at most about (2T + d + 4)
     sqrt(m) kappa u relative (E_gamma >= sum_r ||B_r||_F^2 / sum_k
-    ||c_k||_F by discrete Parseval); trace_norms adds its stated c m^2 u
-    / (2 sqrt(GRAM_TAU)), about c * 3.6e-13 at m = 8, and the sums and
-    the quotient a few u more.  The pinch adds its own rounding: the SVD
-    factors W, V are unitary to a few m u, so rotating gives W^H c_k V
-    off by about 2 m sqrt(m) u ||c_k||_F and stretches trace norms by at
-    most a few m u; evaluating its 2m block entries sums T terms with
+    ||c_k||_F by discrete Parseval); trace_norms adds its stated c u /
+    ROOT_TAU at m = 3, 4 (c <= 7 measured, about 8e-14) and c m^2 u /
+    (2 sqrt(GRAM_TAU)) at m >= 5, about c * 3.6e-13 at m = 8, and the
+    sums and the quotient a few u more.  The pinch adds its own
+    rounding: the SVD factors W, V are unitary to a few m u, so rotating
+    gives W^H c_k V off by about 2 m sqrt(m) u ||c_k||_F and stretches
+    trace norms by at most a few m u; evaluating its 2m block entries sums T terms with
     phases accurate to a few u, as the grid values do; and the 2 x 2
     closed form is off by a few u ||b||_F per block b, at most a few
     sqrt(m) u times the Frobenius norm over the m/2 blocks.  So each

@@ -27,7 +27,7 @@ from .sequence import build_sequence
 from .serialization import plan_digest, to_jsonable
 from .trigpoly import random_trigpoly
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 @dataclass

@@ -34,7 +34,17 @@ from paleykit.sequence import (
 )
 from paleykit.serialization import to_jsonable
 from paleykit.simplex import LPResult
-from paleykit.trigpoly import FRO2_MAX, FRO2_MIN, GRAM_BLOCK, GRAM_TAU, TrigPoly, trace_norms
+from paleykit.trigpoly import (
+    FRO2_MAX,
+    FRO2_MIN,
+    GRAM_BLOCK,
+    GRAM_TAU,
+    ROOT_STEP_TOL,
+    ROOT_STEPS,
+    ROOT_TAU,
+    TrigPoly,
+    trace_norms,
+)
 
 
 def grid_points(n):
@@ -269,12 +279,69 @@ def largest_bin_alone(f, n_points=None):
     return float(norms[top]), vals[top].copy()
 
 
+def halving_sum(terms):
+    """The sum of a list of arrays with term i added to term i + h, the
+    list halving each round (an odd last term joins the last pair): the
+    order in which trigpoly.trace_norms sums squared minors."""
+    while len(terms) > 1:
+        h = len(terms) // 2
+        pairs = [terms[i] + terms[i + h] for i in range(h)]
+        if len(terms) % 2:
+            pairs[-1] = pairs[-1] + terms[-1]
+        terms = pairs
+    return terms[0]
+
+
+def symmetric_functions(a):
+    """[E_1, ..., E_{m-1}, |det a|] for a stack of 3 x 3 or 4 x 4
+    matrices: E_k sums the squared moduli of the k x k minors.
+
+    At m = 3 the minors are the cross products of rows (0, 1), (1, 2)
+    and (2, 0), and the determinant is row 2 against the first.  At
+    m = 4 they are listed by row and then column subset, each in
+    lexicographic order; a 3 x 3 minor is expanded along its first row,
+    and the determinant along row 3.
+    """
+    m = a.shape[-1]
+
+    def abs2(z):
+        return z.real**2 + z.imag**2
+
+    entries = [abs2(a[:, i, j]) for i in range(m) for j in range(m)]
+    if m == 3:
+        def cross(u, v):
+            return [a[:, u, 1] * a[:, v, 2] - a[:, u, 2] * a[:, v, 1],
+                    a[:, u, 2] * a[:, v, 0] - a[:, u, 0] * a[:, v, 2],
+                    a[:, u, 0] * a[:, v, 1] - a[:, u, 1] * a[:, v, 0]]
+
+        minors = cross(0, 1) + cross(1, 2) + cross(2, 0)
+        det = (a[:, 2, 0] * minors[0] + a[:, 2, 1] * minors[1]) + a[:, 2, 2] * minors[2]
+        return [halving_sum(entries), halving_sum([abs2(z) for z in minors]), np.abs(det)]
+    pairs = list(itertools.combinations(range(4), 2))
+    triples = list(itertools.combinations(range(4), 3))
+    minor2 = {((i, j), (p, q)): a[:, i, p] * a[:, j, q] - a[:, i, q] * a[:, j, p]
+              for i, j in pairs for p, q in pairs}
+    minor3 = {}
+    for (i, j, k) in triples:
+        for (p, q, r) in triples:
+            minor3[(i, j, k), (p, q, r)] = (
+                a[:, i, p] * minor2[(j, k), (q, r)] - a[:, i, q] * minor2[(j, k), (p, r)]
+                + a[:, i, r] * minor2[(j, k), (p, q)])
+    top = [minor3[(0, 1, 2), tuple(c for c in range(4) if c != p)] for p in range(4)]
+    det = ((a[:, 3, 0] * top[0] - a[:, 3, 1] * top[1])
+           + (a[:, 3, 2] * top[2] - a[:, 3, 3] * top[3]))
+    return [halving_sum(entries), halving_sum([abs2(z) for z in minor2.values()]),
+            halving_sum([abs2(z) for z in minor3.values()]), np.abs(det)]
+
+
 def trace_norms_masked(a):
     """trigpoly.trace_norms in its plain form, the oracle for its fast
     paths: the m = 2 closed form through a reduction over both matrix
-    axes, with out-of-range matrices masked out to the SVD, and at m >= 3
-    the slow matrices masked out of every Gram block whether or not the
-    block holds any."""
+    axes, with out-of-range matrices masked out to the SVD; at m = 3, 4
+    the symmetric functions of the whole stack from minors listed one by
+    one, Newton's iteration, and every guard masked out to the SVD; at
+    m >= 5 the slow matrices masked out of every Gram block whether or
+    not the block holds any."""
     if a.shape[-2:] == (1, 1):
         return np.abs(a[..., 0, 0])
     m = a.shape[-1]
@@ -287,6 +354,34 @@ def trace_norms_masked(a):
         slow = ~((fro2 >= FRO2_MIN) & (fro2 <= FRO2_MAX))
         out[slow] = np.linalg.svd(flat[slow], compute_uv=False).sum(-1)
         return out.reshape(a.shape[:-2])
+    if m <= 4:
+        with np.errstate(all="ignore"):
+            e = symmetric_functions(flat)
+            if m == 3:
+                # f(s) = (s^2 - E_1)^2 - 4 E_2 - 8 e_3 s
+                s = np.sqrt(e[0] + 2.0 * np.sqrt(3.0 * e[1]))
+                for _ in range(ROOT_STEPS[3]):
+                    t = s * s - e[0]
+                    df = 4.0 * s * t - 8.0 * e[2]
+                    step = (t * t - 4.0 * e[1] - 8.0 * e[2] * s) / df
+                    s = s - step
+                prod = df / 8.0
+            else:
+                # f(s) = w^2 - E_2 - 2 s v + 2 e_4, w = (s^2 - E_1) / 2,
+                # v = (E_3 + 2 w e_4)^{1/2}
+                s = np.sqrt(e[0] + 2.0 * np.sqrt(6.0 * e[1]))
+                for _ in range(ROOT_STEPS[4]):
+                    w = 0.5 * (s * s - e[0])
+                    v = np.sqrt(e[2] + 2.0 * w * e[3])
+                    df = 2.0 * (s * w - v - s * s * e[3] / v)
+                    step = (w * w - e[1] - 2.0 * s * v + 2.0 * e[3]) / df
+                    s = s - step
+                prod = 0.5 * df * v
+            slow = ~((e[0] >= FRO2_MIN ** (1 / m)) & (e[0] <= FRO2_MAX ** (1 / m)))
+            slow |= ~(np.abs(step) <= ROOT_STEP_TOL * s)
+            slow |= ~(prod >= ROOT_TAU * (2.0 * s / m) ** (m * (m - 1) // 2))
+        s[slow] = np.linalg.svd(flat[slow], compute_uv=False).sum(-1)
+        return s.reshape(a.shape[:-2])
     out = np.empty(len(flat))
     for lo in range(0, len(flat), GRAM_BLOCK):
         blk = flat[lo:lo + GRAM_BLOCK]

@@ -7,6 +7,8 @@ from paleykit import operators
 from paleykit.multiindex import Smoothness, derivative_multiplier, saturate
 from paleykit.trigpoly import (
     CHOP,
+    ROOT_STEPS,
+    ROOT_TAU,
     TrigPoly,
     largest_bin,
     lp_norm,
@@ -296,6 +298,17 @@ def test_trace_norm():
     assert abs(trace_norm(u) - 2.0) < 1e-12
 
 
+def test_trace_norm_takes_one_matrix_of_any_shape():
+    # ones((2, 3)) has rank one and Frobenius norm sqrt(6)
+    assert trace_norm(np.ones((2, 3))) == pytest.approx(math.sqrt(6.0), rel=1e-15)
+    assert trace_norm(np.ones((3, 2))) == pytest.approx(math.sqrt(6.0), rel=1e-15)
+    a = np.arange(12.0).reshape(3, 4) + 1j
+    assert trace_norm(a) == np.linalg.svd(a, compute_uv=False).sum()
+    for bad in (2.0, np.ones(3), np.ones((1, 2, 2))):
+        with pytest.raises(ValueError, match="one matrix"):
+            trace_norm(bad)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
 def test_trace_norms_match_svd(m):
     rng = np.random.default_rng(m)
@@ -326,7 +339,8 @@ def _edge_cases(m):
     rank_one = np.outer(g[0], g[1].conj())
     zero_column = g.copy()
     zero_column[:, m // 2] = 0
-    # full rank, but sigma_min^2 / sigma_max^2 ~ 1e-11 is below the guard
+    # full rank, but below the conditioning guard: sigma_min^2 /
+    # sigma_max^2 ~ 1e-11 < GRAM_TAU at m = 8, kappa < ROOT_TAU at m = 3, 4
     u, _ = np.linalg.qr(g)
     graded = (u * np.geomspace(1.0, 3e-6, m)) @ u.conj().T
     inf_entry = g.copy()
@@ -377,6 +391,120 @@ def test_trace_norms_edge_cases_match_svd(m):
         np.linalg.svd(nan_entry, compute_uv=False)
     with pytest.raises(np.linalg.LinAlgError):
         trace_norms(np.array([np.eye(m), nan_entry]))
+
+
+U = np.finfo(float).eps / 2
+
+
+def _with_spectrum(rng, sig):
+    """Complex matrices W diag(sigma) V^H, one per row of sig, with W, V
+    unitary from the QR factors of Gaussian matrices."""
+    n, m = sig.shape
+    g = rng.standard_normal((2, n, m, m)) + 1j * rng.standard_normal((2, n, m, m))
+    w, v = np.linalg.qr(g)[0]
+    return (w * sig[:, None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _kappa(sig):
+    """prod_{i<j} (sigma_i + sigma_j) / (2 s / m)^{m(m-1)/2}, in (0, 1]:
+    the conditioning of s = sum sigma_i as the root trace_norms finds."""
+    m = sig.shape[-1]
+    with np.errstate(invalid="ignore"):  # nan for a zero matrix
+        sig = sig / (2.0 * sig.sum(-1, keepdims=True) / m)
+    return np.prod([sig[..., i] + sig[..., j] for i in range(m) for j in range(i + 1, m)],
+                   axis=0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("m", [3, 4])
+def test_trace_norms_closed_form_matches_svd(m, monkeypatch):
+    # the oracle for the m = 3, 4 closed form: the error bound c u / kappa
+    # (c = 16 here, at most about 7 measured) above the conditioning
+    # guard, the SVD below it and out of range, exact powers of two, and
+    # no SVD at all for Gaussian matrices
+    rng = np.random.default_rng(40 + m)
+    gauss = rng.standard_normal((5000, m, m)) + 1j * rng.standard_normal((5000, m, m))
+    gauss *= 10.0 ** rng.uniform(-3, 3, size=(5000, 1, 1))
+    # spectra (1, d^{1/(m-1)}, ..., d), jittered, for d from 1 to 1e-12;
+    # every fourth has sigma_m = 0, and every fourth from the second has
+    # its middle values 1: kappa runs from about 1 to far below the guard
+    decay = np.geomspace(1.0, 1e-12, 400)
+    sig = np.ones((len(decay), m)) * np.exp(rng.uniform(-0.1, 0.1, (len(decay), m)))
+    sig[:, 1:] *= decay[:, None] ** (np.arange(1, m) / (m - 1))
+    sig[::4, -1] = 0.0
+    sig[1::4, 1:-1] = 1.0
+    graded = _with_spectrum(rng, sig) * 10.0 ** rng.uniform(-3, 3, size=(len(sig), 1, 1))
+    g = gauss[0]
+    rank_one = np.outer(g[0], g[1].conj())
+    zero_column = g.copy()
+    zero_column[:, 1] = 0
+    # at 1e-80, m = 3, E_2 ~ 1e-320 is subnormal: only the E_1 range
+    # guard sends it to the SVD
+    edge = np.array([zero_column, rank_one, np.zeros((m, m)), 1e150 * g, 1e-150 * g,
+                     1e-80 * g])
+    stack = np.concatenate([gauss, graded, edge])
+    ref = np.linalg.svd(stack, compute_uv=False)
+    kappa = _kappa(ref)
+    ref = ref.sum(-1)
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, *args, **kw: calls.append(np.array(a)) or svd(a, *args, **kw))
+    got = trace_norms(stack)
+    assert np.all(np.abs(got - ref) <= 16 * U / np.fmax(kappa, ROOT_TAU) * ref)
+    # Gaussian matrices, and one with a zero column (rank m - 1, well
+    # conditioned as a root), stay on the closed form; the graded ones
+    # reach the guard; the other edge cases go to the SVD
+    sent = {a.tobytes() for a in np.concatenate(calls)}
+    assert not any(a.tobytes() in sent for a in gauss)
+    assert 0.2 < np.mean([a.tobytes() in sent for a in graded]) < 0.8
+    assert [a.tobytes() in sent for a in edge] == [False] + [True] * 5
+    # a power of two scales every step exactly, in range
+    for k in (-60, -8, 9, 60):
+        assert np.array_equal(trace_norms(2.0**k * gauss[:50]), 2.0**k * got[:50])
+    # a truncated iteration fails the convergence guard: the SVD answers
+    calls.clear()
+    monkeypatch.setitem(ROOT_STEPS, m, 2)
+    short = trace_norms(gauss[:200])
+    assert np.all(np.abs(short - ref[:200]) <= 1e-14 * ref[:200])
+    assert np.array_equal(np.concatenate(calls), gauss[:200])
+    # non-finite entries: the SVD's own answer
+    inf_entry, nan_entry = g.copy(), g.copy()
+    inf_entry[0, 1], nan_entry[0, 1] = np.inf, np.nan
+    assert np.isnan(trace_norms(np.array([g, inf_entry]))[1])
+    with pytest.raises(np.linalg.LinAlgError):
+        trace_norms(np.array([g, nan_entry]))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 8])
+def test_trace_norm_does_not_depend_on_the_stack(m):
+    # one matrix gives the same bits alone, inside a stack, and in any
+    # slicing of that stack across GRAM_BLOCK boundaries
+    rng = np.random.default_rng(50 + m)
+    stack = rng.standard_normal((700, m, m)) + 1j * rng.standard_normal((700, m, m))
+    stack *= 10.0 ** rng.uniform(-3, 3, size=(700, 1, 1))
+    g = stack[0]
+    stack[255:259] = [np.zeros((m, m)), np.outer(g[0], g[1]), 1e200 * g, 1e-200 * g]
+    whole = trace_norms(stack)
+    for cuts in ([1, 300, 600], [255, 257], [100, 356, 612]):
+        parts = [trace_norms(p) for p in np.split(stack, cuts)]
+        assert np.array_equal(_bits(np.concatenate(parts)), _bits(whole))
+    for i in range(0, 700, 23):
+        assert _bits(trace_norm(stack[i])) == _bits(whole[i])
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_closed_form_takes_no_eigenvalue(m, monkeypatch):
+    def raise_(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", raise_)
+    rng = np.random.default_rng(60 + m)
+    a = rng.standard_normal((600, m, m)) + 1j * rng.standard_normal((600, m, m))
+    ref = np.linalg.svd(a, compute_uv=False).sum(-1)
+    assert np.max(np.abs(trace_norms(a) - ref) / ref) < 1e-14
+    f = random_trigpoly([(1, 2), (3, -1), (0, 4)], mdim=m, seed=m)
+    assert s1_l1_norm(f, 11) > 0.0
+    assert largest_bin([f, f.derivative((1, 0))], 11)[0][0] > 0.0
 
 
 def _bits(x):
