@@ -28,6 +28,12 @@ GAP_TOLERANCE = 1e-10
 MAX_ITERATIONS = 3000
 # over-relaxation factor of the Douglas-Rachford update, in (0, 2)
 RELAXATION = 1.5
+# past steps whose differences Anderson acceleration mixes into the next w
+MEMORY = 5
+# a difference of residuals adds to the rank of the Anderson history only
+# if its part off the span of the earlier ones exceeds RANK_TOLERANCE
+# times the larger of its own norm and the residual's
+RANK_TOLERANCE = 1e-4
 
 
 class MatrixSequence:
@@ -106,6 +112,32 @@ def _trace_norm(a):
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
+def _anderson(w, g, res, dws, dgs, kept):
+    """The type-II Anderson point w + g - (dW + dG) gamma from the first
+    kept differences, gamma real and least-squares in |g - dG gamma|, or
+    None where the history is rank-deficient; res is |g|^2.
+
+    Read as real vectors, the differences have the Gram matrix
+    Re(dG^* dG) and pair with g to Re(dG^* g).  The j-th Cholesky pivot
+    of that Gram matrix is the part of dG_j off the span of the earlier
+    differences; the history has full rank if each pivot exceeds
+    RANK_TOLERANCE times the larger of |dG_j| and |g|."""
+    if not kept:
+        return None
+    d = dgs[:kept].view(float).reshape(kept, -1)
+    gram = d @ d.T
+    floors = RANK_TOLERANCE * np.sqrt(np.maximum(gram.diagonal(), res))
+    try:
+        pivots = np.linalg.cholesky(gram).diagonal()
+        if not (pivots > floors).all():
+            return None
+        gamma = np.linalg.solve(gram, d @ g.view(float).ravel())
+    except np.linalg.LinAlgError:
+        return None
+    mix = gamma @ (dws[:kept] + dgs[:kept]).reshape(kept, -1)
+    return w + g - mix.reshape(w.shape)
+
+
 def _scaled(a, e):
     """2^e a, exactly."""
     return np.ldexp(a.view(float), e).view(complex)
@@ -157,8 +189,27 @@ def cr_norm(xs):
     Math. Prog. 1992); 1.5 takes about 40% fewer steps than 1 on the
     Gaussian Khintchine samples, and unlike larger factors it is not
     slower than 1 on sequences with one shared column and one shared
-    row part.  The factor moves only w: the two bounds below hold for
-    the y and v that any w gives, so both ends stay certified.
+    row part.
+
+    Acceleration.  One step evaluates y and v at one point w; its
+    residual g = RELAXATION (v - y), a point and not the function g
+    above, makes the plain update w <- w + g.  Once the thresholds have
+    settled the ranks, that map is affine and its iterates converge only
+    linearly: on the slowest Khintchine samples the gap would halve
+    every ~35 steps.  Type-II Anderson acceleration (Fu-Zhang-Boyd, SIAM
+    J. Sci. Comput. 2020) extrapolates instead from the last MEMORY kept
+    points: with dW and dG the differences of their w and of their g,
+    the next point is w + g - (dW + dG) gamma, gamma real with
+    Re(dG^* dG) gamma = Re(dG^* g).  A history that is rank-deficient to
+    RANK_TOLERANCE gives the plain update.  An extrapolated point is
+    kept only if its residual is no larger than that of the point it
+    came from; otherwise the next point is the plain update from there,
+    and the history is cleared.  Every evaluation is a step, a rejected
+    one too.  On the Gaussian Khintchine samples this takes about half
+    the steps of the plain update, and under 100 on the slowest of them
+    (750 plain).  The factor and the extrapolation move only w: the two
+    bounds below hold for the y and v that any w gives, so both ends
+    stay certified.
 
     Upper bound.  ``value`` is the least objective over the two pure
     splits (y = x and y = 0) and the iterates (v, x - v), so it never
@@ -209,7 +260,14 @@ def cr_norm(xs):
                        for ys in (x, np.zeros_like(x))), key=lambda p: p[0])
     lower, steps = 0.0, 0
     grams = np.empty((2, m, m), complex)
-    w = x / 2.0
+    # the differences between successive kept points w and between their
+    # residuals g, the last MEMORY of each in a ring; added counts them
+    # since the history was last cleared
+    dws = np.empty((MEMORY,) + x.shape, complex)
+    dgs = np.empty_like(dws)
+    added = 0
+    w, w_kept = x / 2.0, None
+    extrapolated = False
     while value - lower > GAP_TOLERANCE * value and steps < MAX_ITERATIONS:
         u, c, vh = np.linalg.svd(_col(w), full_matrices=False)
         y = ((u * np.maximum(c - t, 0.0)) @ vh).reshape(x.shape)
@@ -222,8 +280,22 @@ def cr_norm(xs):
         obj = _trace_norm(_col(v)) + float(r.sum())
         if obj < value:
             value, best = obj, v
-        w += RELAXATION * (v - y)
         steps += 1
+        g = RELAXATION * (v - y)
+        res = float(np.vdot(g, g).real)
+        if extrapolated and res > res_kept:
+            # the safeguard: back to the plain step from the kept point
+            w, added, extrapolated = w_kept + g_kept, 0, False
+            continue
+        if w_kept is not None:
+            dws[added % MEMORY] = w - w_kept
+            dgs[added % MEMORY] = g - g_kept
+            added += 1
+        w_kept, g_kept, res_kept = w, g, res
+        w = _anderson(w, g, res, dws, dgs, min(added, MEMORY))
+        extrapolated = w is not None
+        if not extrapolated:
+            w = w_kept + g
     return CrNormResult(value=math.ldexp(value, e),
                         lower=math.ldexp(min(lower, value), e),
                         decomposition=Decomposition(_scaled(best, e),

@@ -175,24 +175,23 @@ class TrigPoly:
     # ------------------------------------------------------------------
     # algebra
 
-    def _chopped(self, coeffs, tol=CHOP):
-        return _nonzero(self.dim, self.mdim,
-                        {n: v for n, v in coeffs.items() if _above(v, tol)})
-
     def chop(self, tol=CHOP):
         """Drop coefficients whose largest entry is at most tol."""
-        return self._chopped(self.coeffs, tol)
+        return _nonzero(self.dim, self.mdim, {n: v for n, v in self.coeffs.items()
+                                              if _above(v, tol)})
 
     def _check_compatible(self, other):
         if self.dim != other.dim or self.mdim != other.mdim:
             raise ValueError("incompatible polynomials")
 
     def __add__(self, other):
+        # only exact zeros (cancellations) are dropped, so that sums, like
+        # scalar multiples, stay homogeneous however small the terms
         self._check_compatible(other)
         out = dict(self.coeffs)
         for n, v in other.coeffs.items():
             out[n] = out[n] + v if n in out else v
-        return self._chopped(out)
+        return _nonzero(self.dim, self.mdim, out)
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -214,7 +213,8 @@ class TrigPoly:
         """Product of the two functions; coefficient maps convolve.
 
         Matrix times matrix multiplies the coefficients as matrices, so
-        the result is the pointwise matrix product.
+        the result is the pointwise matrix product.  As in ``__add__``,
+        only exact zeros are dropped.
         """
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
@@ -226,7 +226,7 @@ class TrigPoly:
                 key = tuple(a + b for a, b in zip(n1, n2))
                 prod = v1 @ v2 if self.mdim is not None else v1 * v2
                 out[key] = out[key] + prod if key in out else prod
-        return self._chopped(out)
+        return _nonzero(self.dim, self.mdim, out)
 
     def conj(self):
         """Pointwise adjoint: coefficient at n becomes the conjugate
@@ -414,7 +414,15 @@ def trace_norms(a):
       <= c m^2 u / (2 sqrt(tau)) ||a||_1: about c * 3.6e-13 relative at
       m = 8.  Near-singular matrices, where the square root would amplify
       the error of a small eigenvalue, keep the SVD's eps ||a|| error.
+
+    A stack of 0 x 0 matrices has trace norms 0; a shape other than
+    (..., m, m) raises ValueError.
     """
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError("trace_norms takes a stack of square matrices, "
+                         "shape (..., m, m), not %r" % (a.shape,))
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape[:-2])
     if a.shape[-2:] == (1, 1):
         return np.abs(a[..., 0, 0])
     m = a.shape[-1]

@@ -11,11 +11,14 @@ import types
 import pytest
 
 from paleykit import orchestrator
+from paleykit.crnorm import khintchine_ratio
 from paleykit.multiindex import Smoothness, saturate
 from paleykit.orchestrator import OrchestratorConfig, run_construction
 from paleykit.property_o import find_witness
 from paleykit.riesz import riesz_coeffs
 from paleykit.sequence import build_sequence
+
+from helpers import KHINTCHINE_CELLS, khintchine_cell_sample
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -79,6 +82,19 @@ def test_exact_scan_constructions_pass_the_benchmark_checks(maximal):
     s = Smoothness.from_indices(saturate(maximal))
     report = run_construction(s, OrchestratorConfig(matrix_dims=()))
     assert checks.check_verdict("witness", report, None) == []
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_khintchine_round_passes_the_benchmark_checks(seed):
+    # khintchine's gate on one round of its 32 (m, L) cells: the C+R value
+    # implied by each ratio inside the bracket the checks compute, and
+    # equal to the trace norm at L = 1 and to the l2 norm at m = 1
+    checks = load_source("checks")
+    for i in range(len(KHINTCHINE_CELLS)):
+        mats = khintchine_cell_sample(seed, i)
+        freqs = [3**k for k in range(len(mats))]
+        ratio = khintchine_ratio(mats, freqs)
+        assert checks.check_khintchine(mats, freqs, ratio) == [], (seed, i)
 
 
 @pytest.mark.parametrize("corrupt", [

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,6 +117,25 @@ def test_add_mul_scalar():
     g = TrigPoly({(1,): -1.0, (2,): 3.0})
     assert (f + g).spectrum() == {(2,)}
     assert (2.0 * f).coeff((1,)) == 2.0
+
+
+@pytest.mark.parametrize("mdim", [None, 2])
+def test_sum_and_product_drop_only_exact_zeros(mdim):
+    # terms far below CHOP survive a sum and a product, so both stay
+    # homogeneous; an exact cancellation is still dropped
+    one = np.eye(mdim) if mdim else 1.0
+    f = TrigPoly({(1, 1): one})
+    g = TrigPoly({(2, 2): one})
+    for t in (1e-16, 1e-100, -2.5):
+        tf, tg = t * f, t * g
+        assert coeff_bits(tf + tg) == coeff_bits(t * (f + g))
+        assert coeff_bits(tf - tg) == coeff_bits(t * (f - g))
+        assert coeff_bits(tf * g) == coeff_bits(t * (f * g))
+        assert (tf + tg).spectrum() == {(1, 1), (2, 2)}
+        assert (tf * tg).spectrum() == {(3, 3)}
+    assert (TrigPoly({(1, 1): 1e-16}) + TrigPoly({(2, 2): 1e-16})).spectrum() == \
+        {(1, 1), (2, 2)}
+    assert len((1e-16 * f) - (1e-16 * f)) == 0
 
 
 def test_product_is_convolution():
@@ -307,6 +327,21 @@ def test_trace_norm_takes_one_matrix_of_any_shape():
     for bad in (2.0, np.ones(3), np.ones((1, 2, 2))):
         with pytest.raises(ValueError, match="one matrix"):
             trace_norm(bad)
+
+
+def test_trace_norms_checks_the_shape():
+    # a non-square stack or one without matrix axes names its shape
+    for bad in (np.ones((5, 2, 3)), np.ones(3), np.ones((2, 3, 0))):
+        with pytest.raises(ValueError, match=r"square matrices.*%s" % re.escape(
+                repr(bad.shape))):
+            trace_norms(bad)
+    # a 0 x 0 matrix has trace norm 0, in a stack of any shape
+    for shape in ((0, 0), (3, 0, 0), (2, 4, 0, 0), (0, 0, 0)):
+        got = trace_norms(np.zeros(shape, complex))
+        assert got.shape == shape[:-2] and not got.any()
+    assert trace_norm(np.zeros((0, 0))) == 0.0
+    with pytest.raises(ValueError, match="one matrix"):
+        trace_norm(np.ones((5, 2, 3)))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
@@ -763,10 +798,9 @@ def test_paley_l2_counts_a_repeated_frequency_once():
     assert paley_l2_norm(f, S, [(10, 100), (10, 100)]) == paley_l2_norm(f, S, [(10, 100)])
 
 
-def _checked(f, out, chop=False):
+def _checked(f, out):
     # through the checked constructor, as the derived operations were built
-    g = TrigPoly(out, dim=f.dim, mdim=f.mdim)
-    return g.chop() if chop else g
+    return TrigPoly(out, dim=f.dim, mdim=f.mdim)
 
 
 def _big(v, tol=CHOP):
@@ -804,8 +838,8 @@ def test_derived_operations_match_the_checked_constructor(mdim):
         (1e-16 * f, _checked(f, {n: 1e-16 * v for n, v in f.coeffs.items()})),
         (-f, _checked(f, {n: -v for n, v in f.coeffs.items()})),
         (0 * f, _checked(f, {n: 0 * v for n, v in f.coeffs.items()})),
-        (f + g, _checked(f, add, True)),
-        (f * g, _checked(f, conv, True)),
+        (f + g, _checked(f, add)),
+        (f * g, _checked(f, conv)),
     ]
     for got, want in pairs:
         assert (got.dim, got.mdim) == (want.dim, want.mdim)
