@@ -139,12 +139,13 @@ def _rho_bounds_ok(plan, pipeline):
 
 
 def _check_paley_config(config):
-    """The Paley probe's sampler for config, without support; ValueError
-    unless paley_box is an integer >= 0 and PaleySampler takes the rest."""
+    """The Paley probe's sampler for config, without support and with None
+    standing for n_1 in always; ValueError unless paley_box is an integer
+    >= 0 and PaleySampler takes the rest."""
     int_at_least("paley_box", config.paley_box, 0)
     return PaleySampler(count=config.paley_count, terms=config.paley_terms,
-                        mdim=int_tuple(config.matrix_dims), seed=config.seed,
-                        grid_n=config.grid_n)
+                        always=(None,), mdim=int_tuple(config.matrix_dims),
+                        seed=config.seed, grid_n=config.grid_n)
 
 
 def paley_probe(plan, config):

@@ -3,7 +3,7 @@ paleykit uses them."""
 
 import itertools
 import math
-import multiprocessing
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -235,9 +235,10 @@ def paley_oracle(smoothness, frequencies, sampler):
 
 
 def cell(value=-math.inf):
-    """A running best for the probe's search helpers that no other process
-    shares, so the work they do does not depend on timing."""
-    return multiprocessing.Value("d", value)
+    """A cell of the probe's search helpers, [even best, odd best, odd
+    argmax], that no other process shares, so the work they do does not
+    depend on timing; its running best is value."""
+    return array("d", [value, -math.inf, -1.0])
 
 
 def search_in_halves(smoothness, frequencies, sampler):
