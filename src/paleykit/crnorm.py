@@ -37,8 +37,8 @@ RANK_TOLERANCE = 1e-4
 
 
 class MatrixSequence:
-    """A finite list of complex square matrices of one common size, with
-    finite entries.
+    """A finite list of complex square matrices of one common size, at
+    least 1 x 1, with finite entries.
 
     Scalars are accepted and treated as 1 x 1 matrices.
     """
@@ -51,6 +51,8 @@ class MatrixSequence:
                 a = a.reshape(1, 1)
             if a.ndim != 2 or a.shape[0] != a.shape[1]:
                 raise ValueError("entries must be square matrices or scalars")
+            if a.shape[0] == 0:
+                raise ValueError("entries must be at least 1 x 1, got shape %r" % (a.shape,))
             mats.append(a)
         if not mats:
             raise ValueError("need at least one matrix")

@@ -16,6 +16,7 @@ frequencies with all coordinates nonzero.
 """
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from itertools import product
@@ -203,6 +204,16 @@ def q_s_eval(smoothness, x):
     for gamma in smoothness:
         total += symbol_abs_int(gamma, x) ** 2
     return total
+
+
+def over_root(x, q):
+    """x / q^{1/2} for integers x and q > 0: sign(x) times the root of the
+    correctly rounded int division x^2 / q, within about an ulp.  q is
+    never floated, so it may lie past double range.  A quotient below
+    about 1e-154 has a subnormal square and loses bits, and one below
+    about 1e-162 reads 0.0."""
+    root = math.sqrt(x * x / q)
+    return -root if x < 0 else root
 
 
 def derivative_multiplier(gamma, n):

@@ -1,21 +1,21 @@
 """End-to-end assembly: smoothness set in, verified construction out.
 
-run_construction chains witness search, sequence building (with the
-square-the-schedule retry when the smallness conditions fail at the
-chosen truncation), Riesz verification, operator assembly, the
+run_construction chains witness search, sequence building (squaring
+the schedule until the smallness conditions hold at the chosen
+truncation), Riesz verification, operator assembly, the
 composite-identity check, and the empirical Paley probe, and returns
 everything as one report of plain data.  replay re-runs the whole thing
 from the report's own inputs and compares field by field, which is the
 artifact's reproducibility guarantee.
 """
 
-import math
+import itertools
 import sys
 import time
 from dataclasses import dataclass, field, replace
 
-from .errors import StageFailure
-from .multiindex import int_at_least, int_tuple, q_s_eval, symbol_abs_int, symbol_phase
+from .multiindex import (int_at_least, int_tuple, over_root, q_s_eval, symbol_abs_int,
+                         symbol_phase)
 from .operators import (
     PaleySampler,
     build_pipeline,
@@ -27,7 +27,7 @@ from .sequence import build_sequence
 from .serialization import plan_digest, to_jsonable
 from .trigpoly import random_trigpoly
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 @dataclass
@@ -37,7 +37,6 @@ class OrchestratorConfig:
     K: int = 4
     t0: int = 100
     q: int = 10
-    retries: int = 3
     seed: int = 0
     composite_count: int = 25
     matrix_dims: tuple = (1, 2, 4, 8)
@@ -72,18 +71,18 @@ class ConstructionReport:
 
 
 def _build_with_retries(s, witness, config):
+    """(plan, retries) for the first of the schedules (t0, q), (t0^2,
+    q^2), ... whose plan meets conditions (i), (iii) and (iv).  No count
+    caps the loop: each squaring raises Q_S(n_K), so check_conditions'
+    range rule ends it with q_s_overflow on a set whose conditions never
+    hold (along the witness curve every term tends to 0 as t0 grows)."""
     t0, q = config.t0, config.q
-    last = None
-    for attempt in range(config.retries + 1):
+    for attempt in itertools.count():
         plan = build_sequence(s, witness, config.K, t0, q)
         rep = plan.report
         if rep.cond_i and rep.bound_iii_met and rep.bound_iv_met:
             return plan, attempt
-        last = rep
         t0, q = t0 * t0, q * q
-    raise StageFailure(
-        "sequence", "conditions_unmet",
-        {"retries": config.retries, "last_report": to_jsonable(last)})
 
 
 def _composite_check(plan, pipeline, config):
@@ -104,8 +103,7 @@ def _rho_exact(plan, n):
     at n = n_k, from the symbols' exact integers and phases, the exact
     ell and Q_S(n), independently of M's multiplier.  With ell = p/q,
     each of the real and imaginary parts is X / (2 q Q_S(n)^{1/2}) for an
-    integer X, computed as sign(X) times the square root of the
-    correctly rounded int division X^2 / (4 q^2 Q_S(n)): within about an
+    integer X, computed as over_root(X, 4 q^2 Q_S(n)): within about an
     ulp."""
     a, b = plan.witness.alpha, plan.witness.beta
     p, q = plan.ell_exact.numerator, plan.ell_exact.denominator
@@ -114,12 +112,8 @@ def _rho_exact(plan, n):
     abs_a = symbol_abs_int(a, n) * q
     abs_b = symbol_abs_int(b, n) * p
     scale = 4 * q * q * q_s_eval(plan.smoothness, n)
-    parts = []
-    for unit_a, unit_b in ((pa.real, pb.real), (pa.imag, pb.imag)):
-        x = int(unit_a) * abs_a + int(unit_b) * abs_b
-        root = math.sqrt(x * x / scale)
-        parts.append(-root if x < 0 else root)
-    return complex(*parts)
+    return complex(*(over_root(int(unit_a) * abs_a + int(unit_b) * abs_b, scale)
+                     for unit_a, unit_b in ((pa.real, pb.real), (pa.imag, pb.imag))))
 
 
 def _rho_bounds_ok(plan, pipeline):
@@ -163,16 +157,16 @@ def run_construction(s, config=None):
     """Execute every stage on the smoothness set and report.
 
     Raises StageFailure naming the first failing stage; in particular a
-    set without the required witness fails at stage property_o.  Before
-    any stage runs, a config raises ValueError unless K >= 1, seed >= 0,
-    composite_count >= 1 and retries >= 0 are integers (numpy integers
-    pass, a float or a bool does not): with no composite sample or a
-    negative retry count the composite check or the sequence stage would
-    report on nothing.  So does a config the Paley probe cannot run on
-    (see _check_paley_config).
+    set without the required witness fails at stage property_o, and one
+    whose schedule leaves double range first at stage sequence (see
+    _build_with_retries).  Before any stage runs, a config raises
+    ValueError unless K >= 1, seed >= 0 and composite_count >= 1 are
+    integers (numpy integers pass, a float or a bool does not): with no
+    composite sample the composite check would report on nothing.  So
+    does a config the Paley probe cannot run on (see _check_paley_config).
     """
     config = config or OrchestratorConfig()
-    for name, low in (("K", 1), ("seed", 0), ("composite_count", 1), ("retries", 0)):
+    for name, low in (("K", 1), ("seed", 0), ("composite_count", 1)):
         int_at_least(name, getattr(config, name), low)
     if config.matrix_dims:
         _check_paley_config(config)

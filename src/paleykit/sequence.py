@@ -27,14 +27,15 @@ rho(D, eps) (see closeness_bounds).
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Optional
 
 from .errors import ConstructionError, SingularFrequencyError, StageFailure
-from .multiindex import (PHASES, Smoothness, int_tuple, order, q_s_eval, symbol_abs_int,
-                         symbol_phase)
+from .multiindex import (PHASES, Smoothness, int_tuple, order, over_root, q_s_eval,
+                         symbol_abs_int, symbol_phase)
 from .property_o import PropertyOWitness, verify_witness
 
 
@@ -106,8 +107,6 @@ class ConditionReport:
     """
 
     cond_i: bool
-    ell_hat: float
-    ell_drift: float
     sum_iii: float
     sum_iv: float
     bound_iii_met: bool
@@ -327,15 +326,10 @@ def witness_numerator(plan, nu):
             + ell.numerator * math.prod(c**g for g, c in zip(b, nu)))
 
 
-def _normalized_symbol(gamma, n, qn):
-    """a_gamma(n) = |sigma_gamma(n)| / Q_S(n)^{1/2} for qn = Q_S(n) > 0,
-    squared by one correctly rounded int division, so nothing overflows."""
-    return math.sqrt(symbol_abs_int(gamma, n) ** 2 / qn)
-
-
 def _rho_hat(S, witness, points):
-    # min over k and gamma in {alpha, beta} of a_gamma(n_k)
-    return min(_normalized_symbol(gamma, n, q_s_eval(S, n))
+    # min over k and gamma in {alpha, beta} of a_gamma(n_k) =
+    # |sigma_gamma(n_k)| / Q_S(n_k)^{1/2}
+    return min(over_root(symbol_abs_int(gamma, n), q_s_eval(S, n))
                for n in points for gamma in (witness.alpha, witness.beta))
 
 
@@ -345,6 +339,12 @@ def check_conditions(S, plan):
     Condition (i) is exact integer work; the sums of (iii) and (iv) are
     reported as floats against the thresholds 1/2 and 1.
 
+    One range rule comes first: build_pipeline and the Paley probe take
+    Q_S(n_k) and M's multiplier at n_k as doubles, so the first k with
+    Q_S(n_k) past the largest double raises StageFailure("sequence",
+    "q_s_overflow", {"k": k}) before any ball is walked.  No term can
+    overflow: each is at most 1 + ell.
+
     Both sums come from one pass over the balls.  For k = 1..K and d in
     {-1,0,1}^{k-1}, in sign_patterns order, the point m = n_k +
     sum_{j<k} d_j n_j of B_k contributes
@@ -352,10 +352,9 @@ def check_conditions(S, plan):
     to (iii) when d = 0, where m is the centre n_k, and to (iv)
     otherwise: the 3^{k-1} - 1 Riesz spectrum points of B_k other than
     n_k.  The numerator is the exact integer |W(-m)| = |m^alpha den(ell)
-    - num(ell) m^beta| of witness_numerator over den(ell), and int true
-    division rounds it correctly.  A plan with a point whose Q_S leaves
-    double range raises StageFailure("sequence", "q_s_overflow") naming
-    its ball k.
+    - num(ell) m^beta| of witness_numerator over den(ell), and
+    over_root(|W(-m)|, den(ell)^2 Q_S(m)) rounds the term twice: one
+    int division and one root.
 
     Why (iv) sums term(m), and over these points only:
     (1) The correction part of operator_m lives on -B_k: at -m, m in
@@ -388,33 +387,29 @@ def check_conditions(S, plan):
     The gate sum_iv < 1 leaves the factor 1/2 of (2) as slack.
     """
     seq = plan.sequence
+    for k, n in enumerate(seq, 1):
+        if q_s_eval(S, n) > sys.float_info.max:
+            raise StageFailure("sequence", "q_s_overflow", {"k": k})
     dim = len(seq[0])
-    cond_i = all(
-        plan.radii[k - 1] < min(seq[k - 1]) for k in range(2, plan.K + 1)
-    )
+    cond_i = all(plan.radii[k - 1] < min(seq[k - 1]) for k in range(2, plan.K + 1))
 
-    den_ell = plan.ell_exact.denominator
+    den_sq = plan.ell_exact.denominator ** 2
     sum_iii = sum_iv = 0.0
     for k in range(1, plan.K + 1):
-        try:
-            for d in sign_patterns(k - 1):
-                m = pattern_frequency(seq, d + (1,), dim)
-                # condition (i) keeps every point of B_k in the open
-                # positive orthant
-                assert all(c > 0 for c in m), (k, m)
-                num = abs(witness_numerator(plan, tuple(-c for c in m)))
-                term = num / den_ell / math.sqrt(float(q_s_eval(S, m)))
-                if any(d):
-                    sum_iv += term
-                else:
-                    sum_iii += term
-        except OverflowError:
-            raise StageFailure("sequence", "q_s_overflow", {"k": k}) from None
+        for d in sign_patterns(k - 1):
+            m = pattern_frequency(seq, d + (1,), dim)
+            # condition (i) keeps every point of B_k in the open positive
+            # orthant
+            assert all(c > 0 for c in m), (k, m)
+            num = witness_numerator(plan, tuple(-c for c in m))
+            term = over_root(abs(num), den_sq * q_s_eval(S, m))
+            if any(d):
+                sum_iv += term
+            else:
+                sum_iii += term
 
     return ConditionReport(
         cond_i=cond_i,
-        ell_hat=plan.ell_hat,
-        ell_drift=plan.ell_drift,
         sum_iii=sum_iii,
         sum_iv=sum_iv,
         bound_iii_met=sum_iii < 0.5,
@@ -450,8 +445,8 @@ def techprop_quantities(S, m, n):
     q2sq = 0.0
     q3sq = 0.0
     for gamma in S:
-        am = _normalized_symbol(gamma, m, qm)
-        an = _normalized_symbol(gamma, n, qn)
+        am = over_root(symbol_abs_int(gamma, m), qm)
+        an = over_root(symbol_abs_int(gamma, n), qn)
         q2sq += (am - an) ** 2
         q3sq += abs(symbol_phase(gamma, m) * am - symbol_phase(gamma, n) * an) ** 2
     return q1, math.sqrt(q2sq), math.sqrt(q3sq)

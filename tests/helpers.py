@@ -3,6 +3,7 @@ paleykit uses them."""
 
 import itertools
 import math
+import random
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +24,7 @@ from paleykit.operators import (
     operator_m,
     paley_ratio,
 )
+from paleykit.property_o import find_witness
 from paleykit.sequence import (
     _admissible,
     ball_count,
@@ -617,6 +619,29 @@ def random_sets(seed, count, max_size=20):
         idx = saturate(tops)
         if len(idx) <= max_size:
             out.append(Smoothness.from_indices(idx))
+    return out
+
+
+def witness_corpus(seed=11, parts=((2, 6, 40), (2, 3, 25), (3, 3, 25))):
+    """Seeded witness sets: for each (dim, top, count) of parts, count
+    distinct saturations of 1-4 random generators with coordinates in
+    [0, top] that have a Property (O) witness.  A set drawn twice, or
+    without a witness, is skipped."""
+    rng = random.Random(seed)
+    seen = set()
+    out = []
+    for dim, top, count in parts:
+        made = 0
+        while made < count:
+            gens = [tuple(rng.randint(0, top) for _ in range(dim))
+                    for _ in range(rng.randint(1, 4))]
+            s = Smoothness.from_indices(saturate(gens))
+            if s.indices in seen:
+                continue
+            seen.add(s.indices)
+            if find_witness(s) is not None:
+                out.append(s)
+                made += 1
     return out
 
 

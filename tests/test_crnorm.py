@@ -36,6 +36,14 @@ def test_matrix_sequence_validation():
         MatrixSequence([np.ones((2, 3))])
 
 
+def test_matrix_sequence_rejects_empty_matrices():
+    # cr_norm used to fail inside numpy, on a reduction with no identity
+    with pytest.raises(ValueError, match=r"\(0, 0\)"):
+        MatrixSequence([np.zeros((0, 0))])
+    with pytest.raises(ValueError, match="1 x 1"):
+        cr_norm([np.zeros((0, 0)), np.zeros((0, 0))])
+
+
 def test_decomposition_shape_check():
     with pytest.raises(ValueError):
         Decomposition(np.zeros((2, 2, 2)), np.zeros((3, 2, 2)))

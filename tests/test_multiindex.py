@@ -1,3 +1,7 @@
+import math
+import random
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from paleykit.multiindex import (
     is_smoothness,
     multi_le,
     order,
+    over_root,
     q_s_eval,
     saturate,
     symbol_abs_int,
@@ -133,6 +138,31 @@ def test_q_s_positive_on_open_orthant():
     S = Smoothness.from_indices(saturate({(2, 1)}))
     assert q_s_eval(S, (1, 1)) == len(S)
     assert q_s_eval(S, (-2, 5)) > 0
+
+
+def test_over_root_rounds_one_int_division_and_one_root():
+    # the same bits as the signed root of x^2 / q, and within an ulp of
+    # the exact x / q^{1/2}
+    rng = random.Random(5)
+    for _ in range(500):
+        x = rng.randint(-10**30, 10**30)
+        q = rng.randint(1, 10**rng.randint(1, 60))
+        root = math.sqrt(x * x / q)
+        got = over_root(x, q)
+        assert got == (-root if x < 0 else root)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = Decimal(x) / Decimal(q).sqrt()
+        assert abs(Decimal(got) - exact) <= Decimal(math.ulp(got))
+    assert over_root(0, 7) == 0.0
+
+
+def test_over_root_takes_q_past_double_range():
+    with pytest.raises(OverflowError):
+        float(10**400)
+    assert over_root(10**200, 10**400) == 1.0
+    assert over_root(-3 * 10**200, 10**400) == -3.0
+    assert over_root(7 * 10**150, 10**400) == 7e-50
 
 
 def test_derivative_multiplier_conventions():

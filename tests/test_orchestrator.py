@@ -1,5 +1,7 @@
 import hashlib
-import pickle
+import re
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +20,11 @@ from paleykit.orchestrator import (
 
 from paleykit.serialization import canonical_dumps
 
-from helpers import count_sign_patterns
+from helpers import count_sign_patterns, witness_corpus
 
 S = Smoothness.from_indices(saturate({(2, 0), (0, 1)}))
 # fails condition (iv) at the first two schedules (sum_iv 4.81, 2.04)
+# from t0 = 100, q = 10, and at the first four from t0 = q = 3
 S_RETRY = Smoothness.from_indices(saturate({(2, 0), (0, 3)}))
 TINY = OrchestratorConfig(K=2, matrix_dims=(1,), paley_count=3,
                           composite_count=3, paley_box=3, grid_n=21)
@@ -48,15 +51,15 @@ D4 = {(2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)}
 
 @pytest.mark.parametrize("maximal, config, pin", [
     ({(2, 0), (0, 1)}, dict(K=2, composite_count=3),
-     "e59c725f30bf88df97fdf0700b5b0ba97821c9d52230cf45188d8044c5dc6aa1"),
+     "938bc70dfc45089f12d32676e5cf46e5ec5a19182d3d89381bb0c3e07ac1b8be"),
     ({(2, 0), (0, 1)}, {},
-     "382a3a54bde0ca3e2beacb81dd120c3e4a94f9c68e963a522b96fadb64164ccc"),
+     "8408f0ad71ed36e9a040b89784d0b7ef5d785bedb8526cef298006e5d7b1f032"),
     ({(3, 0), (2, 1), (0, 2)}, {},
-     "1f07afd7f273b02ecb30538ad7e49d6fc5678cc6ba9c79159e7d6a5b2b852a09"),
+     "87b01f6c3c4d5bdef29c8ee7a6358be5101bbfb331ab120224a95ae51684cdd9"),
     (D4, {},
-     "96eaff9139fdc7d359d2c146127e8c730a972c7cae2444686172f41bdee17e98"),
+     "6f5c5d07d0964189c4aa05001b14c851b6dd99b25aa95fe2ac636fe4b63c671b"),
     ({(2, 0), (0, 3)}, {},
-     "1b14ce73999ec4d977827945c12d4c099b01b908cd151f196b25887e0a0e4e3e"),
+     "84ac29de8a495f80f9d884dbbf4bb0ca9088a798e89e8d9afd6d1c5374a506e2"),
 ], ids=["S_ref_K2", "S_ref", "S3021", "d4", "S_retry"])
 def test_report_bytes_pinned_with_the_schema_version(maximal, config, pin):
     # replay forgives 1e-12 relative, so a report field that moves in its
@@ -67,15 +70,14 @@ def test_report_bytes_pinned_with_the_schema_version(maximal, config, pin):
     d = report_to_json(rep)
     d.pop("timings")
     digest = hashlib.sha256(canonical_dumps(d).encode()).hexdigest()
-    assert (SCHEMA_VERSION, digest) == (5, pin)
+    assert (SCHEMA_VERSION, digest) == (6, pin)
 
 
 @pytest.mark.parametrize("field, value", [
-    ("composite_count", 0), ("retries", -1), ("seed", -1), ("seed", 2.5),
+    ("composite_count", 0), ("seed", -1), ("seed", 2.5),
     ("seed", True), ("K", 0), ("K", 2.5)])
 def test_config_that_empties_a_gate_is_rejected(monkeypatch, field, value):
-    # zero composite samples would report an error of 0.0, and retries
-    # -1 would fail the sequence stage without building a plan; seed -1
+    # zero composite samples would report an error of 0.0; seed -1
     # and 2.5 used to fail in numpy inside the composite stage, seed True
     # to run as seed 1, and K 2.5 to raise TypeError in the sequence stage
     def no_stage(s):
@@ -116,6 +118,49 @@ def test_retry_squares_the_schedule():
     assert rep.plan.t0 == 100**4
     assert rep.plan.q == 10**4
     assert rep.plan.report.bound_iv_met
+
+
+def test_retries_run_until_the_conditions_hold():
+    # no retry count: four squarings from t0 = q = 3 reach the schedule
+    # at which (iv) holds
+    rep = run_construction(S_RETRY, OrchestratorConfig(t0=3, q=3, matrix_dims=()))
+    assert rep.retries_used == 4
+    assert (rep.plan.t0, rep.plan.q) == (3**16, 3**16)
+
+
+def test_range_rule_ends_the_retries(monkeypatch):
+    # at K = 8 the first four schedules fail the conditions, and the
+    # fifth, t0 = q = 3^16, puts Q_S(n_8) past double range
+    schedules = []
+    original = orchestrator.build_sequence
+
+    def spy(s, witness, K, t0, q):
+        schedules.append(t0)
+        return original(s, witness, K, t0, q)
+
+    monkeypatch.setattr(orchestrator, "build_sequence", spy)
+    with pytest.raises(StageFailure) as exc:
+        run_construction(S_RETRY, OrchestratorConfig(K=8, t0=3, q=3, matrix_dims=()))
+    assert (exc.value.stage, exc.value.reason, exc.value.details) == (
+        "sequence", "q_s_overflow", {"k": 8})
+    assert schedules == [3**(2**i) for i in range(5)]
+
+
+def test_witness_corpus_constructs_or_fails_by_name():
+    # every set with a witness constructs or fails with q_s_overflow,
+    # never with a raw exception; the hash pins each outcome and digest
+    outcomes = []
+    for s in witness_corpus():
+        try:
+            rep = run_construction(s, OrchestratorConfig(matrix_dims=()))
+            outcomes.append(("retries", rep.retries_used, rep.digest))
+        except StageFailure as exc:
+            outcomes.append((exc.reason, exc.details["k"], None))
+    assert Counter(o[:2] for o in outcomes) == {
+        ("retries", 0): 11, ("retries", 1): 23, ("retries", 2): 20,
+        ("retries", 3): 10, ("retries", 4): 16, ("q_s_overflow", 4): 10}
+    assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == (
+        "4a5f1a14b376cddbece618126a54b5881a2cc278330ab489b2b820e3211fed56")
 
 
 def test_order_four_member_constructs_without_retry():
@@ -230,33 +275,17 @@ def test_no_witness_failures():
             run_construction(bad, TINY)
         assert exc.value.stage == "property_o"
         assert exc.value.reason == "no_witness"
+        assert exc.value.details == {"smoothness": bad}
 
 
-def test_stage_failure_survives_pickling():
-    bad = Smoothness.from_indices(saturate({(1, 1)}))
-    with pytest.raises(StageFailure) as exc:
-        run_construction(bad, TINY)
-    for err in (exc.value, StageFailure("sequence", "q_s_overflow", {"k": 4}),
-                StageFailure("riesz", "not_lacunary")):
-        back = pickle.loads(pickle.dumps(err))
-        assert type(back) is StageFailure
-        assert (back.stage, back.reason, back.details, str(back)) == \
-            (err.stage, err.reason, err.details, str(err))
-    assert exc.value.details == {"smoothness": bad}
-
-
-def test_conditions_unmet_failure():
-    cfg = OrchestratorConfig(K=4, retries=0, matrix_dims=())
-    with pytest.raises(StageFailure) as exc:
-        run_construction(S_RETRY, cfg)
-    assert exc.value.stage == "sequence"
-    assert exc.value.reason == "conditions_unmet"
-    assert exc.value.details["last_report"]["bound_iv_met"] is False
+def test_readme_names_the_schema_version():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert re.findall(r"Reports are schema (\d+)", readme) == [str(SCHEMA_VERSION)]
 
 
 def test_report_json_shape(tiny_report):
     d = report_to_json(tiny_report)
-    assert d["schema_version"] == 5
+    assert d["schema_version"] == 6
     assert d["paley"]["per_dim"]["1"]["sup_ratio"] > 0.0
     assert set(d["timings"]) == {"property_o", "sequence", "riesz",
                                  "composite", "paley"}

@@ -314,6 +314,17 @@ def test_check_conditions_q_s_overflow_names_k():
     assert exc.value.details == {"k": 4}
 
 
+def test_range_rule_fires_before_any_ball_is_walked(monkeypatch):
+    def no_ball(plan, nu):
+        raise AssertionError("a ball was walked")
+
+    monkeypatch.setattr(sequence, "witness_numerator", no_ball)
+    S = Smoothness.from_indices(saturate({(4, 0), (0, 1)}))
+    with pytest.raises(StageFailure) as exc:
+        build_sequence(S, find_witness(S), 4, 100**2, 10**2)
+    assert (exc.value.reason, exc.value.details) == ("q_s_overflow", {"k": 4})
+
+
 def test_techprop_exact_values():
     S = Smoothness.from_indices(saturate({(1, 0), (0, 1)}))
     q1, q2, q3 = techprop_quantities(S, (101, 100), (100, 100))

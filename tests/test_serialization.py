@@ -117,13 +117,22 @@ def test_plan_encoding_bytes_pinned():
     # every field of the plan, its condition report included
     text = canonical_dumps(PLAN)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "20d2914bb59ee500bb2d9297b4393f0a12d4546180c1c338f5a8e0e6134fb749")
+        "464742fb258e9db10438890d818660b8703c2dfa4e60b131d6673e03e7c8d80b")
 
 
 def test_condition_report_round_trip():
     d = to_jsonable(PLAN.report)
     assert from_jsonable(ConditionReport, d) == PLAN.report
-    assert len(d) == 7 and d["bound_iv_met"] is True
+    assert len(d) == 5 and d["bound_iv_met"] is True
+
+
+def test_schema_5_plan_still_decodes():
+    # schema 5 plans carried ell_hat and ell_drift twice, in the plan and
+    # in its condition report; the report's copies are read and dropped
+    d = to_jsonable(PLAN)
+    assert set(d["report"]).isdisjoint({"ell_hat", "ell_drift"})
+    d["report"].update(ell_hat=d["ell_hat"], ell_drift=d["ell_drift"])
+    assert to_jsonable(plan_from_json(d)) == to_jsonable(PLAN)
 
 
 @pytest.mark.parametrize("path, value", [
