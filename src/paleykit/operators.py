@@ -116,7 +116,7 @@ def build_pipeline(plan):
     on_lambda = {}
     for n in plan.sequence:
         # check_conditions' range rule keeps Q_S(n_k) within double range
-        root = math.sqrt(q_s_eval(plan.smoothness, n))
+        root = math.sqrt(float(q_s_eval(plan.smoothness, n)))
         factor = _m_factor(n, plan)
         rho.append(factor / (2.0 * root))
         roots.append(root)

@@ -13,7 +13,9 @@ import itertools
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
+from .errors import StageFailure
 from .multiindex import (int_at_least, int_tuple, over_root, q_s_eval, symbol_abs_int,
                          symbol_phase)
 from .operators import (
@@ -28,6 +30,7 @@ from .serialization import plan_digest, to_jsonable
 from .trigpoly import random_trigpoly
 
 SCHEMA_VERSION = 6
+SCHEDULE_BITS = 2048  # the schedule's denominator budget; see _build_with_retries
 
 
 @dataclass
@@ -72,17 +75,21 @@ class ConstructionReport:
 
 def _build_with_retries(s, witness, config):
     """(plan, retries) for the first of the schedules (t0, q), (t0^2,
-    q^2), ... whose plan meets conditions (i), (iii) and (iv).  No count
-    caps the loop: each squaring raises Q_S(n_K), so check_conditions'
-    range rule ends it with q_s_overflow on a set whose conditions never
-    hold (along the witness curve every term tends to 0 as t0 grows)."""
-    t0, q = config.t0, config.q
+    q^2), ... whose plan meets conditions (i), (iii) and (iv), which hold
+    once t0 is large enough.  No count caps the loop: check_conditions'
+    range rule ends it, and so does a squaring that takes t0's or q's
+    denominator past SCHEDULE_BITS bits, with StageFailure("sequence",
+    "schedule_budget", {"retries": r}) after r squarings: near 1 each
+    squaring doubles that bit length but barely raises Q_S(n_K)."""
+    t0, q = Fraction(config.t0), Fraction(config.q)
     for attempt in itertools.count():
         plan = build_sequence(s, witness, config.K, t0, q)
         rep = plan.report
         if rep.cond_i and rep.bound_iii_met and rep.bound_iv_met:
             return plan, attempt
         t0, q = t0 * t0, q * q
+        if max(t0.denominator, q.denominator).bit_length() > SCHEDULE_BITS:
+            raise StageFailure("sequence", "schedule_budget", {"retries": attempt + 1})
 
 
 def _composite_check(plan, pipeline, config):
@@ -125,9 +132,8 @@ def _rho_bounds_ok(plan, pipeline):
     slack = 1e-12
     for n, r in zip(plan.sequence, pipeline.rho_k):
         want = _rho_exact(plan, n)
-        if abs(r - want) > 4 * sys.float_info.epsilon * abs(want):
-            return False
-        if not lo - slack <= abs(r) <= hi + slack:
+        if (abs(r - want) > 4 * sys.float_info.epsilon * abs(want)
+                or not lo - slack <= abs(r) <= hi + slack):
             return False
     return True
 
@@ -158,7 +164,7 @@ def run_construction(s, config=None):
 
     Raises StageFailure naming the first failing stage; in particular a
     set without the required witness fails at stage property_o, and one
-    whose schedule leaves double range first at stage sequence (see
+    whose schedule runs out first at stage sequence (see
     _build_with_retries).  Before any stage runs, a config raises
     ValueError unless K >= 1, seed >= 0 and composite_count >= 1 are
     integers (numpy integers pass, a float or a bool does not): with no
@@ -242,9 +248,8 @@ def _compare(path, a, b, out):
         fa, fb = float(a), float(b)
         if fa != fb and abs(fa - fb) > 1e-12 * max(abs(fa), abs(fb)):
             out.append("%s: %r vs %r" % (path, a, b))
-    else:
-        if a != b:
-            out.append("%s: %r vs %r" % (path, a, b))
+    elif a != b:
+        out.append("%s: %r vs %r" % (path, a, b))
 
 
 def replay(report, s, config=None):

@@ -27,7 +27,6 @@ rho(D, eps) (see closeness_bounds).
 """
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -37,6 +36,8 @@ from .errors import ConstructionError, SingularFrequencyError, StageFailure
 from .multiindex import (PHASES, Smoothness, int_tuple, order, over_root, q_s_eval,
                          symbol_abs_int, symbol_phase)
 from .property_o import PropertyOWitness, verify_witness
+
+Q_S_LIMIT = 2**1000  # check_conditions' range rule
 
 
 def compute_tau(alpha, beta):
@@ -138,9 +139,8 @@ def estimate_ell(alpha, beta, sequence):
     previous index (zero drift for a single-term sequence)."""
     if not sequence:
         raise ValueError("empty sequence")
-    for n in sequence:
-        if any(c == 0 for c in n):
-            raise ValueError("sequence point with zero coordinate")
+    if any(c == 0 for n in sequence for c in n):
+        raise ValueError("sequence point with zero coordinate")
 
     def ratio(n):
         return Fraction(symbol_abs_int(alpha, n), symbol_abs_int(beta, n))
@@ -291,13 +291,9 @@ def _admissible(n, points, d_running):
     if not points:
         return True
     prev = points[-1]
-    if min(n) <= d_running:  # condition (i): D_k < min_j n_k(j)
-        return False
-    if n[0] < 3 * prev[0]:  # first-coordinate Hadamard ratio
-        return False
-    if min(n) <= min(prev):  # strict growth of the minimum
-        return False
-    return True
+    return (min(n) > d_running  # condition (i): D_k < min_j n_k(j)
+            and n[0] >= 3 * prev[0]  # first-coordinate Hadamard ratio
+            and min(n) > min(prev))  # strict growth of the minimum
 
 
 def witness_numerator(plan, nu):
@@ -341,8 +337,10 @@ def check_conditions(S, plan):
 
     One range rule comes first: build_pipeline and the Paley probe take
     Q_S(n_k) and M's multiplier at n_k as doubles, so the first k with
-    Q_S(n_k) past the largest double raises StageFailure("sequence",
-    "q_s_overflow", {"k": k}) before any ball is walked.  No term can
+    Q_S(n_k) >= Q_S_LIMIT raises StageFailure("sequence", "q_s_overflow",
+    {"k": k}) before any ball is walked.  Q_S_LIMIT = 2^1000 sits 2^24
+    below the largest double, for the doubles a few times Q_S(n_k) that
+    later stages form, such as sums of |rho_k|^2 Q_S(n_k) |f_hat(n_k)|^2.  No term can
     overflow: each is at most 1 + ell.
 
     Both sums come from one pass over the balls.  For k = 1..K and d in
@@ -388,7 +386,7 @@ def check_conditions(S, plan):
     """
     seq = plan.sequence
     for k, n in enumerate(seq, 1):
-        if q_s_eval(S, n) > sys.float_info.max:
+        if q_s_eval(S, n) >= Q_S_LIMIT:
             raise StageFailure("sequence", "q_s_overflow", {"k": k})
     dim = len(seq[0])
     cond_i = all(plan.radii[k - 1] < min(seq[k - 1]) for k in range(2, plan.K + 1))
@@ -435,15 +433,13 @@ def techprop_quantities(S, m, n):
     """
     S = Smoothness.coerce(S)
     m, n = int_tuple(m, S.dim), int_tuple(n, S.dim)
-    qm = q_s_eval(S, m)
-    qn = q_s_eval(S, n)
+    qm, qn = q_s_eval(S, m), q_s_eval(S, n)
     if qm == 0 or qn == 0:
         raise SingularFrequencyError(
             "Q_S vanishes at a frequency with a zero coordinate"
         )
     q1 = float(Fraction(abs(qn - qm), qm))
-    q2sq = 0.0
-    q3sq = 0.0
+    q2sq = q3sq = 0.0
     for gamma in S:
         am = over_root(symbol_abs_int(gamma, m), qm)
         an = over_root(symbol_abs_int(gamma, n), qn)

@@ -1,6 +1,8 @@
 import hashlib
 import re
 from collections import Counter
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 from paleykit import operators, orchestrator
 from paleykit.errors import StageFailure
-from paleykit.multiindex import Smoothness, saturate
+from paleykit.multiindex import Smoothness, q_s_eval, saturate
 from paleykit.orchestrator import (
     SCHEMA_VERSION,
     OrchestratorConfig,
@@ -18,6 +20,7 @@ from paleykit.orchestrator import (
     run_construction,
 )
 
+from paleykit.sequence import Q_S_LIMIT
 from paleykit.serialization import canonical_dumps
 
 from helpers import count_sign_patterns, witness_corpus
@@ -144,6 +147,45 @@ def test_range_rule_ends_the_retries(monkeypatch):
     assert (exc.value.stage, exc.value.reason, exc.value.details) == (
         "sequence", "q_s_overflow", {"k": 8})
     assert schedules == [3**(2**i) for i in range(5)]
+
+
+def test_schedule_budget_ends_a_rational_retry_loop(monkeypatch):
+    # near 1 each squaring doubles the denominators' bit length but
+    # barely raises Q_S(n_K), so the range rule alone would wait for
+    # 3e8-bit schedules; the budget stops at the seventh squaring
+    denominators = []
+    original = orchestrator.build_sequence
+
+    def spy(s, witness, K, t0, q):
+        denominators.append(Fraction(t0).denominator)
+        return original(s, witness, K, t0, q)
+
+    monkeypatch.setattr(orchestrator, "build_sequence", spy)
+    near_one = Fraction(1000001, 1000000)
+    with pytest.raises(StageFailure) as exc:
+        run_construction(S_RETRY, OrchestratorConfig(t0=near_one, q=near_one,
+                                                     matrix_dims=()))
+    assert (exc.value.stage, exc.value.reason, exc.value.details) == (
+        "sequence", "schedule_budget", {"retries": 7})
+    assert denominators == [10**(6 * 2**i) for i in range(7)]
+    assert denominators[-1].bit_length() <= orchestrator.SCHEDULE_BITS < (
+        denominators[-1]**2).bit_length()
+
+
+def test_range_rule_leaves_room_for_the_later_stages():
+    # Q_S(n_2) = 0.89 Q_S_LIMIT: the composite check, the rho_k bounds and
+    # the Paley probe (closed-form trace norms at m = 3 and 4 included)
+    # all run in double range
+    config = OrchestratorConfig(K=2, t0=11 * 2**246, q=2, matrix_dims=(1, 3, 4))
+    rep = run_construction(S, config)
+    assert 0.8 * Q_S_LIMIT < q_s_eval(S, rep.plan.sequence[-1]) < Q_S_LIMIT
+    assert rep.rho_bounds_ok
+    canonical_dumps(report_to_json(rep))
+    # at 2^23.3 Q_S_LIMIT the composite check's sum of squares overflowed
+    # with a raw OverflowError; the range rule now names the stage
+    with pytest.raises(StageFailure) as exc:
+        run_construction(S, replace(config, t0=19 * 2**251))
+    assert (exc.value.reason, exc.value.details) == ("q_s_overflow", {"k": 2})
 
 
 def test_witness_corpus_constructs_or_fails_by_name():
