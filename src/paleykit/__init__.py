@@ -19,7 +19,6 @@ from .errors import (
     InfeasibleError,
     InvalidSmoothnessError,
     PaleykitError,
-    SingularFrequencyError,
     StageFailure,
     UnboundedError,
 )

@@ -21,7 +21,6 @@ from .errors import (
     ConstructionError,
     InvalidSmoothnessError,
     PaleykitError,
-    SingularFrequencyError,
     StageFailure,
 )
 from .multiindex import Smoothness
@@ -287,7 +286,7 @@ def _failure(exc):
         if exc.details:
             payload["details"] = to_jsonable(exc.details)
         return 3, payload, "failed at stage %s: %s" % (exc.stage, exc.reason)
-    if isinstance(exc, (ConstructionError, SingularFrequencyError)):
+    if isinstance(exc, ConstructionError):
         return 3, {"failure": type(exc).__name__, "error": str(exc)}, "error: %s" % exc
     text = str(exc) if isinstance(exc, PaleykitError) else "%s: %s" % (
         type(exc).__name__, exc)

@@ -21,10 +21,6 @@ class ConstructionError(PaleykitError):
     """A lacunary-sequence or operator construction cannot be completed."""
 
 
-class SingularFrequencyError(PaleykitError):
-    """Q_S vanishes at the requested frequency (a zero coordinate)."""
-
-
 class StageFailure(PaleykitError):
     """A pipeline stage failed in a structured, reportable way.
 

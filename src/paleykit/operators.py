@@ -83,9 +83,7 @@ def ball_multiplicity(plan, m):
     condition (i), never in one build_sequence returns (see
     check_conditions, point (5))."""
     mult = 0
-    for k in range(1, plan.K + 1):
-        center = plan.sequence[k - 1]
-        radius = plan.radii[k - 1]
+    for center, radius in zip(plan.sequence, plan.radii):
         # the first coordinate alone already bounds the l1 distance
         if abs(m[0] - center[0]) > radius:
             continue

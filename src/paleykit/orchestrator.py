@@ -29,7 +29,7 @@ from .sequence import build_sequence
 from .serialization import plan_digest, to_jsonable
 from .trigpoly import random_trigpoly
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 SCHEDULE_BITS = 2048  # the schedule's denominator budget; see _build_with_retries
 
 
@@ -169,11 +169,21 @@ def run_construction(s, config=None):
     ValueError unless K >= 1, seed >= 0 and composite_count >= 1 are
     integers (numpy integers pass, a float or a bool does not): with no
     composite sample the composite check would report on nothing.  So
-    does a config the Paley probe cannot run on (see _check_paley_config).
+    does a config whose t0 or q does not read as a Fraction greater than
+    1 (True reads as 1), and one the Paley probe cannot run on (see
+    _check_paley_config).
     """
     config = config or OrchestratorConfig()
     for name, low in (("K", 1), ("seed", 0), ("composite_count", 1)):
         int_at_least(name, getattr(config, name), low)
+    for name in ("t0", "q"):
+        value = getattr(config, name)
+        try:
+            ok = Fraction(value) > 1
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ValueError("need %s > 1, got %r" % (name, value))
     if config.matrix_dims:
         _check_paley_config(config)
     timings = {}

@@ -30,8 +30,11 @@ class RieszMeasure:
     """Fourier data of the Riesz product over K lacunary points in Z^dim."""
 
     sequence: tuple
-    K: int
     dim: int
+
+    @property
+    def K(self):
+        return len(self.sequence)
 
     @property
     def coeffs(self):
@@ -74,4 +77,4 @@ def riesz_coeffs(sequence, K):
     for k, n in enumerate(sequence, 1):
         if min(n) < 1 or (k > 1 and n[0] < 3 * sequence[k - 2][0]):
             raise StageFailure("riesz", "not_lacunary", {"k": k})
-    return RieszMeasure(sequence=sequence, K=K, dim=dim)
+    return RieszMeasure(sequence=sequence, dim=dim)

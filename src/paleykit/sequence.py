@@ -29,10 +29,10 @@ rho(D, eps) (see closeness_bounds).
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from typing import Optional
 
-from .errors import ConstructionError, SingularFrequencyError, StageFailure
+from .errors import ConstructionError, StageFailure
 from .multiindex import (PHASES, Smoothness, int_tuple, order, over_root, q_s_eval,
                          symbol_abs_int, symbol_phase)
 from .property_o import PropertyOWitness, verify_witness
@@ -90,15 +90,6 @@ def round_rational_power(t, c):
 
 
 @dataclass
-class EllEstimate:
-    """|sigma_alpha(n_K)| / |sigma_beta(n_K)| with last-step drift."""
-
-    exact: Fraction
-    value: float
-    drift: float
-
-
-@dataclass
 class ConditionReport:
     """Finite-truncation verdicts for the four sequence conditions.
 
@@ -116,48 +107,36 @@ class ConditionReport:
 
 @dataclass
 class LacunaryPlan:
-    """Everything the construction produces for one smoothness set."""
+    """What the construction was given for one smoothness set and what it
+    found; K, the ball radii, tau and ell_hat are derived from these."""
 
     smoothness: Smoothness
     witness: PropertyOWitness
-    K: int
     t0: Fraction
     q: Fraction
     ts: list[Fraction]
     sequence: list[tuple[int, ...]]
-    radii: list[int]
-    tau: complex
     ell_exact: Fraction
-    ell_hat: float
-    ell_drift: float
     rho_hat: float
     report: Optional[ConditionReport] = None
 
+    @property
+    def K(self):
+        return len(self.sequence)
 
-def estimate_ell(alpha, beta, sequence):
-    """Symbol-size ratio at the last index, with relative drift from the
-    previous index (zero drift for a single-term sequence)."""
-    if not sequence:
-        raise ValueError("empty sequence")
-    if any(c == 0 for n in sequence for c in n):
-        raise ValueError("sequence point with zero coordinate")
+    @property
+    def radii(self):
+        """[D_1, ..., D_K]: the ball radius D_k is the sum of all
+        coordinates of n_1 .. n_{k-1}."""
+        return list(accumulate((sum(n) for n in self.sequence[:-1]), initial=0))
 
-    def ratio(n):
-        return Fraction(symbol_abs_int(alpha, n), symbol_abs_int(beta, n))
+    @property
+    def tau(self):
+        return compute_tau(self.witness.alpha, self.witness.beta)
 
-    ell = ratio(sequence[-1])
-    drift = 0.0
-    if len(sequence) > 1:
-        prev = ratio(sequence[-2])
-        drift = abs(float((ell - prev) / ell))
-    return EllEstimate(exact=ell, value=float(ell), drift=drift)
-
-
-def bk_radius(sequence, k):
-    """D_k = sum of all coordinates of n_1 .. n_{k-1}; D_1 = 0."""
-    if not 1 <= k <= len(sequence):
-        raise ValueError("index k=%d out of range" % k)
-    return sum(sum(n) for n in sequence[: k - 1])
+    @property
+    def ell_hat(self):
+        return float(self.ell_exact)
 
 
 def ball_count(d, radius):
@@ -199,13 +178,6 @@ def build_sequence(S, witness, K, t0, q, max_doublings=10000):
     larger t.
     """
     S = Smoothness.coerce(S)
-    if isinstance(witness, (tuple, list)):
-        witness = PropertyOWitness(
-            alpha=tuple(witness[0]),
-            beta=tuple(witness[1]),
-            c=tuple(Fraction(v) for v in witness[2]),
-            t_star=min(Fraction(v) for v in witness[2]),
-        )
     if not verify_witness(S, witness.alpha, witness.beta, witness.c):
         raise ConstructionError("witness fails exact verification")
     if K < 1:
@@ -218,7 +190,6 @@ def build_sequence(S, witness, K, t0, q, max_doublings=10000):
     c = witness.c
     ts = []
     points = []
-    radii = []
     d_running = 0
     for k in range(1, K + 1):
         t = t0 * q ** (k - 1)
@@ -228,26 +199,20 @@ def build_sequence(S, witness, K, t0, q, max_doublings=10000):
                 "doubling did not reach an admissible n_%d" % k
             )
         ts.append(t * 2**j)
-        radii.append(d_running)
         points.append(n)
         d_running += sum(n)
 
-    ell = estimate_ell(witness.alpha, witness.beta, points)
-    rho = _rho_hat(S, witness, points)
+    n_K = points[-1]
     plan = LacunaryPlan(
         smoothness=S,
         witness=witness,
-        K=K,
         t0=t0,
         q=q,
         ts=ts,
         sequence=points,
-        radii=radii,
-        tau=compute_tau(witness.alpha, witness.beta),
-        ell_exact=ell.exact,
-        ell_hat=ell.value,
-        ell_drift=ell.drift,
-        rho_hat=rho,
+        ell_exact=Fraction(symbol_abs_int(witness.alpha, n_K),
+                           symbol_abs_int(witness.beta, n_K)),
+        rho_hat=_rho_hat(S, witness, points),
     )
     plan.report = check_conditions(S, plan)
     return plan
@@ -389,7 +354,7 @@ def check_conditions(S, plan):
         if q_s_eval(S, n) >= Q_S_LIMIT:
             raise StageFailure("sequence", "q_s_overflow", {"k": k})
     dim = len(seq[0])
-    cond_i = all(plan.radii[k - 1] < min(seq[k - 1]) for k in range(2, plan.K + 1))
+    cond_i = all(r < min(n) for n, r in zip(seq[1:], plan.radii[1:]))
 
     den_sq = plan.ell_exact.denominator ** 2
     sum_iii = sum_iv = 0.0
@@ -428,16 +393,14 @@ def techprop_quantities(S, m, n):
     the differences of the normalized symbols a_gamma = |sigma_gamma| /
     Q_S^{1/2}, unsigned and with the phases of sigma_gamma.  None of
     them floats Q_S, so frequencies past double range are fine.  m and
-    n must each hold S.dim integers (a bool is not one); anything else
-    raises ValueError.
+    n must each hold S.dim nonzero integers (a bool is not one), as Q_S
+    vanishes at a zero coordinate; anything else raises ValueError.
     """
     S = Smoothness.coerce(S)
     m, n = int_tuple(m, S.dim), int_tuple(n, S.dim)
     qm, qn = q_s_eval(S, m), q_s_eval(S, n)
     if qm == 0 or qn == 0:
-        raise SingularFrequencyError(
-            "Q_S vanishes at a frequency with a zero coordinate"
-        )
+        raise ValueError("Q_S vanishes at a frequency with a zero coordinate")
     q1 = float(Fraction(abs(qn - qm), qm))
     q2sq = q3sq = 0.0
     for gamma in S:

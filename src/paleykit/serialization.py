@@ -18,7 +18,7 @@ import numpy as np
 
 from .crnorm import MatrixSequence
 from .multiindex import Smoothness, int_tuple
-from .sequence import LacunaryPlan, bk_radius
+from .sequence import LacunaryPlan
 from .trigpoly import TrigPoly
 
 
@@ -105,21 +105,18 @@ def from_jsonable(cls, data):
         return origin(from_jsonable(args[0], v) for v in data)
     if cls is Fraction:
         return _fraction(data)
-    if cls is complex:
-        return _cplx(data)
     if cls in (bool, int, float, str) and type(data) is cls:  # no bool for int
         return data
     raise TypeError("expected %s, got %r" % (getattr(cls, "__name__", cls), data))
 
 
 def plan_from_json(d):
-    """A plan, checked across fields: K = len(sequence) = len(ts) =
-    len(radii) >= 1, and each radius is bk_radius of the sequence."""
+    """A plan, checked across fields: len(ts) = len(sequence) >= 1.  Keys
+    that name no field, such as the derived values schema 6 and older
+    stored, are ignored."""
     plan = from_jsonable(LacunaryPlan, d)
-    if not plan.K == len(plan.sequence) == len(plan.ts) == len(plan.radii) >= 1:
-        raise ValueError("plan needs K = len(sequence) = len(ts) = len(radii) >= 1")
-    if plan.radii != [bk_radius(plan.sequence, k) for k in range(1, plan.K + 1)]:
-        raise ValueError("plan radii are not the ball radii of its sequence")
+    if not len(plan.ts) == len(plan.sequence) >= 1:
+        raise ValueError("plan needs len(ts) = len(sequence) >= 1")
     return plan
 
 

@@ -28,7 +28,6 @@ from paleykit.property_o import find_witness
 from paleykit.sequence import (
     _admissible,
     ball_count,
-    bk_radius,
     pattern_frequency,
     round_rational_power,
     sign_patterns,
@@ -65,6 +64,14 @@ def riesz_poly(measure):
     """A truncated Riesz product as a TrigPoly (symbolic expansion)."""
     coeffs = measure.coeffs
     return TrigPoly(coeffs, dim=len(next(iter(coeffs))))
+
+
+def bk_radius(sequence, k):
+    """D_k = sum of all coordinates of n_1 .. n_{k-1}, one k at a time;
+    D_1 = 0.  The oracle of LacunaryPlan.radii."""
+    if not 1 <= k <= len(sequence):
+        raise ValueError("index k=%d out of range" % k)
+    return sum(sum(n) for n in sequence[: k - 1])
 
 
 def riesz_walk(sequence, K):

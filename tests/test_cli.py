@@ -322,24 +322,11 @@ def _edited_plan(plan_file, tmp_path, **fields):
     return str(path)
 
 
-@pytest.mark.parametrize("command", ["riesz-spectrum", "estimate-paley"])
-@pytest.mark.parametrize("fields", [{"K": 5}, {"radii": [0, 3]}])
-def test_inconsistent_plan_exits_2(capsys, plan_file, tmp_path, command,
-                                   fields):
-    path = _edited_plan(plan_file, tmp_path, **fields)
-    code, payload, _ = run(capsys, command, "--plan", path)
-    assert code == 2
-    assert "bad plan file" in payload["error"]
-
-
 @pytest.mark.parametrize("command", ["riesz-spectrum", "project", "estimate-paley"])
-@pytest.mark.parametrize("K, first", [(True, [10, 100]), (1, [True, 100])],
-                         ids=["K", "coordinate"])
-def test_bool_for_int_in_plan_exits_2(capsys, plan_file, tmp_path, command, K,
-                                      first):
-    # a 1-term plan, where a bool read as 1 passes every cross-field check
-    path = _edited_plan(plan_file, tmp_path, K=K, sequence=[first], radii=[0],
-                        ts=["100"])
+@pytest.mark.parametrize("first", [[True, 100]], ids=["coordinate"])
+def test_bool_for_int_in_plan_exits_2(capsys, plan_file, tmp_path, command, first):
+    # a 1-term plan, where a bool read as 1 passes the cross-field check
+    path = _edited_plan(plan_file, tmp_path, sequence=[first], ts=["100"])
     poly = tmp_path / "poly.json"
     poly.write_text(canonical_dumps(poly_to_json(random_trigpoly([(1, 100)]))))
     extra = {"project": ["--poly", str(poly)],
@@ -350,10 +337,9 @@ def test_bool_for_int_in_plan_exits_2(capsys, plan_file, tmp_path, command, K,
 
 
 def test_riesz_spectrum_reports_claim_b_collision(capsys, plan_file, tmp_path):
-    # consistent radii, but 1 + 2 = 3 in the first coordinate, a collision
-    # the ratio check rejects at n_2 (2 < 3 * 1)
-    path = _edited_plan(plan_file, tmp_path, K=3,
-                        sequence=[[1, 1], [2, 5], [3, 9]], radii=[0, 2, 9],
+    # 1 + 2 = 3 in the first coordinate, a collision the ratio check
+    # rejects at n_2 (2 < 3 * 1)
+    path = _edited_plan(plan_file, tmp_path, sequence=[[1, 1], [2, 5], [3, 9]],
                         ts=["100", "16000", "160000"])
     code, payload, _ = run(capsys, "riesz-spectrum", "--plan", path)
     assert code == 3
@@ -362,11 +348,9 @@ def test_riesz_spectrum_reports_claim_b_collision(capsys, plan_file, tmp_path):
 
 
 def test_riesz_spectrum_reports_claim_a_escape(capsys, plan_file, tmp_path):
-    # radii consistent with the sequence, but D_2 = 10 - 100 < 0 leaves
-    # B_2 empty, so the first pattern (-1, -1) would escape; the negative
-    # coordinate of n_1 is rejected first
-    path = _edited_plan(plan_file, tmp_path,
-                        sequence=[[10, -100], [126, 16000]], radii=[0, -90])
+    # D_2 = 10 - 100 < 0 leaves B_2 empty, so the first pattern (-1, -1)
+    # would escape; the negative coordinate of n_1 is rejected first
+    path = _edited_plan(plan_file, tmp_path, sequence=[[10, -100], [126, 16000]])
     code, payload, _ = run(capsys, "riesz-spectrum", "--plan", path)
     assert code == 3
     assert payload == {"failure": "not_lacunary", "stage": "riesz",
@@ -517,8 +501,8 @@ def test_techprop_pair_past_double_range(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("m", [[101.7, 100], [1, 2, 3], ["x", 100],
-                               [True, 100]],
-                         ids=["float", "long", "str", "bool"])
+                               [True, 100], [0, 100]],
+                         ids=["float", "long", "str", "bool", "zero"])
 def test_techprop_rejects_bad_pair(capsys, tmp_path, m):
     pair = tmp_path / "pair.json"
     pair.write_text(json.dumps({"m": m, "n": [100, 100]}))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 from collections import Counter
@@ -20,7 +21,7 @@ from paleykit.orchestrator import (
     run_construction,
 )
 
-from paleykit.sequence import Q_S_LIMIT
+from paleykit.sequence import Q_S_LIMIT, LacunaryPlan
 from paleykit.serialization import canonical_dumps
 
 from helpers import count_sign_patterns, witness_corpus
@@ -52,37 +53,46 @@ def test_full_run_succeeds(tiny_report):
 D4 = {(2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)}
 
 
-@pytest.mark.parametrize("maximal, config, pin", [
+@pytest.mark.parametrize("maximal, config, pin, derived", [
     ({(2, 0), (0, 1)}, dict(K=2, composite_count=3),
-     "938bc70dfc45089f12d32676e5cf46e5ec5a19182d3d89381bb0c3e07ac1b8be"),
+     "2b9b27707a0414b5b7e432c437222e32ccab5bac374f557e4b9b3de522239c74",
+     (2, [0, 110], 1j, 0.99225)),
     ({(2, 0), (0, 1)}, {},
-     "8408f0ad71ed36e9a040b89784d0b7ef5d785bedb8526cef298006e5d7b1f032"),
+     "3563e2ea0f57eb03370c7480bdbcf9006a6498ff496a1652e5e15749c76fdc3e",
+     (4, [0, 110, 16236, 327714338], 1j, 1.0000000001274358)),
     ({(3, 0), (2, 1), (0, 2)}, {},
-     "87b01f6c3c4d5bdef29c8ee7a6358be5101bbfb331ab120224a95ae51684cdd9"),
+     "c977bf82cdec4fec6169f2ba47c8f8546428743b934f4540a5ce9d80a7e97da6",
+     (4, [0, 13, 282, 103002], 1j, 1.0000010376178337)),
     (D4, {},
-     "6f5c5d07d0964189c4aa05001b14c851b6dd99b25aa95fe2ac636fe4b63c671b"),
+     "9705e53cc06b7b55018e3bee2e8f2d2da49c7c5ff37a6ddd7b6cd9d36d316ba8",
+     (4, [0, 130, 32667, 1310861279], 1j, 1.0000000001274358)),
     ({(2, 0), (0, 3)}, {},
-     "84ac29de8a495f80f9d884dbbf4bb0ca9088a798e89e8d9afd6d1c5374a506e2"),
+     "a36071fc2f929d9c06d0dd262e3864aa4f3b13a328013d5c095a3dc7343a55ed",
+     (4, [0, 10464, 1437277, 2265902525], -1j, 0.999999999759827)),
 ], ids=["S_ref_K2", "S_ref", "S3021", "d4", "S_retry"])
-def test_report_bytes_pinned_with_the_schema_version(maximal, config, pin):
+def test_report_bytes_pinned_with_the_schema_version(maximal, config, pin, derived):
     # replay forgives 1e-12 relative, so a report field that moves in its
     # last bits needs a new SCHEMA_VERSION and a new pin here; the Paley
-    # block stays out, as its eigenvalue bits depend on the BLAS
+    # block stays out, as its eigenvalue bits depend on the BLAS.  derived
+    # holds the K, radii, tau and ell_hat that schema 6 reports stored.
     s = Smoothness.from_indices(saturate(maximal))
     rep = run_construction(s, OrchestratorConfig(matrix_dims=(), **config))
     d = report_to_json(rep)
     d.pop("timings")
     digest = hashlib.sha256(canonical_dumps(d).encode()).hexdigest()
-    assert (SCHEMA_VERSION, digest) == (6, pin)
+    assert (SCHEMA_VERSION, digest) == (7, pin)
+    plan = rep.plan
+    assert (plan.K, plan.radii, plan.tau, plan.ell_hat) == derived
 
 
 @pytest.mark.parametrize("field, value", [
     ("composite_count", 0), ("seed", -1), ("seed", 2.5),
-    ("seed", True), ("K", 0), ("K", 2.5)])
+    ("seed", True), ("K", 0), ("K", 2.5), ("t0", 1), ("q", 1), ("t0", True)])
 def test_config_that_empties_a_gate_is_rejected(monkeypatch, field, value):
     # zero composite samples would report an error of 0.0; seed -1
     # and 2.5 used to fail in numpy inside the composite stage, seed True
-    # to run as seed 1, and K 2.5 to raise TypeError in the sequence stage
+    # to run as seed 1, K 2.5 to raise TypeError in the sequence stage,
+    # and t0 or q 1 to raise ConstructionError there after the witness search
     def no_stage(s):
         raise AssertionError("a stage ran")
 
@@ -325,9 +335,18 @@ def test_readme_names_the_schema_version():
     assert re.findall(r"Reports are schema (\d+)", readme) == [str(SCHEMA_VERSION)]
 
 
+def test_readme_names_the_plan_fields():
+    # a field added to LacunaryPlan, such as a stored copy of a derived
+    # value, must be named in README too
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (sentence,) = re.findall(r"A plan stores the fields ([^.]*)\.", readme)
+    assert re.findall(r"`(\w+)`", sentence) == [
+        f.name for f in dataclasses.fields(LacunaryPlan)]
+
+
 def test_report_json_shape(tiny_report):
     d = report_to_json(tiny_report)
-    assert d["schema_version"] == 6
+    assert d["schema_version"] == 7
     assert d["paley"]["per_dim"]["1"]["sup_ratio"] > 0.0
     assert set(d["timings"]) == {"property_o", "sequence", "riesz",
                                  "composite", "paley"}

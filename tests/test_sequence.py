@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import product
@@ -7,25 +8,23 @@ import numpy as np
 import pytest
 
 from paleykit import sequence
-from paleykit.errors import ConstructionError, SingularFrequencyError, StageFailure
+from paleykit.errors import ConstructionError, StageFailure
 from paleykit.multiindex import Smoothness, q_s_eval, saturate, symbol_abs_int
-from paleykit.property_o import find_witness
+from paleykit.property_o import PropertyOWitness, find_witness
 from paleykit.riesz import riesz_coeffs
 from paleykit.sequence import (
     ball_count,
-    bk_radius,
     build_sequence,
     certified_rho,
     check_conditions,
     closeness_bounds,
     compute_tau,
-    estimate_ell,
     integer_nth_root,
     round_rational_power,
     techprop_quantities,
 )
 
-from helpers import _offsets, estimate_rho_de, stepwise_doubling, symbol_eval
+from helpers import _offsets, bk_radius, estimate_rho_de, stepwise_doubling, symbol_eval
 
 
 def ref_smoothness():
@@ -115,9 +114,19 @@ def test_build_sequence_errors():
         build_sequence(S, w, 0, 100, 10)
     with pytest.raises(ConstructionError):
         build_sequence(S, w, 2, 1, 10)
-    bad = ((2, 0), (0, 1), (Fraction(1, 3), 1))
+    bad = PropertyOWitness(alpha=(2, 0), beta=(0, 1), c=(Fraction(1, 3), Fraction(1)),
+                           t_star=Fraction(1, 3))
     with pytest.raises(ConstructionError):
         build_sequence(S, bad, 2, 100, 10)
+
+
+def test_derived_fields_follow_the_sequence():
+    # K and the radii are read from the sequence, so a shortened plan
+    # cannot keep the K = 4 and the four radii of the plan it came from
+    plan = ref_plan()
+    p = replace(plan, sequence=plan.sequence[:2])
+    assert p.K == 2
+    assert p.radii == [bk_radius(p.sequence, k) for k in (1, 2)] == [0, 110]
 
 
 # (maximal members, t0, q): the exact_scan witness sets, two d = 3 sets,
@@ -183,16 +192,6 @@ def test_reference_build_round_rational_power_calls(monkeypatch):
     monkeypatch.setattr(sequence, "round_rational_power", counted)
     ref_plan()
     assert len(calls) == 56
-
-
-def test_estimate_ell():
-    est = estimate_ell((2, 0), (0, 1), [(10, 100)])
-    assert est.exact == 1 and est.drift == 0.0
-    # 31^2 = 961 on both axes at t = 961
-    est = estimate_ell((2, 0), (0, 1), [(10, 100), (31, 961)])
-    assert est.exact == Fraction(961, 961) == 1
-    with pytest.raises(ValueError):
-        estimate_ell((2, 0), (0, 1), [(0, 5)])
 
 
 def test_bk_radius():
@@ -359,7 +358,7 @@ def test_techprop_decay():
 
 def test_techprop_singular():
     S = Smoothness.from_indices(saturate({(1, 0), (0, 1)}))
-    with pytest.raises(SingularFrequencyError):
+    with pytest.raises(ValueError, match="zero coordinate"):
         techprop_quantities(S, (0, 5), (1, 1))
 
 

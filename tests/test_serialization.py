@@ -117,7 +117,7 @@ def test_plan_encoding_bytes_pinned():
     # every field of the plan, its condition report included
     text = canonical_dumps(PLAN)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "464742fb258e9db10438890d818660b8703c2dfa4e60b131d6673e03e7c8d80b")
+        "5b6a84063b60354c2b58682dbead2ca192ff21291098d1965b20697b7e98acb8")
 
 
 def test_condition_report_round_trip():
@@ -127,10 +127,17 @@ def test_condition_report_round_trip():
 
 
 def test_schema_5_plan_still_decodes():
-    # schema 5 plans carried ell_hat and ell_drift twice, in the plan and
-    # in its condition report; the report's copies are read and dropped
+    # schema 6 plans stored K, the radii, tau, ell_hat and ell_drift,
+    # and schema 5 plans also stored ell_hat and ell_drift in their
+    # condition report; every copy is read and dropped
     d = to_jsonable(PLAN)
-    assert set(d["report"]).isdisjoint({"ell_hat", "ell_drift"})
+    copies = {"K": 4, "radii": [0, 110, 16236, 327714338],
+              "tau": {"re": 0.0, "im": 1.0}, "ell_hat": 1.0000000001274358,
+              "ell_drift": 7.336298344500445e-06}
+    assert set(d).isdisjoint(copies)
+    assert set(d["report"]).isdisjoint(copies)
+    d.update(copies)
+    assert to_jsonable(plan_from_json(d)) == to_jsonable(PLAN)
     d["report"].update(ell_hat=d["ell_hat"], ell_drift=d["ell_drift"])
     assert to_jsonable(plan_from_json(d)) == to_jsonable(PLAN)
 
@@ -140,17 +147,11 @@ def test_schema_5_plan_still_decodes():
     (("witness", "c", 0), "1/0"),
     (("ts", 1), "x"),
     (("q",), 10),
-    (("K",), "4"),
     (("sequence",), 5),
-    (("tau",), [0, 1]),
     # each field decodes, but the plan disagrees with itself
-    (("K",), 5),
-    (("K",), 3),
-    (("radii", 1), 3),
     (("ts",), ["100"]),
-    # a bool is not an int, though a 1-term plan would pass every
+    # a bool is not an int, though a 1-term plan would pass the
     # cross-field check with it read as 1
-    (("K",), True),
     (("sequence", 0, 0), True),
 ])
 def test_plan_from_json_rejects_malformed(path, value):
