@@ -15,7 +15,6 @@ from .crnorm import (
     khintchine_ratio,
 )
 from .errors import (
-    ConstructionError,
     InfeasibleError,
     InvalidSmoothnessError,
     PaleykitError,

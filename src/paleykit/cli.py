@@ -17,12 +17,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .crnorm import cr_norm
-from .errors import (
-    ConstructionError,
-    InvalidSmoothnessError,
-    PaleykitError,
-    StageFailure,
-)
+from .errors import InvalidSmoothnessError, PaleykitError, StageFailure
 from .multiindex import Smoothness
 from .operators import paley_project
 from .orchestrator import OrchestratorConfig, paley_probe, report_to_json, run_construction
@@ -286,8 +281,6 @@ def _failure(exc):
         if exc.details:
             payload["details"] = to_jsonable(exc.details)
         return 3, payload, "failed at stage %s: %s" % (exc.stage, exc.reason)
-    if isinstance(exc, ConstructionError):
-        return 3, {"failure": type(exc).__name__, "error": str(exc)}, "error: %s" % exc
     text = str(exc) if isinstance(exc, PaleykitError) else "%s: %s" % (
         type(exc).__name__, exc)
     return 1, {"error": text}, "internal error: %s" % exc

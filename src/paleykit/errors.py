@@ -17,10 +17,6 @@ class InfeasibleError(PaleykitError):
     """The linear program has no feasible point."""
 
 
-class ConstructionError(PaleykitError):
-    """A lacunary-sequence or operator construction cannot be completed."""
-
-
 class StageFailure(PaleykitError):
     """A pipeline stage failed in a structured, reportable way.
 

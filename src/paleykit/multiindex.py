@@ -19,6 +19,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
 from .errors import InvalidSmoothnessError
@@ -62,6 +63,18 @@ def int_at_least(name, value, low):
     v = int_tuple((value,))[0]
     if v < low:
         raise ValueError("need %s >= %d, got %r" % (name, low, value))
+    return v
+
+
+def fraction_above_one(name, value):
+    """value as a Fraction; ValueError unless it reads as one greater
+    than 1 (True reads as 1)."""
+    try:
+        v = Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        v = 0
+    if v <= 1:
+        raise ValueError("need %s > 1, got %r" % (name, value))
     return v
 
 

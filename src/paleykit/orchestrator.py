@@ -9,15 +9,12 @@ from the report's own inputs and compares field by field, which is the
 artifact's reproducibility guarantee.
 """
 
-import itertools
 import sys
 import time
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
-from .errors import StageFailure
-from .multiindex import (int_at_least, int_tuple, over_root, q_s_eval, symbol_abs_int,
-                         symbol_phase)
+from .multiindex import (fraction_above_one, int_at_least, int_tuple, over_root, q_s_eval,
+                         symbol_abs_int, symbol_phase)
 from .operators import (
     PaleySampler,
     build_pipeline,
@@ -25,12 +22,11 @@ from .operators import (
     estimate_paley_constant,
 )
 from .property_o import find_witness_or_fail
-from .sequence import build_sequence
+from .sequence import build_until_met
 from .serialization import plan_digest, to_jsonable
 from .trigpoly import random_trigpoly
 
 SCHEMA_VERSION = 7
-SCHEDULE_BITS = 2048  # the schedule's denominator budget; see _build_with_retries
 
 
 @dataclass
@@ -71,25 +67,6 @@ class ConstructionReport:
     composite_max_rel_error: float
     paley: dict
     timings: dict = field(default_factory=dict)
-
-
-def _build_with_retries(s, witness, config):
-    """(plan, retries) for the first of the schedules (t0, q), (t0^2,
-    q^2), ... whose plan meets conditions (i), (iii) and (iv), which hold
-    once t0 is large enough.  No count caps the loop: check_conditions'
-    range rule ends it, and so does a squaring that takes t0's or q's
-    denominator past SCHEDULE_BITS bits, with StageFailure("sequence",
-    "schedule_budget", {"retries": r}) after r squarings: near 1 each
-    squaring doubles that bit length but barely raises Q_S(n_K)."""
-    t0, q = Fraction(config.t0), Fraction(config.q)
-    for attempt in itertools.count():
-        plan = build_sequence(s, witness, config.K, t0, q)
-        rep = plan.report
-        if rep.cond_i and rep.bound_iii_met and rep.bound_iv_met:
-            return plan, attempt
-        t0, q = t0 * t0, q * q
-        if max(t0.denominator, q.denominator).bit_length() > SCHEDULE_BITS:
-            raise StageFailure("sequence", "schedule_budget", {"retries": attempt + 1})
 
 
 def _composite_check(plan, pipeline, config):
@@ -162,28 +139,27 @@ def paley_probe(plan, config):
 def run_construction(s, config=None):
     """Execute every stage on the smoothness set and report.
 
-    Raises StageFailure naming the first failing stage; in particular a
-    set without the required witness fails at stage property_o, and one
-    whose schedule runs out first at stage sequence (see
-    _build_with_retries).  Before any stage runs, a config raises
-    ValueError unless K >= 1, seed >= 0 and composite_count >= 1 are
-    integers (numpy integers pass, a float or a bool does not): with no
-    composite sample the composite check would report on nothing.  So
-    does a config whose t0 or q does not read as a Fraction greater than
-    1 (True reads as 1), and one the Paley probe cannot run on (see
-    _check_paley_config).
+    Raises StageFailure naming the first failing stage, as (stage,
+    reason) with its details:
+      * property_o, no_witness {"smoothness"}: the set has no witness;
+      * sequence, q_s_overflow {"k"}: Q_S(n_k) reaches Q_S_LIMIT;
+      * sequence, schedule_budget {"retries"}: the schedule's
+        denominators pass SCHEDULE_BITS bits (see build_until_met);
+      * sequence, doubling_budget {"k"}: MAX_DOUBLINGS doublings of t_k
+        leave n_k inadmissible;
+      * riesz, not_lacunary {"k"}: the sequence is not lacunary.
+    Before any stage runs, a config raises ValueError unless K >= 1, seed
+    >= 0 and composite_count >= 1 are integers (numpy integers pass, a
+    float or a bool does not): with no composite sample the composite
+    check would report on nothing.  So does a config whose t0 or q does
+    not read as a Fraction greater than 1 (True reads as 1), and one the
+    Paley probe cannot run on (see _check_paley_config).
     """
     config = config or OrchestratorConfig()
     for name, low in (("K", 1), ("seed", 0), ("composite_count", 1)):
         int_at_least(name, getattr(config, name), low)
     for name in ("t0", "q"):
-        value = getattr(config, name)
-        try:
-            ok = Fraction(value) > 1
-        except (TypeError, ValueError, OverflowError):
-            ok = False
-        if not ok:
-            raise ValueError("need %s > 1, got %r" % (name, value))
+        fraction_above_one(name, getattr(config, name))
     if config.matrix_dims:
         _check_paley_config(config)
     timings = {}
@@ -193,7 +169,7 @@ def run_construction(s, config=None):
     timings["property_o"] = time.perf_counter() - t
 
     t = time.perf_counter()
-    plan, retries_used = _build_with_retries(s, witness, config)
+    plan, retries_used = build_until_met(s, witness, config.K, config.t0, config.q)
     timings["sequence"] = time.perf_counter() - t
 
     t = time.perf_counter()
@@ -211,7 +187,7 @@ def run_construction(s, config=None):
 
     return ConstructionReport(
         schema_version=SCHEMA_VERSION,
-        smoothness=s,
+        smoothness=plan.smoothness,
         config=config,
         witness=witness,
         plan=plan,

@@ -22,6 +22,7 @@ maximal members (a box has one, so it solves none).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import InfeasibleError, StageFailure, UnboundedError
 from .multiindex import Smoothness, order
@@ -101,34 +102,25 @@ def find_witness(smoothness):
 
     The pair LP is symmetric in alpha and beta (the same constraints in
     another order), so (alpha, beta) and (beta, alpha) have one verdict.
-    The scan returns at the first pair that qualifies, so the mirror of
-    any pair solved before can only fail, and it is skipped: each
-    unordered pair is solved at most once, and the first qualifying
-    pair is the same.
+    The scan returns at the first pair that qualifies, so the mirror
+    (beta, alpha) of a pair solved before can only fail: the scan solves
+    each unordered pair once, as combinations lists it, alpha the earlier
+    maximal member, and the first qualifying pair is the same.
     """
     S = Smoothness.coerce(smoothness)
     members = S.sorted_indices()
-    tops = S.maximal()
-    solved = set()
-    for alpha in tops:
-        for beta in tops:
-            if (order(alpha) - order(beta)) % 2 == 0 or (beta, alpha) in solved:
-                continue
-            solved.add((alpha, beta))
-            try:
-                res = _pair_lp(S.dim, members, alpha, beta)
-            except (InfeasibleError, UnboundedError):
-                continue
-            if res.value > 0:
-                c = tuple(res.x[:-1])
-                w = PropertyOWitness(
-                    alpha=alpha, beta=beta, c=c, t_star=res.value
-                )
-                if not verify_witness(S, alpha, beta, c):
-                    raise AssertionError(
-                        "LP optimum failed exact re-verification"
-                    )
-                return w
+    for alpha, beta in combinations(S.maximal(), 2):
+        if (order(alpha) - order(beta)) % 2 == 0:
+            continue
+        try:
+            res = _pair_lp(S.dim, members, alpha, beta)
+        except (InfeasibleError, UnboundedError):
+            continue
+        if res.value > 0:
+            c = tuple(res.x[:-1])
+            if not verify_witness(S, alpha, beta, c):
+                raise AssertionError("LP optimum failed exact re-verification")
+            return PropertyOWitness(alpha=alpha, beta=beta, c=c, t_star=res.value)
     return None
 
 

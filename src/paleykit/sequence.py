@@ -13,8 +13,10 @@ of times such that
     strictly below min_j n_k(j)   (condition (i)),
   * the first coordinates grow by a factor >= 3 (Hadamard lacunarity),
   * min_j n_k(j) strictly increases.
-All lattice arithmetic is exact (Python integers / Fractions); floats
-appear only in reported sums.
+build_until_met squares the schedule (t0, q) until the smallness
+conditions hold; every way this stage stops is a StageFailure at stage
+"sequence", one for each budget below.  All lattice arithmetic is exact
+(Python integers / Fractions); floats appear only in reported sums.
 
 The module also carries the finite-truncation checks of the four
 sequence conditions (condition (iv) summed over the Riesz spectrum
@@ -29,15 +31,21 @@ rho(D, eps) (see closeness_bounds).
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, count, product
 from typing import Optional
 
-from .errors import ConstructionError, StageFailure
-from .multiindex import (PHASES, Smoothness, int_tuple, order, over_root, q_s_eval,
-                         symbol_abs_int, symbol_phase)
+from .errors import StageFailure
+from .multiindex import (PHASES, Smoothness, fraction_above_one, int_at_least, int_tuple,
+                         order, over_root, q_s_eval, symbol_abs_int, symbol_phase)
 from .property_o import PropertyOWitness, verify_witness
 
-Q_S_LIMIT = 2**1000  # check_conditions' range rule
+# The stage's three budgets, each ending in a StageFailure at stage
+# "sequence": check_conditions' range rule (q_s_overflow), the bit length
+# of the schedule's denominators in build_until_met (schedule_budget) and
+# the doublings of each t_k in build_sequence (doubling_budget).
+Q_S_LIMIT = 2**1000
+SCHEDULE_BITS = 2048
+MAX_DOUBLINGS = 10000
 
 
 def compute_tau(alpha, beta):
@@ -159,14 +167,16 @@ def pattern_frequency(sequence, d, dim):
     return tuple(sum(dk * n[j] for dk, n in zip(d, sequence)) for j in range(dim))
 
 
-def build_sequence(S, witness, K, t0, q, max_doublings=10000):
+def build_sequence(S, witness, K, t0, q):
     """Construct a K-term plan on the witness power curve.
 
     t0 and q (both > 1) set the nominal schedule t_k = t0 * q^{k-1};
     each t_k is then doubled until the plan invariants hold at index k:
-    t_k * 2^j for the least j in [0, max_doublings] at which n_k is
-    admissible, else ConstructionError.  The attached ConditionReport
-    comes from check_conditions.
+    t_k * 2^j for the least j in [0, MAX_DOUBLINGS] at which n_k is
+    admissible, else StageFailure("sequence", "doubling_budget", {"k":
+    k}).  The attached ConditionReport comes from check_conditions.  K,
+    t0 and q are checked as run_construction checks them, and with a
+    witness that fails verify_witness they raise ValueError.
 
     The least j is found by galloping and bisection (_least_doubling),
     not by trying j = 0, 1, 2, ... in turn, and both give the same j,
@@ -178,14 +188,10 @@ def build_sequence(S, witness, K, t0, q, max_doublings=10000):
     larger t.
     """
     S = Smoothness.coerce(S)
+    K = int_at_least("K", K, 1)
+    t0, q = fraction_above_one("t0", t0), fraction_above_one("q", q)
     if not verify_witness(S, witness.alpha, witness.beta, witness.c):
-        raise ConstructionError("witness fails exact verification")
-    if K < 1:
-        raise ConstructionError("cannot build an empty plan (K >= 1)")
-    t0 = Fraction(t0)
-    q = Fraction(q)
-    if t0 <= 1 or q <= 1:
-        raise ConstructionError("need t0 > 1 and q > 1")
+        raise ValueError("witness fails exact verification")
 
     c = witness.c
     ts = []
@@ -193,11 +199,9 @@ def build_sequence(S, witness, K, t0, q, max_doublings=10000):
     d_running = 0
     for k in range(1, K + 1):
         t = t0 * q ** (k - 1)
-        j, n = _least_doubling(t, c, points, d_running, max_doublings)
+        j, n = _least_doubling(t, c, points, d_running)
         if n is None:
-            raise ConstructionError(
-                "doubling did not reach an admissible n_%d" % k
-            )
+            raise StageFailure("sequence", "doubling_budget", {"k": k})
         ts.append(t * 2**j)
         points.append(n)
         d_running += sum(n)
@@ -218,11 +222,11 @@ def build_sequence(S, witness, K, t0, q, max_doublings=10000):
     return plan
 
 
-def _least_doubling(t, c, points, d_running, max_doublings):
-    """(j, n) for the least j in [0, max_doublings] at which n = n(t 2^j)
+def _least_doubling(t, c, points, d_running):
+    """(j, n) for the least j in [0, MAX_DOUBLINGS] at which n = n(t 2^j)
     is admissible, or (None, None) if there is none.
 
-    Probes j = 0, then gallops j = 1, 2, 4, ... (capped at max_doublings)
+    Probes j = 0, then gallops j = 1, 2, 4, ... (capped at MAX_DOUBLINGS)
     to the first admissible probe and bisects the gap behind it.
     Admissibility is monotone in j (see build_sequence), so this finds
     the j the plain loop j = 0, 1, 2, ... stops at.
@@ -235,7 +239,7 @@ def _least_doubling(t, c, points, d_running, max_doublings):
         return 0, n
     lo, hi = 0, 1  # n(t 2^lo) is inadmissible
     while True:
-        hi = min(hi, max_doublings)
+        hi = min(hi, MAX_DOUBLINGS)
         if hi <= lo:
             return None, None
         n = point(hi)
@@ -259,6 +263,54 @@ def _admissible(n, points, d_running):
     return (min(n) > d_running  # condition (i): D_k < min_j n_k(j)
             and n[0] >= 3 * prev[0]  # first-coordinate Hadamard ratio
             and min(n) > min(prev))  # strict growth of the minimum
+
+
+def build_until_met(S, witness, K, t0, q):
+    """(plan, retries) for the first of the schedules (t0, q), (t0^2,
+    q^2), ... whose plan meets conditions (i), (iii) and (iv).  No count
+    caps the loop: check_conditions' range rule ends it, and so does a
+    squaring that takes t0's or q's denominator past SCHEDULE_BITS bits,
+    with StageFailure("sequence", "schedule_budget", {"retries": r})
+    after r squarings: near 1 each squaring doubles that bit length but
+    barely raises Q_S(n_K).
+
+    Why squaring ends.  Condition (i) holds for every plan, by the
+    doubling.  Put t* = min_j c_j, s = max_j c_j - t* and r(n) = n^alpha /
+    n^beta, so that ell = r(n_K).  s > 0, since equal weights would give
+    |alpha| = |beta|, against their opposite parity.
+    (1) Each coordinate of n(t) is t^{c_j} (1 + theta) with |theta| <=
+        t^{-c_j} / 2 <= 1/2, and <alpha - beta, c> = 0, so |log r(n(t))|
+        <= x(t) = (|alpha| + |beta|) t^{-t*}: on the witness curve r -> 1.
+    (2) As beta is in S, the (iii) term at n_k is at most |r(n_k) - ell|
+        <= 2 x(t_k) + 2 x(t_K), once x <= 1, so sum_iii <= 4 (|alpha| +
+        |beta|) sum_{k<K} t_k^{-t*} = O(t0^{-t*}).
+    (3) A spectrum point m = n_k + sum_{j<k} d_j n_j of B_k has |m_i -
+        n_k(i)| <= eps_k n_k(i) for eps_k = max_i sum_{j<k} n_j(i) /
+        n_k(i).  Steps (1)-(4) of closeness_bounds hold with eps_k for
+        delta, so with u_k = ((1 + eps_k)/(1 - eps_k))^g the (iv) term at
+        m is at most term(n_k) + (1 + ell)(u_k - 1), and sum_iv <= sum_k
+        (3^{k-1} - 1)(term(n_k) + (1 + ell)(u_k - 1)).
+    (4) Condition (i) gives t_k^{t*} > D_k >= |n_{k-1}|_1 >=
+        t_{k-1}^{t* + s} up to rounding, and t_j < t_k for j < k, so by
+        (1) eps_k <= 3 (k - 1) (t_{k-1} / t_k)^{t*}, about 3 (k - 1)
+        t_{k-1}^{-s} = O(K t0^{-s}), and u_k - 1 is about 2 g eps_k.
+    So at fixed K, sum_iii = O(t0^{-t*}) and sum_iv = O(3^K (t0^{-t*} +
+    g K t0^{-s})), with constants fixed by S and K, and a squaring
+    squares t0: both sums fall doubly exponentially in the squarings
+    until they meet 1/2 and 1.  Not delta_k = D_k / min n_k of
+    closeness_bounds: the least doubling keeps it near 1 (0.74-0.99 on
+    saturate{(2,0),(0,1)} and saturate{(2,0),(0,3)} over four
+    squarings), while eps_k falls like t0^{-s} there.
+    """
+    t0, q = Fraction(t0), Fraction(q)
+    for retries in count():
+        plan = build_sequence(S, witness, K, t0, q)
+        rep = plan.report
+        if rep.cond_i and rep.bound_iii_met and rep.bound_iv_met:
+            return plan, retries
+        t0, q = t0 * t0, q * q
+        if max(t0.denominator, q.denominator).bit_length() > SCHEDULE_BITS:
+            raise StageFailure("sequence", "schedule_budget", {"retries": retries + 1})
 
 
 def witness_numerator(plan, nu):

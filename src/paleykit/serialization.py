@@ -111,12 +111,16 @@ def from_jsonable(cls, data):
 
 
 def plan_from_json(d):
-    """A plan, checked across fields: len(ts) = len(sequence) >= 1.  Keys
+    """A plan, checked across fields: len(ts) = len(sequence) >= 1, and
+    each point of sequence has the smoothness set's dimension.  Keys
     that name no field, such as the derived values schema 6 and older
     stored, are ignored."""
     plan = from_jsonable(LacunaryPlan, d)
     if not len(plan.ts) == len(plan.sequence) >= 1:
         raise ValueError("plan needs len(ts) = len(sequence) >= 1")
+    dim = plan.smoothness.dim
+    if any(len(n) != dim for n in plan.sequence):
+        raise ValueError("each point of the plan's sequence needs %d coordinates" % dim)
     return plan
 
 

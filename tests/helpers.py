@@ -10,9 +10,10 @@ from fractions import Fraction
 
 import numpy as np
 
+import paleykit.sequence
 from paleykit import riesz
 from paleykit.crnorm import MatrixSequence
-from paleykit.errors import ConstructionError, InfeasibleError, StageFailure, UnboundedError
+from paleykit.errors import InfeasibleError, StageFailure, UnboundedError
 from paleykit.multiindex import Smoothness, int_tuple, saturate, symbol_abs_int, symbol_phase
 from paleykit.operators import (
     _coeff_l2,
@@ -158,11 +159,12 @@ def matrixseq_to_json(ms):
     return {"mdim": ms.mdim, "matrices": to_jsonable(ms.matrices)}
 
 
-def stepwise_doubling(c, K, t0, q, max_doublings=10000):
+def stepwise_doubling(c, K, t0, q):
     """The doubling of build_sequence one step at a time: for each k,
     t = t0 q^{k-1} doubled until n(t) is admissible.  Returns (ts,
-    sequence, radii), or raises the ConstructionError build_sequence
-    raises.  It is the oracle that the galloping search must match."""
+    sequence, radii), or raises the StageFailure build_sequence raises
+    past sequence.MAX_DOUBLINGS, read at call time.  It is the oracle
+    that the galloping search must match."""
     ts, points, radii = [], [], []
     d_running = 0
     for k in range(1, K + 1):
@@ -174,10 +176,8 @@ def stepwise_doubling(c, K, t0, q, max_doublings=10000):
                 break
             t *= 2
             doubles += 1
-            if doubles > max_doublings:
-                raise ConstructionError(
-                    "doubling did not reach an admissible n_%d" % k
-                )
+            if doubles > paleykit.sequence.MAX_DOUBLINGS:
+                raise StageFailure("sequence", "doubling_budget", {"k": k})
         ts.append(t)
         radii.append(d_running)
         points.append(n)
@@ -505,7 +505,7 @@ def estimate_rho_de(S, D, eps, sampler=None):
                 "note": "empirical, not a proof",
             }
         rho *= 2
-    raise ConstructionError(
+    raise RuntimeError(
         "no rho <= %d passed the (D=%d, eps=%g) sweep" % (sampler.rho_limit, D, eps)
     )
 

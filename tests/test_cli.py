@@ -13,6 +13,7 @@ import pytest
 
 from paleykit.cli import _COMMANDS, _build_parser, main
 from paleykit.crnorm import MatrixSequence
+from paleykit.errors import StageFailure
 from paleykit.multiindex import Smoothness, saturate
 from paleykit.operators import PaleySampler, estimate_paley_constant
 from paleykit.orchestrator import (
@@ -25,6 +26,7 @@ from paleykit.sequence import build_sequence
 from paleykit.serialization import (
     canonical_dumps,
     poly_to_json,
+    to_jsonable,
 )
 from paleykit.trigpoly import random_trigpoly
 
@@ -336,6 +338,20 @@ def test_bool_for_int_in_plan_exits_2(capsys, plan_file, tmp_path, command, firs
     assert "bad plan file" in payload["error"]
 
 
+@pytest.mark.parametrize("command", ["riesz-spectrum", "estimate-paley"])
+@pytest.mark.parametrize("sequence", [[[10, 100], [126]], [[10, 100, 5], [126, 16000, 700]]],
+                         ids=["short", "long"])
+def test_plan_point_without_the_set_dimension_exits_2(capsys, plan_file, tmp_path,
+                                                      command, sequence):
+    # riesz-spectrum used to exit 1 on the short point and print a 3-d
+    # spectrum for the long ones; estimate-paley the other way round
+    path = _edited_plan(plan_file, tmp_path, sequence=sequence)
+    extra = ["--count", "1", "--grid-n", "21"] if command == "estimate-paley" else []
+    code, payload, _ = run(capsys, command, "--plan", path, *extra)
+    assert code == 2
+    assert "coordinates" in payload["error"]
+
+
 def test_riesz_spectrum_reports_claim_b_collision(capsys, plan_file, tmp_path):
     # 1 + 2 = 3 in the first coordinate, a collision the ratio check
     # rejects at n_2 (2 < 3 * 1)
@@ -561,22 +577,34 @@ def test_bad_rational_flag_exits_2(capsys, value):
     assert code == 2
 
 
-def test_run_all_no_witness(capsys):
-    code, payload, _ = run(capsys, "run-all", "--indices", "0,0;1,0;0,1;1,1",
-                           "--K", "2")
-    assert code == 3
-    assert payload["stage"] == "property_o"
+NEAR_ONE = Fraction(1000001, 1000000)
+# (maximal members, config fields, stage, reason, details as JSON): each
+# way a run stops
+STOPS = [
+    ({(1, 1)}, {}, "property_o", "no_witness",
+     {"smoothness": {"dim": 2, "indices": [[0, 0], [0, 1], [1, 0], [1, 1]]}}),
+    # the squared schedule puts Q_S(n_4) beyond double range
+    ({(4, 0), (0, 1)}, {"t0": 10000, "q": 100}, "sequence", "q_s_overflow", {"k": 4}),
+    ({(2, 0), (0, 3)}, {"t0": NEAR_ONE, "q": NEAR_ONE}, "sequence", "schedule_budget",
+     {"retries": 7}),
+    ({(100, 0), (0, 1)}, {"K": 3}, "sequence", "doubling_budget", {"k": 3}),
+]
 
 
-def test_run_all_q_s_overflow_is_stage_failure(capsys):
-    # the squared schedule puts Q_S(n_4) of {(4,0),(0,1)} beyond double
-    # range
-    code, payload, _ = run(capsys, "run-all", "--indices",
-                           "0,0;1,0;2,0;3,0;4,0;0,1", "--matrix-dim", "1",
-                           "--t0", "10000", "--q", "100")
+@pytest.mark.parametrize("maximal, fields, stage, reason, details", STOPS,
+                         ids=[stop[3] for stop in STOPS])
+def test_run_all_stops_with_one_stage_failure(capsys, maximal, fields, stage, reason,
+                                              details):
+    s = Smoothness.from_indices(saturate(maximal))
+    with pytest.raises(StageFailure) as exc:
+        run_construction(s, OrchestratorConfig(matrix_dims=(), **fields))
+    assert (exc.value.stage, exc.value.reason, to_jsonable(exc.value.details)) == (
+        stage, reason, details)
+    indices = ";".join(",".join(map(str, g)) for g in s.sorted_indices())
+    flags = [text for name, v in fields.items() for text in ("--" + name, str(v))]
+    code, payload, _ = run(capsys, "run-all", "--indices", indices, *flags)
     assert code == 3
-    assert payload == {"failure": "q_s_overflow", "stage": "sequence",
-                       "details": {"k": 4}}
+    assert payload == {"failure": reason, "stage": stage, "details": details}
 
 
 def test_stdout_is_canonical(capsys):

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paleykit import operators, orchestrator
+from paleykit import operators, orchestrator, sequence
 from paleykit.errors import StageFailure
 from paleykit.multiindex import Smoothness, q_s_eval, saturate
 from paleykit.orchestrator import (
@@ -92,7 +93,7 @@ def test_config_that_empties_a_gate_is_rejected(monkeypatch, field, value):
     # zero composite samples would report an error of 0.0; seed -1
     # and 2.5 used to fail in numpy inside the composite stage, seed True
     # to run as seed 1, K 2.5 to raise TypeError in the sequence stage,
-    # and t0 or q 1 to raise ConstructionError there after the witness search
+    # and t0 or q 1 to fail there after the witness search
     def no_stage(s):
         raise AssertionError("a stage ran")
 
@@ -145,13 +146,13 @@ def test_range_rule_ends_the_retries(monkeypatch):
     # at K = 8 the first four schedules fail the conditions, and the
     # fifth, t0 = q = 3^16, puts Q_S(n_8) past double range
     schedules = []
-    original = orchestrator.build_sequence
+    original = sequence.build_sequence
 
     def spy(s, witness, K, t0, q):
         schedules.append(t0)
         return original(s, witness, K, t0, q)
 
-    monkeypatch.setattr(orchestrator, "build_sequence", spy)
+    monkeypatch.setattr(sequence, "build_sequence", spy)
     with pytest.raises(StageFailure) as exc:
         run_construction(S_RETRY, OrchestratorConfig(K=8, t0=3, q=3, matrix_dims=()))
     assert (exc.value.stage, exc.value.reason, exc.value.details) == (
@@ -164,13 +165,13 @@ def test_schedule_budget_ends_a_rational_retry_loop(monkeypatch):
     # barely raises Q_S(n_K), so the range rule alone would wait for
     # 3e8-bit schedules; the budget stops at the seventh squaring
     denominators = []
-    original = orchestrator.build_sequence
+    original = sequence.build_sequence
 
     def spy(s, witness, K, t0, q):
         denominators.append(Fraction(t0).denominator)
         return original(s, witness, K, t0, q)
 
-    monkeypatch.setattr(orchestrator, "build_sequence", spy)
+    monkeypatch.setattr(sequence, "build_sequence", spy)
     near_one = Fraction(1000001, 1000000)
     with pytest.raises(StageFailure) as exc:
         run_construction(S_RETRY, OrchestratorConfig(t0=near_one, q=near_one,
@@ -178,7 +179,7 @@ def test_schedule_budget_ends_a_rational_retry_loop(monkeypatch):
     assert (exc.value.stage, exc.value.reason, exc.value.details) == (
         "sequence", "schedule_budget", {"retries": 7})
     assert denominators == [10**(6 * 2**i) for i in range(7)]
-    assert denominators[-1].bit_length() <= orchestrator.SCHEDULE_BITS < (
+    assert denominators[-1].bit_length() <= sequence.SCHEDULE_BITS < (
         denominators[-1]**2).bit_length()
 
 
@@ -328,6 +329,43 @@ def test_no_witness_failures():
         assert exc.value.stage == "property_o"
         assert exc.value.reason == "no_witness"
         assert exc.value.details == {"smoothness": bad}
+
+
+def stage_failures():
+    """(stage, reason) of every StageFailure(...) in src/paleykit whose
+    stage and reason are string literals."""
+    found = set()
+    for path in Path(orchestrator.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "StageFailure"
+                    and len(node.args) >= 2
+                    and all(isinstance(a, ast.Constant) and isinstance(a.value, str)
+                            for a in node.args[:2])):
+                found.add((node.args[0].value, node.args[1].value))
+    return found
+
+
+def test_every_stage_failure_is_documented():
+    # every stage can stop run_construction, so its docstring names each
+    # pair, and README lists each as `stage`/`reason`
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    found = stage_failures()
+    assert found == {("property_o", "no_witness"), ("sequence", "q_s_overflow"),
+                     ("sequence", "schedule_budget"), ("sequence", "doubling_budget"),
+                     ("riesz", "not_lacunary")}
+    for stage, reason in found:
+        assert "`%s`/`%s`" % (stage, reason) in readme
+        assert "%s, %s" % (stage, reason) in run_construction.__doc__
+
+
+def test_report_stores_the_smoothness_set_the_plan_holds():
+    # a raw index set is stored as the Smoothness the stages coerce it to,
+    # the same form as "plan"."smoothness"
+    rep = run_construction(saturate({(2, 0), (0, 1)}),
+                           OrchestratorConfig(K=2, matrix_dims=(), composite_count=1))
+    d = report_to_json(rep)
+    assert d["smoothness"] == d["plan"]["smoothness"] == {
+        "dim": 2, "indices": [[0, 0], [0, 1], [1, 0], [2, 0]]}
 
 
 def test_readme_names_the_schema_version():

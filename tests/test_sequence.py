@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from paleykit import sequence
-from paleykit.errors import ConstructionError, StageFailure
+from paleykit.errors import StageFailure
 from paleykit.multiindex import Smoothness, q_s_eval, saturate, symbol_abs_int
 from paleykit.property_o import PropertyOWitness, find_witness
 from paleykit.riesz import riesz_coeffs
@@ -108,15 +108,17 @@ def test_plan_invariants_k5():
 
 
 def test_build_sequence_errors():
+    # bad arguments read as run_construction reads them, and a false
+    # witness, each raise ValueError
     S = ref_smoothness()
     w = find_witness(S)
-    with pytest.raises(ConstructionError):
-        build_sequence(S, w, 0, 100, 10)
-    with pytest.raises(ConstructionError):
-        build_sequence(S, w, 2, 1, 10)
+    for K, t0, q in ((0, 100, 10), (2.5, 100, 10), (True, 100, 10), (2, 1, 10),
+                     (2, 100, True), (2, "1/0", 10)):
+        with pytest.raises(ValueError, match="need"):
+            build_sequence(S, w, K, t0, q)
     bad = PropertyOWitness(alpha=(2, 0), beta=(0, 1), c=(Fraction(1, 3), Fraction(1)),
                            t_star=Fraction(1, 3))
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ValueError, match="witness"):
         build_sequence(S, bad, 2, 100, 10)
 
 
@@ -148,8 +150,14 @@ def _doublings(p):
             for k, t in enumerate(p.ts)]
 
 
+def _doubling_failure(call):
+    with pytest.raises(StageFailure) as exc:
+        call()
+    return exc.value.stage, exc.value.reason, exc.value.details
+
+
 @pytest.mark.parametrize("maximal, t0, q", DOUBLING_CASES)
-def test_galloping_doubling_matches_one_step_loop(maximal, t0, q):
+def test_galloping_doubling_matches_one_step_loop(monkeypatch, maximal, t0, q):
     S = Smoothness.from_indices(saturate(maximal))
     w = find_witness(S)
     p = build_sequence(S, w, 4, t0, q)
@@ -158,24 +166,23 @@ def test_galloping_doubling_matches_one_step_loop(maximal, t0, q):
     # the same index k as the one-step loop
     j_max = max(_doublings(p))
     assert j_max > 0
-    with pytest.raises(ConstructionError) as exc:
-        build_sequence(S, w, 4, t0, q, max_doublings=j_max - 1)
-    with pytest.raises(ConstructionError) as oracle:
-        stepwise_doubling(w.c, 4, t0, q, max_doublings=j_max - 1)
-    assert str(exc.value) == str(oracle.value)
-    tight = build_sequence(S, w, 4, t0, q, max_doublings=j_max)
+    monkeypatch.setattr(sequence, "MAX_DOUBLINGS", j_max - 1)
+    failure = _doubling_failure(lambda: build_sequence(S, w, 4, t0, q))
+    assert failure[:2] == ("sequence", "doubling_budget")
+    assert failure == _doubling_failure(lambda: stepwise_doubling(w.c, 4, t0, q))
+    monkeypatch.setattr(sequence, "MAX_DOUBLINGS", j_max)
+    tight = build_sequence(S, w, 4, t0, q)
     assert (tight.ts, tight.sequence) == (p.ts, p.sequence)
 
 
-def test_doubling_without_room_raises_at_the_first_index_that_needs_it():
+def test_doubling_without_room_raises_at_the_first_index_that_needs_it(monkeypatch):
     S = ref_smoothness()
     w = find_witness(S)
     assert _doublings(ref_plan()) == [0, 4, 15, 40]
-    for max_doublings in (-1, 0, 3):
-        with pytest.raises(ConstructionError, match="n_2"):
-            build_sequence(S, w, 4, 100, 10, max_doublings=max_doublings)
-    with pytest.raises(ConstructionError, match="n_4"):
-        build_sequence(S, w, 4, 100, 10, max_doublings=39)
+    for budget, k in ((-1, 2), (0, 2), (3, 2), (39, 4)):
+        monkeypatch.setattr(sequence, "MAX_DOUBLINGS", budget)
+        assert _doubling_failure(lambda: build_sequence(S, w, 4, 100, 10)) == (
+            "sequence", "doubling_budget", {"k": k})
 
 
 def test_reference_build_round_rational_power_calls(monkeypatch):

@@ -153,6 +153,9 @@ def test_schema_5_plan_still_decodes():
     # a bool is not an int, though a 1-term plan would pass the
     # cross-field check with it read as 1
     (("sequence", 0, 0), True),
+    # a point without the set's dimension d = 2
+    (("sequence", 1), [126]),
+    (("sequence", 1), [126, 16000, 700]),
 ])
 def test_plan_from_json_rejects_malformed(path, value):
     d = to_jsonable(PLAN_1 if value is True else PLAN)
